@@ -22,6 +22,7 @@ from .errors import (
     InvalidKernelParams,
     InvalidRank,
     InvalidSupport,
+    InvariantViolation,
     NonConvergenceWarning,
     NonFiniteEntries,
     NotPSD,
@@ -101,6 +102,7 @@ __all__ = [
     "InvalidKernelParams",
     "InvalidRank",
     "InvalidSupport",
+    "InvariantViolation",
     "MatrixFunctionals",
     "NonConvergenceWarning",
     "NonFiniteEntries",

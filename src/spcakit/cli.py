@@ -491,3 +491,7 @@ def _diagnostic(code, message, **context):
 
 def entry_point():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

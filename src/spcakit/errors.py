@@ -54,6 +54,10 @@ class EnumerationBudgetExceeded(SpcaError):
         self.budget = budget
 
 
+class InvariantViolation(SpcaError):
+    """A mathematically guaranteed internal invariant failed: a bug, not bad input."""
+
+
 class DegenerateSolution(SpcaError):
     """Relaxation solution has no usable leading eigenpair."""
 

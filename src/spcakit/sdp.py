@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSolution
+from .errors import DegenerateSolution, InvariantViolation
 from .matrix import SymmetricMatrix, _fix_signs, ensure_psd
+from .oracle import restricted_top_eigenpair
 from .svd_threshold import SparseUnitVector
 
 _RHO_MIN = 1e-6
@@ -258,17 +259,8 @@ def _check_truncation_chain(A: SymmetricMatrix, u, z: SparseUnitVector):
     max_row = float(np.linalg.norm(A.entries, axis=1).max())
     drop = float(np.linalg.norm(u - z_dense))
     bound = u_au - 3.0 * float(np.abs(u).sum()) * max_row * drop
-    assert lhs >= bound - 1e-8, f"truncation chain violated: {lhs} < {bound}"
-
-
-def _polish_support(A: SymmetricMatrix, keep) -> SparseUnitVector:
-    # Best unit vector on the fixed support: top eigenpair of A[S, S]. The
-    # quadratic form can only improve over the raw truncation, so every floor
-    # certified for the truncation transfers to the polished vector.
-    sub = A.entries[np.ix_(keep, keep)]
-    w, v = np.linalg.eigh(sub)
-    vec = _fix_signs(v[:, -1:])[:, 0]
-    return SparseUnitVector(A.n, keep, vec, norm_le_one=True)
+    if not lhs >= bound - 1e-8:
+        raise InvariantViolation(f"truncation chain violated: {lhs} < {bound}")
 
 
 def spca_sdp(
@@ -313,5 +305,9 @@ def spca_sdp(
     z = SparseUnitVector(A.n, keep, diag.top_eigenvector[keep], norm_le_one=True)
     _check_truncation_chain(A, diag.top_eigenvector, z)
     if polish:
-        z = _polish_support(A, keep)
+        # Best unit vector on the fixed support: top eigenpair of A[S, S]. The
+        # quadratic form can only improve over the raw truncation, so every
+        # floor certified for the truncation transfers to the polished vector.
+        _, vec = restricted_top_eigenpair(A, keep)
+        z = SparseUnitVector(A.n, keep, vec, norm_le_one=True)
     return z, sol, diag

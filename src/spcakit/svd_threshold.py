@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvariantViolation
 from .matrix import (
     EigenPairs,
     SvdParams,
@@ -137,7 +137,11 @@ def threshold_row_indices(pairs: EigenPairs, k, epsilon, mode="theory", budget_s
         thr = epsilon * epsilon / k
         selected = np.flatnonzero(row_norms_sq >= thr - _THRESHOLD_SLACK * max(thr, 1.0))
         # |R| * eps^2/k <= sum of squared row norms = l, hence |R| <= k*l/eps^2.
-        assert selected.size <= k * pairs.l / (epsilon * epsilon) + 1e-9
+        size_bound = k * pairs.l / (epsilon * epsilon)
+        if selected.size > size_bound + 1e-9:
+            raise InvariantViolation(
+                f"theory-mode selection has {selected.size} rows, above k*l/eps^2 = {size_bound}"
+            )
     elif mode == "budget":
         if budget_s is None or budget_s < 1:
             raise ValueError("budget mode requires budget_s >= 1")

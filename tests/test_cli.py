@@ -6,7 +6,7 @@ import pytest
 from spcakit import load_matrix, save_matrix
 from spcakit.cli import main, reproduce_pitprops
 
-from helpers import random_psd
+from helpers import random_psd, run_python
 
 
 def _run(args):
@@ -186,3 +186,9 @@ class TestReproducePitprops:
         assert _run(["reproduce-pitprops", "--output", str(out)]) == 0
         report = _read_json(out)
         assert report["results"][0]["all_ok"] is True
+
+
+def test_module_invocation_prints_version():
+    proc = run_python("-m", "spcakit.cli", "--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["spca", "0.1.0"]

@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from spcakit import oracle
 from spcakit import (
     EnumerationBudgetExceeded,
     InvalidSupport,
@@ -11,7 +15,28 @@ from spcakit import (
     symmetrize,
 )
 
-from helpers import random_psd
+from helpers import exhaustive_spca_loop, random_psd
+
+
+def _assert_matches_loop(A, k):
+    res = exact_spca(A, k)
+    assert (res.optimal_value, res.support, res.instances_enumerated) == exhaustive_spca_loop(A.entries, k)
+    assert 0 <= res.instances_pruned < res.instances_enumerated
+    return res
+
+
+_TRIDIAGONAL_BLOCK = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+_TIE_HEAVY_INPUTS = {
+    "identity": np.eye(8),
+    "all-ones": np.ones((8, 8)),
+    # Rounding puts the computed top eigenvalue of these blocks above their
+    # computed Gershgorin bound, so the screen's margin is needed.
+    "constant": np.full((8, 8), 0.3),
+    "repeated-diagonal": np.diag([3.0, 1.0, 3.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]),
+    "duplicated-blocks": np.kron(np.eye(3), _TRIDIAGONAL_BLOCK),
+    "duplicated-random-blocks": np.kron(np.eye(2), random_psd(5, 77).entries),
+    "zero": np.zeros((6, 6)),
+}
 
 
 class TestRestrictedTopEigenpair:
@@ -61,8 +86,14 @@ class TestExactSpca:
         assert res.optimal_value == pytest.approx(3.996, abs=0.005)
         assert res.support == (0, 1, 5, 6, 7, 8, 9)
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         A = random_psd(10, 3)
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumeration started before the budget check")
+
+        monkeypatch.setattr(itertools, "combinations", no_enumeration)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_enumeration)
         with pytest.raises(EnumerationBudgetExceeded) as info:
             exact_spca(A, 5, max_enumeration=100)
         assert info.value.required == 252
@@ -87,3 +118,59 @@ class TestExactSpca:
         assert res.optimal_vector.sparsity <= 3
         assert abs(res.optimal_vector.norm - 1.0) <= 1e-12
         assert res.optimal_vector.quadratic_form(A) == pytest.approx(res.optimal_value, abs=1e-10)
+
+
+class TestScreenedEnumeration:
+    """The chunked, screened enumeration against a one-support-at-a-time loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_matches_loop_on_random_psd(self, n, scale):
+        for seed in range(3):
+            A = random_psd(n, 1300 + 17 * n + seed, scale=scale)
+            for k in range(1, n + 1):
+                _assert_matches_loop(A, k)
+
+    @pytest.mark.parametrize("name", sorted(_TIE_HEAVY_INPUTS))
+    def test_matches_loop_on_tie_heavy_inputs(self, name):
+        A = symmetrize(_TIE_HEAVY_INPUTS[name])
+        for k in range(1, A.n + 1):
+            _assert_matches_loop(A, k)
+
+    def test_several_chunks_and_a_remainder(self):
+        n, k = 20, 6
+        chunk = oracle._CHUNK_ENTRIES // (k * k)
+        required = math.comb(n, k)
+        assert required > 2 * chunk and required % chunk != 0
+        res = _assert_matches_loop(random_psd(n, 2024), k)
+        assert res.instances_enumerated == required
+
+    @pytest.mark.parametrize("entries", [1, 40])
+    def test_tiny_chunks(self, monkeypatch, entries):
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", entries)
+        for k in (2, 3, 5):
+            _assert_matches_loop(random_psd(10, 31 + k), k)
+            _assert_matches_loop(symmetrize(_TIE_HEAVY_INPUTS["repeated-diagonal"]), k)
+
+    def test_screen_prunes_on_wishart_input(self):
+        rng = np.random.Generator(np.random.Philox(8))
+        g = rng.standard_normal((20, 20))
+        res = _assert_matches_loop(symmetrize(g @ g.T / 20), 5)
+        assert res.instances_pruned > 0
+
+    @pytest.mark.parametrize("n, k", [(256, 256), (120, 119)])
+    def test_k_near_n_scores_no_more_than_the_supports(self, monkeypatch, n, k):
+        eigvalsh = np.linalg.eigvalsh
+        scored = []
+
+        def counting_eigvalsh(a):
+            scored.append(1 if a.ndim == 2 else a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        A = random_psd(n, 4242)
+        res = exact_spca(A, k)
+        assert sum(scored) <= res.instances_enumerated == math.comb(n, k)
+        if k == n:
+            assert res.support == tuple(range(n))
+            assert res.optimal_value == pytest.approx(eigvalsh(A.entries)[-1], rel=1e-12)

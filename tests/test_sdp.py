@@ -7,6 +7,7 @@ from spcakit import (
     AdmmConfig,
     DegenerateSolution,
     FeasibilityResiduals,
+    InvariantViolation,
     SdpSolution,
     exact_spca,
     pit_props,
@@ -20,7 +21,9 @@ from spcakit import (
     unit_row_normalize,
 )
 
-from helpers import l1_ball_projection_bisection, random_psd
+from spcakit.sdp import _check_truncation_chain
+
+from helpers import forged_truncation, l1_ball_projection_bisection, random_psd, run_python
 
 # Projection of the Philox(999) 5x5 symmetric matrix below onto the PSD
 # trace ball, solved at build time by an independent convex solver
@@ -266,3 +269,24 @@ class TestSpcaSdp:
         assert np.array_equal(z1.values, z2.values)
         assert np.array_equal(s1.Z, s2.Z)
         assert d1.alpha == d2.alpha and d1.beta == d2.beta
+
+
+class TestTruncationChainCheck:
+    def test_forged_truncation_raises(self):
+        with pytest.raises(InvariantViolation, match="truncation chain violated"):
+            _check_truncation_chain(*forged_truncation())
+
+    def test_forged_truncation_raises_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from helpers import forged_truncation\n"
+            "from spcakit import InvariantViolation\n"
+            "from spcakit.sdp import _check_truncation_chain\n"
+            "try:\n"
+            "    _check_truncation_chain(*forged_truncation())\n"
+            "except InvariantViolation:\n"
+            "    print('raised', sys.flags.optimize)\n"
+        )
+        proc = run_python("-O", "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised 1"
