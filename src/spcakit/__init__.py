@@ -68,6 +68,7 @@ from .evaluation import (
     EvalReport,
     SweepConfig,
     evaluate,
+    solve,
     sparsity_sweep,
 )
 from .data import (
@@ -139,6 +140,7 @@ __all__ = [
     "restricted_top_eigenpair",
     "round_sdp_solution",
     "save_matrix",
+    "solve",
     "solve_sdp_relaxation",
     "sparsity_sweep",
     "spca_sdp",

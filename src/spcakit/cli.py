@@ -31,11 +31,10 @@ from .data import (
     PIT_PROPS_VARIABLES,
 )
 from .errors import SpcaError
-from .evaluation import EvalContext, SweepConfig, env_workers, evaluate, sparsity_sweep
+from .evaluation import SweepConfig, env_workers, solve, sparsity_sweep
 from .matrix import SvdParams, symmetrize
 from .oracle import exact_spca
-from .sdp import AdmmConfig, spca_sdp
-from .svd_threshold import SvdThresholdConfig, spca_svd
+from .sdp import AdmmConfig
 
 SCHEMA_VERSION = 1
 
@@ -75,15 +74,10 @@ def _load_input(args):
     if name.startswith("builtin:"):
         raise CliValidationError(f"unknown builtin dataset {name!r}")
 
-    kind = getattr(args, "input_kind", "symmetric")
-    loaded = load_matrix(name, format=getattr(args, "input_format", None), kind=kind)
+    loaded = load_matrix(name, format=args.input_format, kind=args.input_kind)
     if isinstance(loaded, DataMatrix):
-        loaded = covariance_from_data(
-            loaded,
-            center=getattr(args, "center", True),
-            to_correlation=getattr(args, "to_correlation", False),
-        )
-    if getattr(args, "unit_row_norm", False):
+        loaded = covariance_from_data(loaded, center=args.center, to_correlation=args.to_correlation)
+    if args.unit_row_norm:
         loaded = unit_row_normalize(loaded)
     return loaded, name
 
@@ -94,7 +88,6 @@ def _admm_config(args):
         max_iters=args.max_iters,
         primal_tol=args.primal_tol,
         dual_tol=args.dual_tol,
-        seed=args.seed,
         adaptive_rho=not args.no_adaptive_rho,
     )
 
@@ -179,48 +172,23 @@ def _parse_grid(spec):
 
 def _cmd_solve(args):
     A, input_name = _load_input(args)
-    mode = "budget" if args.sparsity is not None else "theory"
-    if mode == "theory" and args.epsilon is None:
+    if args.sparsity is None and args.epsilon is None:
         raise CliValidationError("theory mode requires --epsilon (or pass --sparsity)")
-    epsilon = args.epsilon if args.epsilon is not None else 1.0
-
-    oracle_value = None
-    if args.oracle_ref:
-        oracle_value = exact_spca(A, args.k).optimal_value
-
+    vec, metrics, sol, diag = solve(
+        A,
+        args.algo,
+        args.k,
+        sparsity=args.sparsity,
+        epsilon=args.epsilon,
+        l_override=args.l_override,
+        svd=_svd_params(args),
+        admm=_admm_config(args),
+        oracle_ref=args.oracle_ref,
+    )
     names = PIT_PROPS_VARIABLES if input_name == "builtin:pitprops" else None
-    result = {}
+    result = {**_vector_payload(vec, names), "metrics": metrics.to_dict()}
     exit_code = 0
-    if args.algo == "svd":
-        cfg = SvdThresholdConfig(
-            k=args.k,
-            epsilon=epsilon,
-            l_override=args.l_override,
-            mode=mode,
-            budget_s=args.sparsity,
-            svd=_svd_params(args),
-        )
-        vec = spca_svd(A, cfg)
-        ctx = EvalContext(epsilon=epsilon, z_ref=oracle_value)
-        result.update(_vector_payload(vec, names))
-        result["metrics"] = evaluate(A, vec, ctx).to_dict()
-    elif args.algo == "sdp":
-        vec, sol, diag = spca_sdp(
-            A,
-            k=args.k,
-            epsilon=args.epsilon,
-            mode=mode,
-            budget_s=args.sparsity,
-            cfg=_admm_config(args),
-        )
-        ctx = EvalContext(
-            epsilon=epsilon,
-            alpha=diag.alpha,
-            z_ref=oracle_value if oracle_value is not None else sol.objective,
-            solver_gap=sol.solver_gap,
-        )
-        result.update(_vector_payload(vec, names))
-        result["metrics"] = evaluate(A, vec, ctx).to_dict()
+    if sol is not None:
         result["sdp"] = {
             "objective": sol.objective,
             "iterations_used": sol.iterations_used,
@@ -236,8 +204,6 @@ def _cmd_solve(args):
         }
         if not sol.converged and args.strict:
             exit_code = 3
-    else:
-        raise CliValidationError(f"unknown algorithm {args.algo!r}")
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -274,8 +240,7 @@ def _cmd_sweep(args):
     grid = _parse_grid(args.grid)
     algo = {"exact": "oracle"}.get(args.algo, args.algo)
     cfg = SweepConfig(
-        epsilon=args.epsilon if args.epsilon is not None else 1.0,
-        seed=args.seed,
+        epsilon=args.epsilon,
         svd=_svd_params(args),
         admm=_admm_config(args),
         oracle_ref=args.oracle_ref,
@@ -324,15 +289,16 @@ def reproduce_pitprops(admm: AdmmConfig | None = None):
     ref = PITPROPS_REFERENCE
     rows = {}
 
-    svd_vec = spca_svd(A, SvdThresholdConfig(k=7, epsilon=1.0, mode="budget", budget_s=7))
-    sdp_vec, sol, diag = spca_sdp(A, k=7, mode="budget", budget_s=7, cfg=admm)
+    svd_vec, svd_report, _, _ = solve(A, "svd", 7, sparsity=7)
+    sdp_vec, sdp_report, sol, diag = solve(A, "sdp", 7, sparsity=7, admm=admm)
+    # The oracle row reports the restricted-eigenpair optimum itself, not an
+    # evaluation of its vector, so it calls the oracle directly.
     oracle_res = exact_spca(A, 7)
 
-    for name, vec in (("svd", svd_vec), ("sdp", sdp_vec)):
+    for name, vec, report in (("svd", svd_vec, svd_report), ("sdp", sdp_vec, sdp_report)):
         dense_abs = np.abs(vec.to_dense())
         expected = np.asarray(ref[name]["loadings_abs"])
         deltas = np.abs(dense_abs - expected)
-        report = evaluate(A, vec)
         rows[name] = {
             "loadings_abs": [float(v) for v in dense_abs],
             "expected_loadings_abs": [float(v) for v in expected],

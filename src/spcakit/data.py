@@ -83,7 +83,7 @@ def _parse_int(token, lineno, column):
 
 
 def _read_matrix_market(path):
-    """Dense array from a MatrixMarket file; returns (array, symmetric_flag)."""
+    """Dense array from a MatrixMarket file (symmetric storage expanded to full)."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ParseError("empty file", 1)
@@ -129,7 +129,7 @@ def _read_matrix_market(path):
             arr[i, j] = value
             if shape == "symmetric":
                 arr[j, i] = value
-        return arr, shape == "symmetric"
+        return arr
 
     if len(size_tokens) != 2:
         raise ParseError("array size line needs 'rows cols'", size_lineno)
@@ -153,10 +153,10 @@ def _read_matrix_market(path):
                 arr[i, j] = values[pos]
                 arr[j, i] = values[pos]
                 pos += 1
-        return arr, True
+        return arr
     if len(values) != rows * cols:
         raise ParseError(f"expected {rows * cols} values, found {len(values)}", size_lineno)
-    return np.array(values).reshape((cols, rows)).T, False  # column-major
+    return np.array(values).reshape((cols, rows)).T  # column-major
 
 
 def _read_csv(path):
@@ -201,7 +201,7 @@ def load_matrix(path, format=None, kind="symmetric", symmetry_tol=1e-8):
     """
     fmt = _sniff_format(path, format)
     if fmt == "matrix_market":
-        arr, _ = _read_matrix_market(path)
+        arr = _read_matrix_market(path)
     elif fmt == "dense_csv":
         arr = _read_csv(path)
     else:

@@ -10,7 +10,8 @@ instead. Two bound families can be attached to a report:
   multiplicative floor of the relaxation-rounding solver.
 
 ``Z_ref`` is the exact optimum when available; the relaxation objective is a
-valid stand-in since it upper-bounds the optimum.
+valid stand-in since it upper-bounds the optimum. :func:`solve` runs one
+solver and wires these inputs; :func:`sparsity_sweep` maps it over a grid.
 """
 
 from __future__ import annotations
@@ -109,61 +110,97 @@ def evaluate(A: SymmetricMatrix, y: SparseUnitVector, context: EvalContext | Non
     )
 
 
+def solve(
+    A: SymmetricMatrix,
+    algo: str,
+    k: int,
+    sparsity: int | None = None,
+    epsilon: float | None = None,
+    l_override: int | None = None,
+    svd: SvdParams | None = None,
+    admm: AdmmConfig | None = None,
+    oracle_ref: bool = False,
+):
+    """Run one solver on ``A`` and evaluate its vector against the floor it certifies.
+
+    ``algo`` is ``"svd"``, ``"sdp"`` or ``"oracle"``. Budget mode keeps
+    exactly ``sparsity`` coordinates; omitting ``sparsity`` selects theory
+    mode. ``epsilon`` defaults to 1.0 for the floors and for :func:`spca_svd`;
+    :func:`spca_sdp` gets it as given, so its theory mode needs it. With
+    ``oracle_ref``, or for ``algo="oracle"``, the exact optimum at ``k`` is the
+    reference value; without it the sdp floor uses the relaxation objective.
+
+    Returns ``(vector, report, solution, diagnostics)``; the last two are set
+    only for ``algo="sdp"``.
+    """
+    if algo not in ("svd", "sdp", "oracle"):
+        raise ValueError(f"unknown algorithm {algo!r}")
+    mode = "budget" if sparsity is not None else "theory"
+    eps = epsilon if epsilon is not None else 1.0
+    z_ref = sol = diag = None
+    if oracle_ref or algo == "oracle":
+        oracle_res = exact_spca(A, k)
+        z_ref = oracle_res.optimal_value
+    if algo == "svd":
+        cfg = SvdThresholdConfig(
+            k=k,
+            epsilon=eps,
+            l_override=l_override,
+            mode=mode,
+            budget_s=sparsity,
+            svd=svd or SvdParams(),
+        )
+        vec = spca_svd(A, cfg)
+    elif algo == "sdp":
+        vec, sol, diag = spca_sdp(A, k=k, epsilon=epsilon, mode=mode, budget_s=sparsity, cfg=admm)
+        if z_ref is None:
+            z_ref = sol.objective
+    else:
+        vec = oracle_res.optimal_vector
+    ctx = EvalContext(
+        epsilon=eps,
+        alpha=diag.alpha if diag is not None else None,
+        z_ref=z_ref,
+        solver_gap=sol.solver_gap if sol is not None else 0.0,
+    )
+    return vec, evaluate(A, vec, ctx), sol, diag
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Shared settings for :func:`sparsity_sweep`."""
+    """Shared settings for :func:`sparsity_sweep`; ``epsilon`` as in :func:`solve`."""
 
-    epsilon: float = 1.0
-    seed: int = 0
+    epsilon: float | None = None
     svd: SvdParams = field(default_factory=SvdParams)
     admm: AdmmConfig = field(default_factory=AdmmConfig)
     oracle_ref: bool = False
-    max_enumeration: int = 2_000_000
     workers: int = 1
 
 
-def _sweep_point(A, algo, s, cfg: SweepConfig):
-    oracle_res = None
-    if cfg.oracle_ref or algo == "oracle":
-        oracle_res = exact_spca(A, s, cfg.max_enumeration)
-    z_ref = oracle_res.optimal_value if oracle_res is not None else None
-    if algo == "svd":
-        vec = spca_svd(
-            A,
-            SvdThresholdConfig(k=s, epsilon=cfg.epsilon, mode="budget", budget_s=s, svd=cfg.svd),
-        )
-        ctx = EvalContext(epsilon=cfg.epsilon, z_ref=z_ref)
-    elif algo == "sdp":
-        vec, sol, diag = spca_sdp(A, k=s, mode="budget", budget_s=s, cfg=cfg.admm)
-        ctx = EvalContext(
-            epsilon=cfg.epsilon,
-            alpha=diag.alpha,
-            z_ref=z_ref if z_ref is not None else sol.objective,
-            solver_gap=sol.solver_gap,
-        )
-    elif algo == "oracle":
-        vec = oracle_res.optimal_vector
-        ctx = EvalContext(epsilon=cfg.epsilon, z_ref=z_ref)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    return evaluate(A, vec, ctx)
-
-
 def sparsity_sweep(A: SymmetricMatrix, algo: str, sparsity_grid, cfg: SweepConfig | None = None):
-    """One :class:`EvalReport` per grid value, with k = s at every point.
+    """One :class:`EvalReport` per grid value, from :func:`solve` with k = s.
 
     Grid points are independent and may be evaluated on a thread pool
     (``cfg.workers``); reports are returned in grid order either way.
     """
     cfg = cfg or SweepConfig()
     grid = [int(s) for s in sparsity_grid]
+    if not grid:
+        raise ValueError("sparsity grid is empty")
     for s in grid:
         if not 1 <= s <= A.n:
             raise ValueError(f"grid value {s} outside [1, {A.n}]")
+
+    def point(s):
+        return solve(
+            A, algo, s, sparsity=s, epsilon=cfg.epsilon, svd=cfg.svd, admm=cfg.admm,
+            oracle_ref=cfg.oracle_ref,
+        )[1]
+
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(lambda s: _sweep_point(A, algo, s, cfg), grid))
-    return [_sweep_point(A, algo, s, cfg) for s in grid]
+            return list(pool.map(point, grid))
+    return [point(s) for s in grid]
 
 
 def env_workers(default: int = 1) -> int:

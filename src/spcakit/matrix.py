@@ -29,6 +29,8 @@ from .errors import (
 # marginally indefinite, so eigenvalues down to -PSD_SLACK * ||A||_2 pass.
 PSD_SLACK = 1e-8
 
+_KRYLOV_C = 2.0
+
 
 def _fix_signs(vectors):
     """Flip column signs so the largest-|entry| coordinate is positive.
@@ -129,7 +131,6 @@ class SvdParams:
     method: str = "exact"  # "exact" or "block_krylov"
     svd_eps: float = 0.1
     seed: int = 0
-    krylov_c: float = 2.0
 
 
 def _column_residual(A_entries, values, vectors):
@@ -163,13 +164,12 @@ def top_l_eigenpairs(
     method: str = "exact",
     svd_eps: float = 0.1,
     seed: int = 0,
-    krylov_c: float = 2.0,
 ) -> EigenPairs:
     """Leading ``l`` eigenpairs of ``A``.
 
     ``method="exact"`` truncates the cached full decomposition.
     ``method="block_krylov"`` runs a randomized block Krylov iteration with
-    block size ``l`` and ``ceil(krylov_c * log(n) / sqrt(svd_eps))``
+    block size ``l`` and ``ceil(_KRYLOV_C * log(n) / sqrt(svd_eps))``
     multiplications; each returned value is within a relative ``svd_eps`` of
     the true eigenvalue for PSD input. When the Krylov subspace would reach
     the full dimension, the dense path is used instead (the iteration has
@@ -177,25 +177,18 @@ def top_l_eigenpairs(
     """
     if not 1 <= l <= A.n:
         raise InvalidRank(f"l={l} outside [1, {A.n}]")
-    if method == "exact":
-        full = eigendecompose(A)
-        values = full.values[:l].copy()
-        vectors = full.vectors[:, :l].copy()
-        return EigenPairs(values, vectors, "exact", _column_residual(A.entries, values, vectors))
-    if method != "block_krylov":
+    if method not in ("exact", "block_krylov"):
         raise ValueError(f"unknown eigensolver method {method!r}")
-    if not 0.0 < svd_eps < 1.0:
-        raise ValueError("svd_eps must lie in (0, 1) for block_krylov")
-
     n = A.n
-    iters = int(math.ceil(krylov_c * math.log(max(n, 2)) / math.sqrt(svd_eps)))
-    if l * (iters + 1) >= n:
+    if method == "block_krylov":
+        if not 0.0 < svd_eps < 1.0:
+            raise ValueError("svd_eps must lie in (0, 1) for block_krylov")
+        iters = int(math.ceil(_KRYLOV_C * math.log(max(n, 2)) / math.sqrt(svd_eps)))
+    if method == "exact" or l * (iters + 1) >= n:
         full = eigendecompose(A)
         values = full.values[:l].copy()
         vectors = full.vectors[:, :l].copy()
-        return EigenPairs(
-            values, vectors, "block_krylov", _column_residual(A.entries, values, vectors)
-        )
+        return EigenPairs(values, vectors, method, _column_residual(A.entries, values, vectors))
 
     rng = np.random.Generator(np.random.Philox(seed))
     block, _ = np.linalg.qr(rng.standard_normal((n, l)))

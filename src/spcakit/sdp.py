@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateSolution, InvariantViolation
 from .matrix import SymmetricMatrix, _fix_signs, ensure_psd
 from .oracle import restricted_top_eigenpair
-from .svd_threshold import SparseUnitVector
+from .svd_threshold import SparseUnitVector, _check_mode
 
 _RHO_MIN = 1e-6
 _RHO_MAX = 1e6
@@ -42,7 +42,6 @@ class AdmmConfig:
     max_iters: int = 50_000
     primal_tol: float = 1e-6
     dual_tol: float = 1e-6
-    seed: int = 0
     adaptive_rho: bool = True
 
     def __post_init__(self):
@@ -286,14 +285,7 @@ def spca_sdp(
 
     Returns ``(vector, solution, diagnostics)``.
     """
-    if mode not in ("theory", "budget"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "theory":
-        if epsilon is None or not 0.0 < epsilon <= 1.0:
-            raise ValueError("theory mode requires epsilon in (0, 1]")
-    elif budget_s is None or budget_s < 1:
-        raise ValueError("budget mode requires budget_s >= 1")
-
+    _check_mode(mode, epsilon, budget_s)
     sol = solve_sdp_relaxation(A, k, cfg)
     diag = rank_one_diagnostics(sol)
     if mode == "theory":

@@ -28,6 +28,19 @@ from .matrix import (
 _THRESHOLD_SLACK = 1e-12
 
 
+def _check_mode(mode, epsilon, budget_s):
+    """Raise ``ValueError`` unless ``mode`` is "theory" with epsilon in (0, 1]
+    or "budget" with ``budget_s >= 1``."""
+    if mode == "theory":
+        if epsilon is None or not 0.0 < epsilon <= 1.0:
+            raise ValueError("theory mode requires epsilon in (0, 1]")
+    elif mode == "budget":
+        if budget_s is None or budget_s < 1:
+            raise ValueError("budget mode requires budget_s >= 1")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 @dataclass(frozen=True)
 class SparseUnitVector:
     """A sparse vector with explicit support, stored as (indices, values).
@@ -105,12 +118,10 @@ class SvdThresholdConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
+        # epsilon sizes l in both modes, so it is checked in budget mode too.
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-        if self.mode not in ("theory", "budget"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "budget" and (self.budget_s is None or self.budget_s < 1):
-            raise ValueError("budget mode requires budget_s >= 1")
+        _check_mode(self.mode, self.epsilon, self.budget_s)
         if self.l_override is not None and self.l_override < 1:
             raise ValueError("l_override must be a positive integer")
 
@@ -129,11 +140,10 @@ def threshold_row_indices(pairs: EigenPairs, k, epsilon, mode="theory", budget_s
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
+    _check_mode(mode, epsilon, budget_s)
     row_norms_sq = np.einsum("ij,ij->i", pairs.vectors, pairs.vectors)
     n = row_norms_sq.shape[0]
     if mode == "theory":
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
         thr = epsilon * epsilon / k
         selected = np.flatnonzero(row_norms_sq >= thr - _THRESHOLD_SLACK * max(thr, 1.0))
         # |R| * eps^2/k <= sum of squared row norms = l, hence |R| <= k*l/eps^2.
@@ -142,13 +152,9 @@ def threshold_row_indices(pairs: EigenPairs, k, epsilon, mode="theory", budget_s
             raise InvariantViolation(
                 f"theory-mode selection has {selected.size} rows, above k*l/eps^2 = {size_bound}"
             )
-    elif mode == "budget":
-        if budget_s is None or budget_s < 1:
-            raise ValueError("budget mode requires budget_s >= 1")
+    else:
         order = np.argsort(-row_norms_sq, kind="stable")
         selected = np.sort(order[: min(budget_s, n)])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     if selected.size == 0:
         selected = np.array([int(np.argmax(row_norms_sq))], dtype=np.int64)
     return selected.astype(np.int64)
@@ -202,7 +208,6 @@ def spca_svd(A: SymmetricMatrix, cfg: SvdThresholdConfig) -> SparseUnitVector:
         method=cfg.svd.method,
         svd_eps=cfg.svd.svd_eps,
         seed=cfg.svd.seed,
-        krylov_c=cfg.svd.krylov_c,
     )
     selected = threshold_row_indices(pairs, cfg.k, cfg.epsilon, cfg.mode, cfg.budget_s)
     factor = np.sqrt(np.maximum(pairs.values, 0.0))[:, None] * pairs.vectors[selected].T

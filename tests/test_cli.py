@@ -138,6 +138,24 @@ class TestSweepCommand:
         fs = [row["f_value"] for row in _read_json(out)["results"]]
         assert all(b >= a - 1e-12 for a, b in zip(fs, fs[1:]))
 
+    def test_empty_grid_exits_2(self, capsys):
+        code = _run(["sweep", "--input", "builtin:identity6", "--algo", "svd", "--grid", "5:3"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["code"] == "ValueError"
+
+    @pytest.mark.parametrize("algo", ["svd", "sdp"])
+    def test_solve_metrics_equal_sweep_row(self, tmp_path, algo):
+        mat = tmp_path / "m.mtx"
+        save_matrix(mat, random_psd(8, 515))
+        solve_out, sweep_out = tmp_path / "solve.json", tmp_path / "sweep.json"
+        common = ["--input", str(mat), "--algo", algo, "--oracle-ref"]
+        assert _run(["solve", *common, "--k", "3", "--sparsity", "3",
+                     "--output", str(solve_out)]) == 0
+        assert _run(["sweep", *common, "--grid", "3", "--output", str(sweep_out)]) == 0
+        (row,) = _read_json(sweep_out)["results"]
+        assert row.pop("grid_sparsity") == 3
+        assert _read_json(solve_out)["result"]["metrics"] == row
+
     def test_grid_comma_list(self, tmp_path):
         out = tmp_path / "r.json"
         code = _run([

@@ -10,6 +10,7 @@ from spcakit import (
     exact_spca,
     matrix_functionals,
     pit_props,
+    solve,
     sparsity_sweep,
     spca_sdp,
     symmetrize,
@@ -110,8 +111,37 @@ class TestSparsitySweep:
             assert a.f_value == b.f_value
 
     def test_grid_validation(self):
+        for grid in ([0], []):
+            with pytest.raises(ValueError):
+                sparsity_sweep(random_psd(4, 0), "svd", grid)
+
+    @pytest.mark.parametrize("algo", ["svd", "sdp", "oracle"])
+    def test_points_equal_solve(self, algo):
+        A = random_psd(8, 4242)
+        grid = [2, 3, 4]
+        reports = sparsity_sweep(A, algo, grid, SweepConfig(oracle_ref=True))
+        for s, report in zip(grid, reports):
+            _, expected, _, _ = solve(A, algo, s, sparsity=s, oracle_ref=True)
+            assert report.to_dict() == expected.to_dict()
+
+
+class TestSolve:
+    def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            sparsity_sweep(random_psd(4, 0), "svd", [0])
+            solve(random_psd(4, 1), "bogus", 2, sparsity=2)
+
+    @pytest.mark.parametrize("algo", ["svd", "sdp", "oracle"])
+    def test_solution_and_diagnostics_only_for_sdp(self, algo):
+        A = random_psd(6, 77)
+        vec, report, sol, diag = solve(A, algo, 2, sparsity=3)
+        assert report.objective == pytest.approx(vec.quadratic_form(A), abs=1e-12)
+        if algo == "sdp":
+            assert sol is not None and diag is not None
+            assert report.z_ref == sol.objective
+            assert report.thm2_floor is not None
+        else:
+            assert sol is None and diag is None
+            assert report.thm2_floor is None
 
 
 def test_env_workers(monkeypatch):
