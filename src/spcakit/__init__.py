@@ -41,6 +41,7 @@ from .matrix import (
     eigendecompose,
     ensure_psd,
     matrix_functionals,
+    spectral_norm,
     symmetrize,
     top_l_eigenpairs,
 )
@@ -145,6 +146,7 @@ __all__ = [
     "sparsity_sweep",
     "spca_sdp",
     "spca_svd",
+    "spectral_norm",
     "symmetrize",
     "synthetic_spiked",
     "threshold_row_indices",

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch
-from .matrix import SvdParams, SymmetricMatrix, matrix_functionals
+from .matrix import SvdParams, SymmetricMatrix, spectral_norm
 from .oracle import exact_spca
 from .sdp import AdmmConfig, spca_sdp
 from .svd_threshold import SparseUnitVector, SvdThresholdConfig, spca_svd
@@ -74,14 +74,14 @@ def evaluate(A: SymmetricMatrix, y: SparseUnitVector, context: EvalContext | Non
     context = context or EvalContext()
     if y.n != A.n:
         raise DimensionMismatch(f"vector dim {y.n} vs matrix dim {A.n}")
-    functionals = matrix_functionals(A)
+    norm = spectral_norm(A)
     objective = y.quadratic_form(A)
-    f_value = objective / functionals.spectral_norm if functionals.spectral_norm > 0 else 0.0
-    pve = objective / functionals.trace if functionals.trace != 0 else 0.0
+    f_value = objective / norm if norm > 0 else 0.0
+    pve = objective / A.trace if A.trace != 0 else 0.0
 
     thm1 = thm2 = None
     if context.z_ref is not None and context.epsilon is not None:
-        thm1 = context.z_ref - 3.0 * context.epsilon * functionals.trace
+        thm1 = context.z_ref - 3.0 * context.epsilon * A.trace
         if context.alpha is not None and context.alpha > 0:
             thm2 = context.z_ref / context.alpha - context.epsilon - context.solver_gap
 
@@ -125,8 +125,9 @@ def solve(
 
     ``algo`` is ``"svd"``, ``"sdp"`` or ``"oracle"``. Budget mode keeps
     exactly ``sparsity`` coordinates; omitting ``sparsity`` selects theory
-    mode. ``epsilon`` defaults to 1.0 for the floors and for :func:`spca_svd`;
-    :func:`spca_sdp` gets it as given, so its theory mode needs it. With
+    mode. ``epsilon`` must lie in (0, 1] for every algorithm; it defaults to
+    1.0 for the floors and for :func:`spca_svd`, and :func:`spca_sdp` gets it
+    as given, so its theory mode needs it. With
     ``oracle_ref``, or for ``algo="oracle"``, the exact optimum at ``k`` is the
     reference value; without it the sdp floor uses the relaxation objective.
 
@@ -135,6 +136,8 @@ def solve(
     """
     if algo not in ("svd", "sdp", "oracle"):
         raise ValueError(f"unknown algorithm {algo!r}")
+    if epsilon is not None and not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
     mode = "budget" if sparsity is not None else "theory"
     eps = epsilon if epsilon is not None else 1.0
     z_ref = sol = diag = None

@@ -20,6 +20,8 @@ from .matrix import (
     SvdParams,
     SymmetricMatrix,
     _fix_signs,
+    _uses_full_decomposition,
+    eigendecompose,
     ensure_psd,
     top_l_eigenpairs,
 )
@@ -198,10 +200,14 @@ def spca_svd(A: SymmetricMatrix, cfg: SvdThresholdConfig) -> SparseUnitVector:
     The result has unit norm, support R, and is invariant under positive
     rescaling of A.
     """
+    l = cfg.resolve_l(A.n)
+    if _uses_full_decomposition(A.n, l, cfg.svd.method, cfg.svd.svd_eps):
+        # The eigensolver decomposes A anyway; doing it first lets the PSD
+        # check read the cached spectrum instead of its own Lanczos and Cholesky.
+        eigendecompose(A)
     ensure_psd(A)
     if cfg.k > A.n:
         raise ValueError(f"k={cfg.k} exceeds matrix dimension {A.n}")
-    l = cfg.resolve_l(A.n)
     pairs = top_l_eigenpairs(
         A,
         l,

@@ -110,6 +110,19 @@ def run_python(*args):
     )
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; return the list of its call arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def forged_truncation(m=36, t=0.5):
     """``(A, u, z)`` for which z.T A z breaks the SDP truncation-chain bound.
 

@@ -47,6 +47,17 @@ class TestSolveCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == "ValidationError"
 
+    @pytest.mark.parametrize("epsilon", ["1.5", "0", "-0.25"])
+    def test_sdp_epsilon_outside_unit_interval_exits_2(self, capsys, epsilon):
+        code = _run([
+            "solve", "--input", "builtin:pitprops", "--algo", "sdp", "--k", "7",
+            "--sparsity", "7", "--epsilon", epsilon,
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "ValueError"
+        assert "epsilon must lie in (0, 1]" in err["message"]
+
     def test_unknown_builtin_exits_2(self, capsys):
         code = _run([
             "solve", "--input", "builtin:nope", "--algo", "svd", "--k", "2",
@@ -142,6 +153,17 @@ class TestSweepCommand:
         code = _run(["sweep", "--input", "builtin:identity6", "--algo", "svd", "--grid", "5:3"])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["code"] == "ValueError"
+
+    @pytest.mark.parametrize("algo", ["svd", "sdp", "exact"])
+    def test_epsilon_outside_unit_interval_exits_2(self, capsys, algo):
+        code = _run([
+            "sweep", "--input", "builtin:identity6", "--algo", algo, "--grid", "2:3",
+            "--epsilon", "1.5",
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "ValueError"
+        assert "epsilon must lie in (0, 1]" in err["message"]
 
     @pytest.mark.parametrize("algo", ["svd", "sdp"])
     def test_solve_metrics_equal_sweep_row(self, tmp_path, algo):

@@ -5,6 +5,7 @@ from spcakit import (
     DimensionMismatch,
     EvalContext,
     SparseUnitVector,
+    SvdParams,
     SweepConfig,
     evaluate,
     exact_spca,
@@ -15,6 +16,7 @@ from spcakit import (
     spca_sdp,
     symmetrize,
 )
+from spcakit import matrix as matrix_mod
 from spcakit.evaluation import env_workers
 
 from helpers import random_psd
@@ -131,6 +133,20 @@ class TestSolve:
             solve(random_psd(4, 1), "bogus", 2, sparsity=2)
 
     @pytest.mark.parametrize("algo", ["svd", "sdp", "oracle"])
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, 1.5, float("nan")])
+    def test_epsilon_outside_unit_interval(self, algo, epsilon):
+        A = random_psd(5, 9)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\]"):
+            solve(A, algo, 2, sparsity=2, epsilon=epsilon)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\]"):
+            solve(A, algo, 2, epsilon=epsilon)
+
+    @pytest.mark.parametrize("algo", ["svd", "sdp", "oracle"])
+    def test_epsilon_one_accepted(self, algo):
+        _, report, _, _ = solve(random_psd(5, 9), algo, 2, sparsity=2, epsilon=1.0)
+        assert report.objective > 0
+
+    @pytest.mark.parametrize("algo", ["svd", "sdp", "oracle"])
     def test_solution_and_diagnostics_only_for_sdp(self, algo):
         A = random_psd(6, 77)
         vec, report, sol, diag = solve(A, algo, 2, sparsity=3)
@@ -142,6 +158,20 @@ class TestSolve:
         else:
             assert sol is None and diag is None
             assert report.thm2_floor is None
+
+
+def test_f_value_above_dense_crossover():
+    # spectral_norm takes the Lanczos path here; f_value must still be the
+    # objective over the largest eigenvalue magnitude.
+    n = matrix_mod._DENSE_CHECK_MAX_N + 1
+    A = random_psd(n, 31)
+    svd = SvdParams(method="block_krylov", svd_eps=0.1)
+    _, rep, _, _ = solve(A, "svd", 5, sparsity=5, svd=svd)
+    assert A._eig is None
+    w = np.linalg.eigvalsh(A.entries)
+    expected = rep.objective / max(abs(w[0]), abs(w[-1]))
+    assert rep.f_value == pytest.approx(expected, rel=1e-12, abs=0)
+    assert rep.pve == rep.objective / A.trace
 
 
 def test_env_workers(monkeypatch):

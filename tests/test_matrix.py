@@ -9,11 +9,14 @@ from spcakit import (
     eigendecompose,
     ensure_psd,
     matrix_functionals,
+    spectral_norm,
     symmetrize,
     top_l_eigenpairs,
 )
+from spcakit import matrix as matrix_mod
+from spcakit.matrix import PSD_SLACK
 
-from helpers import charpoly_eigenvalues, random_psd
+from helpers import charpoly_eigenvalues, count_calls, random_psd
 
 # Frozen output of the characteristic-polynomial oracle (helpers.charpoly_
 # eigenvalues) on the Philox(414243) Gram matrix below, computed at build
@@ -186,5 +189,129 @@ class TestSpectralProperties:
         ensure_psd(shifted)  # still within advisory slack
 
     def test_psd_validation_rejects_indefinite(self):
+        with pytest.raises(NotPSD):
+            ensure_psd(symmetrize(np.diag([1.0, -0.5])))
+
+
+# Smallest n that takes the Lanczos-plus-Cholesky path.
+LARGE_N = matrix_mod._DENSE_CHECK_MAX_N + 1
+
+
+def with_spectrum(values, seed=0):
+    """Q diag(values) Q^T for a seeded random orthogonal Q."""
+    n = len(values)
+    rng = np.random.Generator(np.random.Philox(seed))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.asarray(values, dtype=float)) @ q.T
+
+
+def spectrum_with_min(lam_min, n=LARGE_N, lam_max=1.0):
+    return np.concatenate([np.linspace(lam_max, 0.0, n - 1), [lam_min]])
+
+
+class TestLargeMatrixPsdCheck:
+    """ensure_psd and spectral_norm above the dense crossover."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        return {
+            name: count_calls(monkeypatch, matrix_mod, name)
+            for name in ("eigendecompose", "_lanczos_norm", "_shifted_cholesky_succeeds")
+        }
+
+    def test_slack_boundary(self, spies):
+        ensure_psd(symmetrize(with_spectrum(spectrum_with_min(-0.5 * PSD_SLACK))))
+        with pytest.raises(NotPSD):
+            ensure_psd(symmetrize(with_spectrum(spectrum_with_min(-2.0 * PSD_SLACK))))
+        assert len(spies["_shifted_cholesky_succeeds"]) == 2
+        assert spies["eigendecompose"] == []
+
+    def test_slack_scales_with_norm(self):
+        for scale in (1e-6, 1e6):
+            values = scale * spectrum_with_min(-0.5 * PSD_SLACK)
+            ensure_psd(symmetrize(with_spectrum(values), symmetry_tol=1e-8 * scale))
+            with pytest.raises(NotPSD):
+                values = scale * spectrum_with_min(-2.0 * PSD_SLACK)
+                ensure_psd(symmetrize(with_spectrum(values), symmetry_tol=1e-8 * scale))
+
+    def test_zero_matrix_passes_without_arpack(self, monkeypatch, spies):
+        import scipy.sparse.linalg
+
+        arpack = count_calls(monkeypatch, scipy.sparse.linalg, "eigsh")
+        A = symmetrize(np.zeros((LARGE_N, LARGE_N)))
+        ensure_psd(A)
+        assert spectral_norm(A) == 0.0
+        assert arpack == []
+        assert spies["eigendecompose"] == []
+
+    @pytest.mark.parametrize("top", ["ones", "e0", "orthogonal-to-ones"])
+    def test_top_eigenvector_ones_or_e0(self, top):
+        # A start vector of all ones would miss the last case: there ones is
+        # an eigenvector of the second matrix, but not the top one.
+        n = LARGE_N
+        v = {
+            "ones": np.ones(n) / np.sqrt(n),
+            "e0": np.eye(n)[0],
+            "orthogonal-to-ones": (np.eye(n)[0] - np.eye(n)[1]) / np.sqrt(2.0),
+        }[top]
+        for entries in (3.0 * np.outer(v, v), np.eye(n) + 2.0 * np.outer(v, v)):
+            A = symmetrize(entries)
+            ensure_psd(A)
+            assert spectral_norm(A) == pytest.approx(3.0, rel=1e-12)
+
+    def test_indefinite_with_dominant_negative_eigenvalue(self):
+        A = symmetrize(with_spectrum(spectrum_with_min(-3.0)))
+        assert spectral_norm(A) == pytest.approx(3.0, rel=1e-12)
+        with pytest.raises(NotPSD):
+            ensure_psd(A)
+
+    def test_not_psd_message_matches_dense_rule(self, monkeypatch):
+        entries = with_spectrum(spectrum_with_min(-0.75, lam_max=3.0))
+        with pytest.raises(NotPSD) as large:
+            ensure_psd(symmetrize(entries))
+        monkeypatch.setattr(matrix_mod, "_DENSE_CHECK_MAX_N", LARGE_N)
+        with pytest.raises(NotPSD) as dense:
+            ensure_psd(symmetrize(entries))
+        assert str(large.value) == str(dense.value)
+        assert str(large.value) == (
+            "minimum eigenvalue -7.500000e-01 below -1e-08 * spectral norm (3.000000e+00)"
+        )
+
+    def test_repeat_calls_do_no_new_work(self, spies):
+        A = symmetrize(with_spectrum(spectrum_with_min(0.0)))
+        for _ in range(3):
+            ensure_psd(A)
+            spectral_norm(A)
+        assert len(spies["_shifted_cholesky_succeeds"]) == 1
+        assert len(spies["_lanczos_norm"]) == 1
+        assert spies["eigendecompose"] == []
+
+    def test_norm_matches_dense_value(self):
+        values = spectrum_with_min(-0.25, lam_max=2.5)
+        A = symmetrize(with_spectrum(values, seed=3))
+        dense = matrix_functionals(symmetrize(A.entries)).spectral_norm
+        assert spectral_norm(A) == pytest.approx(dense, rel=1e-12)
+
+    def test_fresh_copies_give_bit_identical_norms(self):
+        entries = random_psd(LARGE_N, 17).entries
+        assert spectral_norm(symmetrize(entries)) == spectral_norm(symmetrize(entries.copy()))
+
+    def test_cached_decomposition_decides(self, spies):
+        A = random_psd(LARGE_N, 5)
+        eig = eigendecompose(A)
+        ensure_psd(A)
+        assert spectral_norm(A) == max(abs(eig.values[0]), abs(eig.values[-1]))
+        assert spies["_shifted_cholesky_succeeds"] == []
+        assert spies["_lanczos_norm"] == []
+
+    def test_tiny_n_on_the_lanczos_path(self, monkeypatch):
+        monkeypatch.setattr(matrix_mod, "_DENSE_CHECK_MAX_N", 0)
+        assert spectral_norm(symmetrize([[-2.0]])) == 2.0
+        ensure_psd(symmetrize([[2.0]]))
+        with pytest.raises(NotPSD):
+            ensure_psd(symmetrize([[-1.0]]))
+        A = symmetrize([[2.0, 1.0], [1.0, 2.0]])
+        assert spectral_norm(A) == pytest.approx(3.0, rel=1e-12)
+        ensure_psd(A)
         with pytest.raises(NotPSD):
             ensure_psd(symmetrize(np.diag([1.0, -0.5])))

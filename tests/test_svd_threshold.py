@@ -6,17 +6,21 @@ from hypothesis import strategies as st
 from spcakit import (
     EigenPairs,
     SparseUnitVector,
+    SvdParams,
     SvdThresholdConfig,
     eigendecompose,
     exact_spca,
     pit_props,
+    solve,
     spca_svd,
     symmetrize,
     threshold_row_indices,
     top_l_eigenpairs,
 )
+from spcakit import matrix as matrix_mod
+from spcakit import svd_threshold as svd_mod
 
-from helpers import random_psd, random_unit_vector
+from helpers import count_calls, random_psd, random_unit_vector
 
 
 def _orthonormal_columns(n, l, seed):
@@ -194,3 +198,58 @@ class TestSpcaSvd:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
             spca_svd(random_psd(4, 0), SvdThresholdConfig(k=5))
+
+
+class TestEigensolverCalls:
+    """Above the dense crossover, block Krylov never decomposes A in full, and
+    paths that read the full decomposition pay for one eigh and no separate
+    PSD factorization."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        n = matrix_mod._DENSE_CHECK_MAX_N + 1
+        spied = {
+            "eigendecompose": (matrix_mod, svd_mod),
+            "_lanczos_norm": (matrix_mod,),
+            "_shifted_cholesky_succeeds": (matrix_mod,),
+        }
+        lists = {
+            name: [count_calls(monkeypatch, mod, name) for mod in mods]
+            for name, mods in spied.items()
+        }
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+
+        def counts():
+            out = {name: sum(map(len, ls)) for name, ls in lists.items()}
+            out["full_eigh"] = sum(np.shape(args[0]) == (n, n) for args in eigh)
+            return out
+
+        return n, counts
+
+    def test_block_krylov_skips_the_full_decomposition(self, calls):
+        n, counts = calls
+        svd = SvdParams(method="block_krylov", svd_eps=0.1, seed=3)
+        _, report, _, _ = solve(random_psd(n, 4242), "svd", 4, sparsity=4, svd=svd)
+        assert counts() == {
+            "eigendecompose": 0,
+            "_lanczos_norm": 1,
+            "_shifted_cholesky_succeeds": 1,
+            "full_eigh": 0,
+        }
+        assert report.f_value > 0
+
+    @pytest.mark.parametrize(
+        "svd, epsilon",
+        [
+            (SvdParams(method="exact"), None),
+            # l = 10 Krylov blocks would span all n dimensions: the solver
+            # falls back to the full decomposition.
+            (SvdParams(method="block_krylov", svd_eps=0.1), 0.1),
+        ],
+    )
+    def test_full_decomposition_paths_pay_for_one_eigh(self, calls, svd, epsilon):
+        n, counts = calls
+        solve(random_psd(n, 4242), "svd", 4, sparsity=4, epsilon=epsilon, svd=svd)
+        c = counts()
+        assert c["full_eigh"] == 1
+        assert c["_lanczos_norm"] == 0 and c["_shifted_cholesky_succeeds"] == 0
