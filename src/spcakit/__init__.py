@@ -47,7 +47,6 @@ from .matrix import (
 )
 from .svd_threshold import (
     SparseUnitVector,
-    SvdThresholdConfig,
     spca_svd,
     threshold_row_indices,
 )
@@ -67,7 +66,6 @@ from .oracle import OracleResult, exact_spca, restricted_top_eigenpair
 from .evaluation import (
     EvalContext,
     EvalReport,
-    SweepConfig,
     evaluate,
     solve,
     sparsity_sweep,
@@ -119,8 +117,6 @@ __all__ = [
     "SparseUnitVector",
     "SpcaError",
     "SvdParams",
-    "SvdThresholdConfig",
-    "SweepConfig",
     "SymmetricMatrix",
     "SyntheticConfig",
     "ZeroVarianceColumn",

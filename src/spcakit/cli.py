@@ -31,7 +31,7 @@ from .data import (
     PIT_PROPS_VARIABLES,
 )
 from .errors import SpcaError
-from .evaluation import SweepConfig, env_workers, solve, sparsity_sweep
+from .evaluation import env_workers, solve, sparsity_sweep
 from .matrix import SvdParams, symmetrize
 from .oracle import exact_spca
 from .sdp import AdmmConfig
@@ -239,14 +239,16 @@ def _cmd_sweep(args):
     A, input_name = _load_input(args)
     grid = _parse_grid(args.grid)
     algo = {"exact": "oracle"}.get(args.algo, args.algo)
-    cfg = SweepConfig(
+    reports = sparsity_sweep(
+        A,
+        algo,
+        grid,
         epsilon=args.epsilon,
         svd=_svd_params(args),
         admm=_admm_config(args),
         oracle_ref=args.oracle_ref,
         workers=env_workers(),
     )
-    reports = sparsity_sweep(A, algo, grid, cfg)
     results = [
         {"grid_sparsity": s, **report.to_dict()} for s, report in zip(grid, reports)
     ]

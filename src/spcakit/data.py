@@ -147,12 +147,9 @@ def _read_matrix_market(path):
             raise ParseError(f"expected {expected} lower-triangle values, found {len(values)}",
                              size_lineno)
         arr = np.zeros((rows, cols))
-        pos = 0
-        for j in range(cols):  # column-major lower triangle
-            for i in range(j, rows):
-                arr[i, j] = values[pos]
-                arr[j, i] = values[pos]
-                pos += 1
+        j, i = np.triu_indices(rows)  # column-major lower triangle: (i, j) with i >= j
+        arr[i, j] = values
+        arr[j, i] = values
         return arr
     if len(values) != rows * cols:
         raise ParseError(f"expected {rows * cols} values, found {len(values)}", size_lineno)
@@ -161,7 +158,7 @@ def _read_matrix_market(path):
 
 def _read_csv(path):
     lines = Path(path).read_text().splitlines()
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -172,12 +169,13 @@ def _read_csv(path):
             except ValueError:
                 continue  # header row
         rows.append([_parse_float(t, lineno, c + 1) for c, t in enumerate(tokens)])
+        linenos.append(lineno)
     if not rows:
         raise ParseError("no data rows", max(len(lines), 1))
     width = len(rows[0])
-    for i, row in enumerate(rows):
+    for lineno, row in zip(linenos, rows):
         if len(row) != width:
-            raise ParseError(f"row has {len(row)} columns, expected {width}", i + 1)
+            raise ParseError(f"row has {len(row)} columns, expected {width}", lineno)
     return np.array(rows)
 
 
@@ -230,13 +228,10 @@ def save_matrix(path, matrix, format=None, metadata=None):
     if fmt == "matrix_market":
         rows, cols = arr.shape
         out = ["%%MatrixMarket matrix array real general", f"{rows} {cols}"]
-        for j in range(cols):  # column-major per the array layout
-            out.extend(repr(float(arr[i, j])) for i in range(rows))
+        out.extend(map(repr, arr.T.ravel().tolist()))  # column-major per the array layout
         path.write_text("\n".join(out) + "\n")
     elif fmt == "dense_csv":
-        path.write_text(
-            "\n".join(",".join(repr(float(v)) for v in row) for row in arr) + "\n"
-        )
+        path.write_text("\n".join(",".join(map(repr, row)) for row in arr.tolist()) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if metadata is not None:
@@ -382,13 +377,10 @@ def givens_composition_apply(vtilde: np.ndarray, theta: float) -> np.ndarray:
         raise DimensionNotDivisibleBy4(f"n={n} is not divisible by 4")
     out = vtilde.copy()
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    for t in range(1, n // 4 + 1):
-        a = n // 2 + 2 * t - 2  # 0-indexed row i_t = n/2 + 2t - 1
-        b = a + 1
-        row_a = cos_t * out[a] - sin_t * out[b]
-        row_b = sin_t * out[a] + cos_t * out[b]
-        out[a] = row_a
-        out[b] = row_b
+    # Plane t holds 0-indexed rows n/2 + 2t - 2 and n/2 + 2t - 1.
+    top, bottom = vtilde[n // 2 :: 2], vtilde[n // 2 + 1 :: 2]
+    out[n // 2 :: 2] = cos_t * top - sin_t * bottom
+    out[n // 2 + 1 :: 2] = sin_t * top + cos_t * bottom
     return out
 
 
@@ -463,8 +455,8 @@ def pit_props() -> SymmetricMatrix:
     """The 13x13 pit props correlation matrix (unit diagonal, trace 13)."""
     n = len(PIT_PROPS_VARIABLES)
     arr = np.zeros((n, n))
-    for i, row in enumerate(_PIT_PROPS_LOWER):
-        for j, value in enumerate(row):
-            arr[i, j] = value
-            arr[j, i] = value
+    i, j = np.tril_indices(n)  # row-major lower triangle, the order of _PIT_PROPS_LOWER
+    values = np.concatenate(_PIT_PROPS_LOWER)
+    arr[i, j] = values
+    arr[j, i] = values
     return symmetrize(arr, symmetry_tol=0.0)

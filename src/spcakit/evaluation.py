@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .matrix import SvdParams, SymmetricMatrix, spectral_norm
 from .oracle import exact_spca
 from .sdp import AdmmConfig, spca_sdp
-from .svd_threshold import SparseUnitVector, SvdThresholdConfig, spca_svd
+from .svd_threshold import SparseUnitVector, spca_svd
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,13 @@ def solve(
     """Run one solver on ``A`` and evaluate its vector against the floor it certifies.
 
     ``algo`` is ``"svd"``, ``"sdp"`` or ``"oracle"``. Budget mode keeps
-    exactly ``sparsity`` coordinates; omitting ``sparsity`` selects theory
-    mode. ``epsilon`` must lie in (0, 1] for every algorithm; it defaults to
-    1.0 for the floors and for :func:`spca_svd`, and :func:`spca_sdp` gets it
-    as given, so its theory mode needs it. With
-    ``oracle_ref``, or for ``algo="oracle"``, the exact optimum at ``k`` is the
-    reference value; without it the sdp floor uses the relaxation objective.
+    exactly ``sparsity`` coordinates (1 to n for svd and sdp); omitting
+    ``sparsity`` selects theory mode. ``epsilon`` must lie in (0, 1] for
+    every algorithm; it defaults to 1.0 for the floors and for
+    :func:`spca_svd`, and :func:`spca_sdp` gets it as given, so its theory
+    mode needs it. With ``oracle_ref``, or for ``algo="oracle"``, the exact
+    optimum at ``k`` is the reference value; without it the sdp floor uses
+    the relaxation objective.
 
     Returns ``(vector, report, solution, diagnostics)``; the last two are set
     only for ``algo="sdp"``.
@@ -138,24 +139,15 @@ def solve(
         raise ValueError(f"unknown algorithm {algo!r}")
     if epsilon is not None and not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    mode = "budget" if sparsity is not None else "theory"
     eps = epsilon if epsilon is not None else 1.0
     z_ref = sol = diag = None
     if oracle_ref or algo == "oracle":
         oracle_res = exact_spca(A, k)
         z_ref = oracle_res.optimal_value
     if algo == "svd":
-        cfg = SvdThresholdConfig(
-            k=k,
-            epsilon=eps,
-            l_override=l_override,
-            mode=mode,
-            budget_s=sparsity,
-            svd=svd or SvdParams(),
-        )
-        vec = spca_svd(A, cfg)
+        vec = spca_svd(A, k, sparsity, eps, l_override, svd)
     elif algo == "sdp":
-        vec, sol, diag = spca_sdp(A, k=k, epsilon=epsilon, mode=mode, budget_s=sparsity, cfg=admm)
+        vec, sol, diag = spca_sdp(A, k, sparsity, epsilon, admm)
         if z_ref is None:
             z_ref = sol.objective
     else:
@@ -169,25 +161,24 @@ def solve(
     return vec, evaluate(A, vec, ctx), sol, diag
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Shared settings for :func:`sparsity_sweep`; ``epsilon`` as in :func:`solve`."""
-
-    epsilon: float | None = None
-    svd: SvdParams = field(default_factory=SvdParams)
-    admm: AdmmConfig = field(default_factory=AdmmConfig)
-    oracle_ref: bool = False
-    workers: int = 1
-
-
-def sparsity_sweep(A: SymmetricMatrix, algo: str, sparsity_grid, cfg: SweepConfig | None = None):
+def sparsity_sweep(
+    A: SymmetricMatrix,
+    algo: str,
+    grid,
+    epsilon: float | None = None,
+    svd: SvdParams | None = None,
+    admm: AdmmConfig | None = None,
+    oracle_ref: bool = False,
+    workers: int = 1,
+):
     """One :class:`EvalReport` per grid value, from :func:`solve` with k = s.
 
-    Grid points are independent and may be evaluated on a thread pool
-    (``cfg.workers``); reports are returned in grid order either way.
+    ``epsilon``, ``svd``, ``admm`` and ``oracle_ref`` are passed to every
+    :func:`solve` call. Grid points are independent and may be evaluated on a
+    thread pool of ``workers`` threads; reports are returned in grid order
+    either way.
     """
-    cfg = cfg or SweepConfig()
-    grid = [int(s) for s in sparsity_grid]
+    grid = [int(s) for s in grid]
     if not grid:
         raise ValueError("sparsity grid is empty")
     for s in grid:
@@ -196,12 +187,11 @@ def sparsity_sweep(A: SymmetricMatrix, algo: str, sparsity_grid, cfg: SweepConfi
 
     def point(s):
         return solve(
-            A, algo, s, sparsity=s, epsilon=cfg.epsilon, svd=cfg.svd, admm=cfg.admm,
-            oracle_ref=cfg.oracle_ref,
+            A, algo, s, sparsity=s, epsilon=epsilon, svd=svd, admm=admm, oracle_ref=oracle_ref
         )[1]
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(point, grid))
     return [point(s) for s in grid]
 

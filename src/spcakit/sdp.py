@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateSolution, InvariantViolation
 from .matrix import SymmetricMatrix, _fix_signs, ensure_psd
 from .oracle import restricted_top_eigenpair
-from .svd_threshold import SparseUnitVector, _check_mode
+from .svd_threshold import SparseUnitVector, _check_sizing
 
 _RHO_MIN = 1e-6
 _RHO_MAX = 1e6
@@ -229,7 +229,7 @@ def rank_one_diagnostics(sol: SdpSolution) -> SdpDiagnostics:
 
 def _truncate_to_top_magnitudes(u, s):
     order = np.argsort(-np.abs(u), kind="stable")
-    return np.sort(order[: min(s, u.size)]).astype(np.int64)
+    return np.sort(order[:s]).astype(np.int64)
 
 
 def round_sdp_solution(sol: SdpSolution, s: int):
@@ -265,18 +265,18 @@ def _check_truncation_chain(A: SymmetricMatrix, u, z: SparseUnitVector):
 def spca_sdp(
     A: SymmetricMatrix,
     k: int,
+    sparsity: int | None = None,
     epsilon: float | None = None,
-    mode: str = "budget",
-    budget_s: int | None = None,
     cfg: AdmmConfig | None = None,
     polish: bool = True,
 ):
     """Solve the relaxation, round it, and re-optimize on the kept support.
 
-    ``mode="budget"`` keeps exactly ``budget_s`` coordinates.
-    ``mode="theory"`` sizes the support as ``ceil(9 k^2 beta^2 / epsilon^2)``
-    (capped at n) using the measured beta, which makes the floor
-    ``(1/alpha) * trace(A Z) - epsilon - solver_gap`` valid for the output.
+    With ``sparsity`` (budget mode) exactly ``sparsity`` coordinates are
+    kept. Without it (theory mode) the support size is
+    ``ceil(9 k^2 beta^2 / epsilon^2)`` (capped at n) using the measured beta,
+    which makes the floor ``(1/alpha) * trace(A Z) - epsilon - solver_gap``
+    valid for the output; ``epsilon`` is then required.
 
     With ``polish`` (the default, and what the published benchmark loadings
     correspond to) the returned vector is the top eigenvector of A restricted
@@ -285,14 +285,13 @@ def spca_sdp(
 
     Returns ``(vector, solution, diagnostics)``.
     """
-    _check_mode(mode, epsilon, budget_s)
+    _check_sizing(A.n, sparsity, epsilon)
     sol = solve_sdp_relaxation(A, k, cfg)
     diag = rank_one_diagnostics(sol)
-    if mode == "theory":
+    s = sparsity
+    if s is None:
         s = min(A.n, int(math.ceil(9.0 * k * k * diag.beta * diag.beta / (epsilon * epsilon))))
         s = max(s, 1)
-    else:
-        s = budget_s
     keep = _truncate_to_top_magnitudes(diag.top_eigenvector, s)
     z = SparseUnitVector(A.n, keep, diag.top_eigenvector[keep], norm_le_one=True)
     _check_truncation_chain(A, diag.top_eigenvector, z)

@@ -10,7 +10,7 @@ within an additive ``3 * epsilon * trace(A)`` of the best k-sparse value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,17 +30,17 @@ from .matrix import (
 _THRESHOLD_SLACK = 1e-12
 
 
-def _check_mode(mode, epsilon, budget_s):
-    """Raise ``ValueError`` unless ``mode`` is "theory" with epsilon in (0, 1]
-    or "budget" with ``budget_s >= 1``."""
-    if mode == "theory":
+def _check_sizing(n, sparsity, epsilon):
+    """Raise ``ValueError`` unless the support size is determined.
+
+    Budget mode (``sparsity`` given) needs ``1 <= sparsity <= n``; theory mode
+    (``sparsity`` is None) needs epsilon in (0, 1].
+    """
+    if sparsity is None:
         if epsilon is None or not 0.0 < epsilon <= 1.0:
             raise ValueError("theory mode requires epsilon in (0, 1]")
-    elif mode == "budget":
-        if budget_s is None or budget_s < 1:
-            raise ValueError("budget mode requires budget_s >= 1")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    elif not 1 <= sparsity <= n:
+        raise ValueError(f"sparsity {sparsity} outside [1, {n}]")
 
 
 @dataclass(frozen=True)
@@ -99,53 +99,20 @@ class SparseUnitVector:
         return float(self.values @ sub @ self.values)
 
 
-@dataclass(frozen=True)
-class SvdThresholdConfig:
-    """Configuration for :func:`spca_svd`.
-
-    ``mode="theory"`` keeps every row of the truncated eigenbasis with
-    squared norm at least ``epsilon**2 / k`` (output sparsity is then at most
-    ``k * l / epsilon**2``); ``mode="budget"`` keeps exactly the
-    ``budget_s`` heaviest rows. The number of leading eigenpairs defaults to
-    ``ceil(1 / epsilon)`` and can be pinned with ``l_override``.
-    """
-
-    k: int
-    epsilon: float = 1.0
-    l_override: int | None = None
-    mode: str = "theory"
-    budget_s: int | None = None
-    svd: SvdParams = field(default_factory=SvdParams)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
-        # epsilon sizes l in both modes, so it is checked in budget mode too.
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
-        _check_mode(self.mode, self.epsilon, self.budget_s)
-        if self.l_override is not None and self.l_override < 1:
-            raise ValueError("l_override must be a positive integer")
-
-    def resolve_l(self, n):
-        l = self.l_override if self.l_override is not None else math.ceil(1.0 / self.epsilon)
-        return min(l, n)
-
-
-def threshold_row_indices(pairs: EigenPairs, k, epsilon, mode="theory", budget_s=None):
+def threshold_row_indices(pairs: EigenPairs, k, sparsity=None, epsilon=None):
     """Select the retained coordinate set from squared eigenvector row norms.
 
-    Theory mode keeps rows with squared norm >= epsilon^2 / k (inclusive);
-    budget mode keeps the ``budget_s`` largest, ties broken toward the lowest
-    index. A would-be-empty selection falls back to the single heaviest row.
-    Returns a sorted index array.
+    With ``sparsity`` (budget mode) the ``sparsity`` largest rows are kept,
+    ties broken toward the lowest index; without it (theory mode) every row
+    with squared norm >= epsilon^2 / k (inclusive). A would-be-empty
+    selection falls back to the single heaviest row. Returns a sorted index
+    array.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    _check_mode(mode, epsilon, budget_s)
     row_norms_sq = np.einsum("ij,ij->i", pairs.vectors, pairs.vectors)
-    n = row_norms_sq.shape[0]
-    if mode == "theory":
+    _check_sizing(row_norms_sq.shape[0], sparsity, epsilon)
+    if sparsity is None:
         thr = epsilon * epsilon / k
         selected = np.flatnonzero(row_norms_sq >= thr - _THRESHOLD_SLACK * max(thr, 1.0))
         # |R| * eps^2/k <= sum of squared row norms = l, hence |R| <= k*l/eps^2.
@@ -156,7 +123,7 @@ def threshold_row_indices(pairs: EigenPairs, k, epsilon, mode="theory", budget_s
             )
     else:
         order = np.argsort(-row_norms_sq, kind="stable")
-        selected = np.sort(order[: min(budget_s, n)])
+        selected = np.sort(order[:sparsity])
     if selected.size == 0:
         selected = np.array([int(np.argmax(row_norms_sq))], dtype=np.int64)
     return selected.astype(np.int64)
@@ -191,7 +158,14 @@ def _top_right_singular_vector(factor):
     return vecs[:, -1]
 
 
-def spca_svd(A: SymmetricMatrix, cfg: SvdThresholdConfig) -> SparseUnitVector:
+def spca_svd(
+    A: SymmetricMatrix,
+    k: int,
+    sparsity: int | None = None,
+    epsilon: float = 1.0,
+    l_override: int | None = None,
+    svd: SvdParams | None = None,
+) -> SparseUnitVector:
     """Sparse principal direction by eigenbasis-row thresholding.
 
     Steps: compute the top ``l`` eigenpairs, select the retained rows R,
@@ -199,23 +173,30 @@ def spca_svd(A: SymmetricMatrix, cfg: SvdThresholdConfig) -> SparseUnitVector:
     and return its top right singular direction embedded back into R^n.
     The result has unit norm, support R, and is invariant under positive
     rescaling of A.
+
+    With ``sparsity`` (budget mode) R is the ``sparsity`` heaviest rows;
+    without it (theory mode) R is every row with squared norm at least
+    ``epsilon**2 / k``, so ``|R| <= k * l / epsilon**2``. The number of
+    leading eigenpairs is ``ceil(1 / epsilon)`` unless pinned by
+    ``l_override``; ``svd`` selects the eigensolver.
     """
-    l = cfg.resolve_l(A.n)
-    if _uses_full_decomposition(A.n, l, cfg.svd.method, cfg.svd.svd_eps):
+    if not 1 <= k <= A.n:
+        raise ValueError(f"k={k} outside [1, {A.n}]")
+    # epsilon sizes l in both modes, so it is checked in budget mode too.
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
+    _check_sizing(A.n, sparsity, epsilon)
+    if l_override is not None and l_override < 1:
+        raise ValueError("l_override must be a positive integer")
+    svd = svd or SvdParams()
+    l = min(l_override if l_override is not None else math.ceil(1.0 / epsilon), A.n)
+    if _uses_full_decomposition(A.n, l, svd.method, svd.svd_eps):
         # The eigensolver decomposes A anyway; doing it first lets the PSD
         # check read the cached spectrum instead of its own Lanczos and Cholesky.
         eigendecompose(A)
     ensure_psd(A)
-    if cfg.k > A.n:
-        raise ValueError(f"k={cfg.k} exceeds matrix dimension {A.n}")
-    pairs = top_l_eigenpairs(
-        A,
-        l,
-        method=cfg.svd.method,
-        svd_eps=cfg.svd.svd_eps,
-        seed=cfg.svd.seed,
-    )
-    selected = threshold_row_indices(pairs, cfg.k, cfg.epsilon, cfg.mode, cfg.budget_s)
+    pairs = top_l_eigenpairs(A, l, method=svd.method, svd_eps=svd.svd_eps, seed=svd.seed)
+    selected = threshold_row_indices(pairs, k, sparsity, epsilon)
     factor = np.sqrt(np.maximum(pairs.values, 0.0))[:, None] * pairs.vectors[selected].T
     y = _top_right_singular_vector(factor)
     y = _fix_signs(y[:, None])[:, 0]

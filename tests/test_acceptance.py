@@ -12,9 +12,7 @@ import numpy as np
 
 from spcakit import (
     AdmmConfig,
-    SvdThresholdConfig,
     SyntheticConfig,
-    SweepConfig,
     covariance_from_data,
     exact_spca,
     givens_composition_apply,
@@ -46,8 +44,8 @@ def _report(criterion, ok, detail):
 def test_criterion_01_pitprops_table_reproduction():
     start = time.perf_counter()
     A = pit_props()
-    svd_vec = spca_svd(A, SvdThresholdConfig(k=7, epsilon=1.0, mode="budget", budget_s=7))
-    sdp_vec, sol, _ = spca_sdp(A, k=7, mode="budget", budget_s=7)
+    svd_vec = spca_svd(A, 7, sparsity=7, epsilon=1.0)
+    sdp_vec, sol, _ = spca_sdp(A, k=7, sparsity=7)
     elapsed = time.perf_counter() - start
 
     svd_obj = svd_vec.quadratic_form(A)
@@ -77,7 +75,7 @@ def test_criterion_02_pitprops_optimality_at_k7():
     start = time.perf_counter()
     A = pit_props()
     oracle_value = exact_spca(A, 7).optimal_value
-    sdp_vec, _, _ = spca_sdp(A, k=7, mode="budget", budget_s=7)
+    sdp_vec, _, _ = spca_sdp(A, k=7, sparsity=7)
     sdp_obj = sdp_vec.quadratic_form(A)
     elapsed = time.perf_counter() - start
     ok = abs(oracle_value - sdp_obj) <= 0.005 and elapsed < 30.0
@@ -93,7 +91,7 @@ def test_criterion_03_additive_floor_suite():
         n = int(rng.integers(6, 11))
         k = int(rng.integers(2, 5))
         A = random_psd(n, 2000 + i)
-        z = spca_svd(A, SvdThresholdConfig(k=k, epsilon=eps, l_override=4, mode="theory"))
+        z = spca_svd(A, k, epsilon=eps, l_override=4)
         z_star = exact_spca(A, k).optimal_value
         worst = min(worst, z.quadratic_form(A) - (z_star - 3 * eps * A.trace))
     elapsed = time.perf_counter() - start
@@ -114,7 +112,7 @@ def test_criterion_04_multiplicative_floor_suite():
     worst = np.inf
     for A in _normalized_suite_instances():
         # bound certified for the raw truncation, so polish is disabled here
-        z, sol, diag = spca_sdp(A, k=3, mode="budget", budget_s=A.n, polish=False)
+        z, sol, diag = spca_sdp(A, k=3, sparsity=A.n, polish=False)
         z_star = exact_spca(A, 3).optimal_value
         floor = z_star / diag.alpha - eps - sol.solver_gap
         worst = min(worst, z.quadratic_form(A) - floor)
@@ -179,7 +177,7 @@ def test_criterion_07_rank_one_diagnostics_near_unity():
     alphas = []
     betas = []
 
-    _, _, diag = spca_sdp(pit_props(), k=7, mode="budget", budget_s=7)
+    _, _, diag = spca_sdp(pit_props(), k=7, sparsity=7)
     alphas.append(diag.alpha)
     betas.append(diag.beta)
 
@@ -242,9 +240,8 @@ def test_criterion_10_bound_tightness_ordering():
     start = time.perf_counter()
     A = pit_props()
     grid = [3, 5, 7, 9]
-    cfg = SweepConfig(epsilon=0.9, oracle_ref=True)
-    svd_reports = sparsity_sweep(A, "svd", grid, cfg)
-    sdp_reports = sparsity_sweep(A, "sdp", grid, cfg)
+    svd_reports = sparsity_sweep(A, "svd", grid, epsilon=0.9, oracle_ref=True)
+    sdp_reports = sparsity_sweep(A, "sdp", grid, epsilon=0.9, oracle_ref=True)
     ordering_ok = all(
         rd.bound_ratio["thm2"] > rs.bound_ratio["thm1"]
         for rs, rd in zip(svd_reports, sdp_reports)

@@ -58,6 +58,17 @@ class TestSolveCommand:
         assert err["code"] == "ValueError"
         assert "epsilon must lie in (0, 1]" in err["message"]
 
+    @pytest.mark.parametrize("algo", ["svd", "sdp"])
+    def test_sparsity_above_n_exits_2(self, capsys, algo):
+        code = _run([
+            "solve", "--input", "builtin:pitprops", "--algo", algo, "--k", "7",
+            "--sparsity", "20",
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "ValueError"
+        assert "sparsity 20 outside [1, 13]" in err["message"]
+
     def test_unknown_builtin_exits_2(self, capsys):
         code = _run([
             "solve", "--input", "builtin:nope", "--algo", "svd", "--k", "2",

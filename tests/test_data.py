@@ -60,6 +60,16 @@ class TestLoadSave:
         )
         A = load_matrix(path)
         np.testing.assert_array_equal(A.entries, [[1.0, 0.25], [0.25, 3.0]])
+        # six distinct values pin the column-major order of the lower triangle
+        path.write_text(
+            "%%MatrixMarket matrix array real symmetric\n"
+            "3 3\n"
+            "1.0\n2.0\n3.0\n4.0\n5.0\n6.0\n"
+        )
+        A = load_matrix(path)
+        np.testing.assert_array_equal(
+            A.entries, [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]]
+        )
 
     def test_csv_data(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -101,6 +111,15 @@ class TestLoadSave:
             load_matrix(path)
         assert info.value.line == 3
         assert info.value.column == 3
+
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n3\n", "1,2\n\n3\n"])
+    def test_csv_width_error_reports_file_line(self, tmp_path, text):
+        # a skipped header or blank line must not shift the reported line
+        path = tmp_path / "ragged.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_matrix(path, kind="data")
+        assert info.value.line == 3
 
     def test_header_parse_error(self, tmp_path):
         path = tmp_path / "bad2.mtx"

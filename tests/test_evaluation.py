@@ -6,7 +6,6 @@ from spcakit import (
     EvalContext,
     SparseUnitVector,
     SvdParams,
-    SweepConfig,
     evaluate,
     exact_spca,
     matrix_functionals,
@@ -33,7 +32,7 @@ class TestEvaluate:
 
     def test_pitprops_relaxation_output(self):
         A = pit_props()
-        z, sol, diag = spca_sdp(A, k=7, mode="budget", budget_s=7)
+        z, sol, diag = spca_sdp(A, k=7, sparsity=7)
         rep = evaluate(A, z)
         assert rep.pve == pytest.approx(0.3074, abs=0.001)
 
@@ -69,7 +68,7 @@ class TestEvaluate:
     def test_f_bounded_for_subunit_vectors(self):
         for seed in range(5):
             A = random_psd(8, 700 + seed)
-            z, _, _ = spca_sdp(A, k=3, mode="budget", budget_s=4, polish=False)
+            z, _, _ = spca_sdp(A, k=3, sparsity=4, polish=False)
             rep = evaluate(A, z)
             assert -1e-12 <= rep.f_value <= 1.0 + 1e-8
 
@@ -98,16 +97,15 @@ class TestSparsitySweep:
     def test_thm2_floor_below_objective_on_normalized_instances(self):
         from spcakit import unit_row_normalize
 
-        cfg = SweepConfig(epsilon=0.5, oracle_ref=True)
         for seed in (21, 22):
             A = unit_row_normalize(random_psd(7, seed))
-            (report,) = sparsity_sweep(A, "sdp", [7], cfg)
+            (report,) = sparsity_sweep(A, "sdp", [7], epsilon=0.5, oracle_ref=True)
             assert report.thm2_floor <= report.objective + 1e-6
 
     def test_parallel_matches_serial(self):
         A = random_psd(8, 31)
-        serial = sparsity_sweep(A, "svd", [1, 2, 3], SweepConfig(workers=1))
-        parallel = sparsity_sweep(A, "svd", [1, 2, 3], SweepConfig(workers=3))
+        serial = sparsity_sweep(A, "svd", [1, 2, 3], workers=1)
+        parallel = sparsity_sweep(A, "svd", [1, 2, 3], workers=3)
         for a, b in zip(serial, parallel):
             assert a.objective == b.objective
             assert a.f_value == b.f_value
@@ -121,7 +119,7 @@ class TestSparsitySweep:
     def test_points_equal_solve(self, algo):
         A = random_psd(8, 4242)
         grid = [2, 3, 4]
-        reports = sparsity_sweep(A, algo, grid, SweepConfig(oracle_ref=True))
+        reports = sparsity_sweep(A, algo, grid, oracle_ref=True)
         for s, report in zip(grid, reports):
             _, expected, _, _ = solve(A, algo, s, sparsity=s, oracle_ref=True)
             assert report.to_dict() == expected.to_dict()
@@ -140,6 +138,11 @@ class TestSolve:
             solve(A, algo, 2, sparsity=2, epsilon=epsilon)
         with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\]"):
             solve(A, algo, 2, epsilon=epsilon)
+
+    @pytest.mark.parametrize("algo", ["svd", "sdp"])
+    def test_sparsity_above_n_rejected(self, algo):
+        with pytest.raises(ValueError, match=r"sparsity 14 outside \[1, 13\]"):
+            solve(pit_props(), algo, 7, sparsity=14)
 
     @pytest.mark.parametrize("algo", ["svd", "sdp", "oracle"])
     def test_epsilon_one_accepted(self, algo):

@@ -122,9 +122,9 @@ class TestSolveRelaxation:
         sol = solve_sdp_relaxation(A, k)
         z_star = exact_spca(A, k).optimal_value
         assert sol.objective >= z_star - 1e-3
-        from spcakit import SvdThresholdConfig, spca_svd
+        from spcakit import spca_svd
 
-        z = spca_svd(A, SvdThresholdConfig(k=k, epsilon=1.0, mode="budget", budget_s=k))
+        z = spca_svd(A, k, sparsity=k, epsilon=1.0)
         assert sol.objective >= z.quadratic_form(A) - 1e-3
 
     def test_feasibility_at_convergence(self):
@@ -222,14 +222,14 @@ class TestRounding:
 class TestSpcaSdp:
     def test_identity_budget(self):
         A = symmetrize(np.eye(5))
-        z, sol, diag = spca_sdp(A, k=2, mode="budget", budget_s=2)
+        z, sol, diag = spca_sdp(A, k=2, sparsity=2)
         val = z.quadratic_form(A)
         assert val <= 1.0 + 1e-10
         assert val >= 1.0 - 2e-6
 
     def test_pitprops_matches_published_loadings(self):
         A = pit_props()
-        z, sol, diag = spca_sdp(A, k=7, mode="budget", budget_s=7)
+        z, sol, diag = spca_sdp(A, k=7, sparsity=7)
         assert z.quadratic_form(A) == pytest.approx(3.996, abs=0.01)
         assert list(z.support) == [0, 1, 5, 6, 7, 8, 9]
         expected = [0.424, 0.430, 0.268, 0.403, 0.313, 0.379, 0.399]
@@ -242,30 +242,30 @@ class TestSpcaSdp:
             rng = np.random.Generator(np.random.Philox(5000 + i))
             n = int(rng.integers(6, 11))
             A = unit_row_normalize(random_psd(n, 6000 + i))
-            z, sol, diag = spca_sdp(A, k=3, mode="budget", budget_s=n, polish=False)
+            z, sol, diag = spca_sdp(A, k=3, sparsity=n, polish=False)
             z_star = exact_spca(A, 3).optimal_value
             assert z.quadratic_form(A) >= z_star / diag.alpha - eps - sol.solver_gap
 
     def test_theory_mode_support_size(self):
         A = unit_row_normalize(random_psd(8, 17))
         eps = 0.9
-        z, sol, diag = spca_sdp(A, k=2, epsilon=eps, mode="theory")
+        z, sol, diag = spca_sdp(A, k=2, epsilon=eps)
         cap = min(8, int(np.ceil(9 * 4 * diag.beta**2 / eps**2)))
         assert z.sparsity <= cap
 
     def test_polish_never_hurts(self):
         for seed in (3, 4, 5):
             A = random_psd(8, 7500 + seed)
-            raw, _, _ = spca_sdp(A, k=3, mode="budget", budget_s=4, polish=False)
-            polished, _, _ = spca_sdp(A, k=3, mode="budget", budget_s=4, polish=True)
+            raw, _, _ = spca_sdp(A, k=3, sparsity=4, polish=False)
+            polished, _, _ = spca_sdp(A, k=3, sparsity=4, polish=True)
             assert polished.quadratic_form(A) >= raw.quadratic_form(A) - 1e-12
             assert np.array_equal(polished.support, raw.support)
             assert polished.norm == pytest.approx(1.0)
 
     def test_deterministic_outputs(self):
         A = random_psd(7, 62)
-        z1, s1, d1 = spca_sdp(A, k=2, mode="budget", budget_s=3)
-        z2, s2, d2 = spca_sdp(A, k=2, mode="budget", budget_s=3)
+        z1, s1, d1 = spca_sdp(A, k=2, sparsity=3)
+        z2, s2, d2 = spca_sdp(A, k=2, sparsity=3)
         assert np.array_equal(z1.values, z2.values)
         assert np.array_equal(s1.Z, s2.Z)
         assert d1.alpha == d2.alpha and d1.beta == d2.beta

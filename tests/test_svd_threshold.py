@@ -7,7 +7,6 @@ from spcakit import (
     EigenPairs,
     SparseUnitVector,
     SvdParams,
-    SvdThresholdConfig,
     eigendecompose,
     exact_spca,
     pit_props,
@@ -46,17 +45,17 @@ class TestThresholdRowIndices:
     def test_budget_matches_exhaustive_sort(self):
         vecs = _orthonormal_columns(10, 2, seed=31)
         pairs = EigenPairs(np.array([2.0, 1.0]), vecs, "exact", 0.0)
-        selected = threshold_row_indices(pairs, k=3, epsilon=1.0, mode="budget", budget_s=3)
+        selected = threshold_row_indices(pairs, k=3, sparsity=3, epsilon=1.0)
         norms = (vecs ** 2).sum(axis=1)
         brute = sorted(sorted(range(10), key=lambda i: (-norms[i], i))[:3])
         assert list(selected) == brute
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 10))
     @settings(max_examples=40, deadline=None)
-    def test_budget_selection_property(self, seed, budget):
+    def test_budget_keeps_heaviest_rows_property(self, seed, budget):
         vecs = _orthonormal_columns(12, 3, seed=seed)
         pairs = EigenPairs(np.array([3.0, 2.0, 1.0]), vecs, "exact", 0.0)
-        selected = threshold_row_indices(pairs, k=2, epsilon=1.0, mode="budget", budget_s=budget)
+        selected = threshold_row_indices(pairs, k=2, sparsity=budget, epsilon=1.0)
         norms = (vecs ** 2).sum(axis=1)
         brute = sorted(sorted(range(12), key=lambda i: (-norms[i], i))[: min(budget, 12)])
         assert list(selected) == brute
@@ -74,7 +73,7 @@ class TestThresholdRowIndices:
         # all rows far below the threshold: n large, l = 1, tight eps
         vecs = _orthonormal_columns(40, 1, seed=8)
         pairs = EigenPairs(np.array([1.0]), vecs, "exact", 0.0)
-        selected = threshold_row_indices(pairs, k=1, epsilon=1.0, mode="theory")
+        selected = threshold_row_indices(pairs, k=1, epsilon=1.0)
         if selected.size == 1:
             norms = (vecs ** 2).sum(axis=1)
             assert selected[0] == int(np.argmax(norms))
@@ -104,13 +103,13 @@ class TestSparseUnitVector:
 class TestSpcaSvd:
     def test_identity_budget(self):
         A = symmetrize(np.eye(6))
-        z = spca_svd(A, SvdThresholdConfig(k=2, epsilon=0.5, mode="budget", budget_s=2))
+        z = spca_svd(A, 2, sparsity=2, epsilon=0.5)
         assert z.quadratic_form(A) == pytest.approx(1.0, abs=1e-12)
         assert z.sparsity <= 2
 
     def test_pitprops_matches_published_loadings(self):
         A = pit_props()
-        z = spca_svd(A, SvdThresholdConfig(k=7, epsilon=1.0, mode="budget", budget_s=7))
+        z = spca_svd(A, 7, sparsity=7, epsilon=1.0)
         assert z.quadratic_form(A) == pytest.approx(3.993, abs=0.01)
         assert list(z.support) == [0, 1, 5, 6, 7, 8, 9]
         expected = [0.420, 0.422, 0.296, 0.416, 0.305, 0.371, 0.394]
@@ -123,7 +122,7 @@ class TestSpcaSvd:
             n = int(rng.integers(6, 11))
             k = int(rng.integers(2, 5))
             A = random_psd(n, 2000 + i)
-            z = spca_svd(A, SvdThresholdConfig(k=k, epsilon=eps, mode="theory"))
+            z = spca_svd(A, k, epsilon=eps)
             z_star = exact_spca(A, k).optimal_value
             assert z.quadratic_form(A) >= z_star - 3 * eps * A.trace - 1e-8
 
@@ -146,7 +145,7 @@ class TestSpcaSvd:
     def test_unit_norm_and_support_size(self):
         for seed in range(6):
             A = random_psd(9, 7700 + seed)
-            z = spca_svd(A, SvdThresholdConfig(k=3, epsilon=0.5, mode="theory"))
+            z = spca_svd(A, 3, epsilon=0.5)
             assert abs(z.norm - 1.0) <= 1e-10
             assert np.count_nonzero(z.to_dense()) <= z.sparsity
 
@@ -156,14 +155,12 @@ class TestSpcaSvd:
         A = random_psd(8, 1234)
         values = []
         for s in range(1, 9):
-            z = spca_svd(
-                A, SvdThresholdConfig(k=3, epsilon=1.0, l_override=8, mode="budget", budget_s=s)
-            )
+            z = spca_svd(A, 3, sparsity=s, epsilon=1.0, l_override=8)
             values.append(z.quadratic_form(A))
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-10
 
-    def test_budget_surrogate_monotone_for_truncated_basis(self):
+    def test_truncated_surrogate_monotone_in_budget(self):
         # for l < n the maximized surrogate is the truncated form; that is
         # the quantity guaranteed monotone over nested supports
         for seed in (11, 12, 13):
@@ -172,12 +169,7 @@ class TestSpcaSvd:
                 pairs = top_l_eigenpairs(A, l)
                 prev = -np.inf
                 for s in range(1, 11):
-                    z = spca_svd(
-                        A,
-                        SvdThresholdConfig(
-                            k=3, epsilon=1.0, l_override=l, mode="budget", budget_s=s
-                        ),
-                    )
+                    z = spca_svd(A, 3, sparsity=s, epsilon=1.0, l_override=l)
                     surrogate = (
                         np.linalg.norm(
                             np.sqrt(pairs.values) * (pairs.vectors.T @ z.to_dense())
@@ -189,15 +181,14 @@ class TestSpcaSvd:
 
     def test_scale_equivariance(self):
         A = random_psd(9, 29)
-        cfg = SvdThresholdConfig(k=3, epsilon=0.5, mode="theory")
-        z1 = spca_svd(A, cfg)
-        z2 = spca_svd(symmetrize(7.5 * A.entries), cfg)
+        z1 = spca_svd(A, 3, epsilon=0.5)
+        z2 = spca_svd(symmetrize(7.5 * A.entries), 3, epsilon=0.5)
         assert np.array_equal(z1.support, z2.support)
         np.testing.assert_allclose(z1.values, z2.values, atol=1e-12, rtol=0)
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
-            spca_svd(random_psd(4, 0), SvdThresholdConfig(k=5))
+            spca_svd(random_psd(4, 0), 5)
 
 
 class TestEigensolverCalls:
