@@ -35,12 +35,10 @@ from .errors import (
 )
 from .matrix import (
     EigenPairs,
-    MatrixFunctionals,
     SvdParams,
     SymmetricMatrix,
     eigendecompose,
     ensure_psd,
-    matrix_functionals,
     spectral_norm,
     symmetrize,
     top_l_eigenpairs,
@@ -103,7 +101,6 @@ __all__ = [
     "InvalidRank",
     "InvalidSupport",
     "InvariantViolation",
-    "MatrixFunctionals",
     "NonConvergenceWarning",
     "NonFiniteEntries",
     "NotPSD",
@@ -129,7 +126,6 @@ __all__ = [
     "hadamard_basis",
     "kernel_matrix",
     "load_matrix",
-    "matrix_functionals",
     "pit_props",
     "project_l1_ball_matrix",
     "project_psd_trace_ball",

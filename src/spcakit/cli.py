@@ -172,8 +172,6 @@ def _parse_grid(spec):
 
 def _cmd_solve(args):
     A, input_name = _load_input(args)
-    if args.sparsity is None and args.epsilon is None:
-        raise CliValidationError("theory mode requires --epsilon (or pass --sparsity)")
     vec, metrics, sol, diag = solve(
         A,
         args.algo,

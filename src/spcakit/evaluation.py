@@ -24,7 +24,7 @@ from .errors import DimensionMismatch
 from .matrix import SvdParams, SymmetricMatrix, spectral_norm
 from .oracle import exact_spca
 from .sdp import AdmmConfig, spca_sdp
-from .svd_threshold import SparseUnitVector, spca_svd
+from .svd_threshold import SparseUnitVector, _check_sizing, spca_svd
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,14 @@ def solve(
     """Run one solver on ``A`` and evaluate its vector against the floor it certifies.
 
     ``algo`` is ``"svd"``, ``"sdp"`` or ``"oracle"``. Budget mode keeps
-    exactly ``sparsity`` coordinates (1 to n for svd and sdp); omitting
-    ``sparsity`` selects theory mode. ``epsilon`` must lie in (0, 1] for
-    every algorithm; it defaults to 1.0 for the floors and for
-    :func:`spca_svd`, and :func:`spca_sdp` gets it as given, so its theory
-    mode needs it. With ``oracle_ref``, or for ``algo="oracle"``, the exact
-    optimum at ``k`` is the reference value; without it the sdp floor uses
-    the relaxation objective.
+    exactly ``sparsity`` coordinates (1 to n; for the oracle, which is always
+    k-sparse, ``sparsity`` must equal ``k``); omitting ``sparsity`` selects
+    theory mode, which needs ``epsilon`` for every algorithm. ``epsilon`` must
+    lie in (0, 1]; in budget mode it defaults to 1.0 for the floors and for
+    :func:`spca_svd`. With ``oracle_ref``, or for ``algo="oracle"``, the
+    exact optimum at ``k`` is the reference value; without it the sdp floor
+    uses the relaxation objective. All arguments are checked before any
+    solver or the enumeration runs.
 
     Returns ``(vector, report, solution, diagnostics)``; the last two are set
     only for ``algo="sdp"``.
@@ -139,6 +140,9 @@ def solve(
         raise ValueError(f"unknown algorithm {algo!r}")
     if epsilon is not None and not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
+    if algo == "oracle" and sparsity not in (None, k):
+        raise ValueError(f"oracle sparsity {sparsity} must equal k={k}")
+    _check_sizing(A.n, sparsity, epsilon)
     eps = epsilon if epsilon is not None else 1.0
     z_ref = sol = diag = None
     if oracle_ref or algo == "oracle":

@@ -245,36 +245,6 @@ def top_l_eigenpairs(
     return EigenPairs(values, vectors, "block_krylov", _column_residual(A.entries, values, vectors))
 
 
-@dataclass(frozen=True)
-class MatrixFunctionals:
-    trace: float
-    spectral_norm: float
-    frobenius_norm: float
-    entrywise_l1: float
-    min_eigenvalue: float
-
-
-def matrix_functionals(A: SymmetricMatrix) -> MatrixFunctionals:
-    """Trace, norms, and extreme eigenvalues of ``A``.
-
-    ``spectral_norm`` is the largest eigenvalue magnitude (equal to the top
-    eigenvalue for PSD input); ``min_eigenvalue`` comes from the full
-    decomposition, which this always computes. Solvers need only the norm and
-    the PSD verdict, and get them cheaper from :func:`spectral_norm` and
-    :func:`ensure_psd`.
-    """
-    eig = eigendecompose(A)
-    lam_max = float(eig.values[0])
-    lam_min = float(eig.values[-1])
-    return MatrixFunctionals(
-        trace=A.trace,
-        spectral_norm=max(abs(lam_max), abs(lam_min)),
-        frobenius_norm=float(np.linalg.norm(A.entries)),
-        entrywise_l1=float(np.abs(A.entries).sum()),
-        min_eigenvalue=lam_min,
-    )
-
-
 def _dense_check(A: SymmetricMatrix) -> bool:
     """Whether ensure_psd and spectral_norm read the full decomposition."""
     return A._eig is not None or A.n <= _DENSE_CHECK_MAX_N
@@ -301,10 +271,10 @@ def spectral_norm(A: SymmetricMatrix) -> float:
     """``max(|lambda_max|, |lambda_min|)`` of ``A``.
 
     Read from the full decomposition when it is cached or ``n`` is at most
-    ``_DENSE_CHECK_MAX_N`` (then equal to ``matrix_functionals(A).spectral_norm``).
-    Otherwise Lanczos (ARPACK ``eigsh``, largest magnitude, full precision)
-    from a fixed-seed Philox start vector, cached on ``A``, so equal matrices
-    give bit-identical norms. The zero matrix has norm 0.
+    ``_DENSE_CHECK_MAX_N``. Otherwise Lanczos (ARPACK ``eigsh``, largest
+    magnitude, full precision) from a fixed-seed Philox start vector, cached
+    on ``A``, so equal matrices give bit-identical norms. The zero matrix has
+    norm 0.
     """
     if _dense_check(A):
         values = eigendecompose(A).values

@@ -3,10 +3,13 @@
 The relaxation maximizes ``trace(A Z)`` over PSD matrices with
 ``trace(Z) <= 1`` and ``sum |Z_ij| <= k``. It is solved by ADMM with the
 splitting Z = Y, where the Z-block owns the PSD trace ball and the Y-block
-owns the entrywise l1 ball; both projections are exact. Rounding takes the
-best rank-1 factor u of the solution and keeps its ``s`` largest-magnitude
-coordinates, giving a vector with norm at most one and a certified
-objective floor ``(1/alpha) * trace(A Z) - epsilon``.
+owns the entrywise l1 ball. Both projections are exact, and both avoid work
+the exact answer does not need: the PSD projection computes only the
+eigenpairs it keeps plus one, with a certificate that the rest map to zero,
+and the l1 projection finds its threshold by a filter iteration instead of a
+full sort. Rounding takes the best rank-1 factor u of the solution and keeps
+its ``s`` largest-magnitude coordinates, giving a vector with norm at most
+one and a certified objective floor ``(1/alpha) * trace(A Z) - epsilon``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSolution, InvariantViolation
+from .errors import ConvergenceFailure, DegenerateSolution, InvariantViolation
 from .matrix import SymmetricMatrix, _fix_signs, ensure_psd
 from .oracle import restricted_top_eigenpair
 from .svd_threshold import SparseUnitVector, _check_sizing
@@ -27,6 +30,18 @@ _RHO_MAX = 1e6
 # every iteration can lock the iteration into a rho limit cycle.
 _RHO_ADAPT_EVERY = 100
 _RHO_ADAPT_BUDGET = 30
+
+# The PSD projection computes only the top r + 1 eigenpairs while
+# r + 1 <= max(2, n // _PARTIAL_EIG_DIVISOR), and all n otherwise. Measured
+# with one BLAS thread, microseconds per call, top-m dsyevr against a full
+# dsyevd (np.linalg.eigh in parentheses):
+#   n =  20, m = 1/2/4/8:         19 / 24 / 36 / 69 against 45 (56)
+#   n =  64, m = 1/2/4/8/16:      137 / 178 / 254 / 383 / 637 against 461 (431)
+#   n = 128, m = 1/2/4/8/16/32:   464 / 531 / 601 / 1015 / 1720 / 2872 against 1554 (1635)
+#   n = 256, m = 1/2/4/8/16/32:   2619 / 2802 / 3021 / 3513 / 4154 / 6548 against 7792 (8726)
+# At n // 16 a partial call costs at most about two thirds of a full one, which
+# leaves room for the failed certificates that pay for both.
+_PARTIAL_EIG_DIVISOR = 16
 
 
 @dataclass(frozen=True)
@@ -91,51 +106,116 @@ class SdpDiagnostics:
     top_eigenvector: np.ndarray
 
 
-def _project_simplex(v, radius):
-    """Euclidean projection of a vector onto {x >= 0, sum(x) = radius}.
+def _simplex_threshold(values, radius, total):
+    """Theta with ``sum(max(values - theta, 0)) == radius``; ``total`` is ``values.sum()``.
 
-    Sorted cumulative-sum threshold rule; negative entries are handled by the
-    max with zero.
+    Needs ``sum(max(values, 0)) > radius``. Exact filter iteration (Michelot's
+    algorithm; see Condat, *Fast projection onto the simplex and the l1 ball*,
+    Math. Programming 2016): theta starts at the mean excess over all values,
+    each pass keeps the values above theta and recomputes it on them, and it
+    stops when theta no longer rises. Theta never decreases and the kept set
+    only shrinks, so no sort is needed and the passes get cheaper.
     """
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    positions = np.arange(1, v.size + 1)
-    candidates = np.flatnonzero(u - (cumulative - radius) / positions > 0)
-    rho = candidates[-1]
-    theta = (cumulative[rho] - radius) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    theta = (total - radius) / values.size
+    while True:
+        values = values[values > theta]
+        new = (values.sum() - radius) / max(values.size, 1)
+        if not new > theta:
+            return theta
+        theta = new
 
 
-def project_psd_trace_ball(M):
+def _trace_ball_threshold(w):
+    """Eigenvalue shift of the PSD trace-ball projection: 0 inside the ball."""
+    positive = np.maximum(w, 0.0).sum()
+    return _simplex_threshold(w, 1.0, w.sum()) if positive > 1.0 else 0.0
+
+
+def _check_lapack(info, routine):
+    if info != 0:
+        raise ConvergenceFailure(f"LAPACK {routine} failed with info={info}")
+
+
+def project_psd_trace_ball(M, rank=None):
     """Frobenius-nearest matrix in {Z PSD, trace(Z) <= 1}.
 
-    Eigenvalues are clipped at zero; if their sum still exceeds one they are
-    projected onto the unit simplex instead (projecting the original
-    eigenvalue vector gives the same result, since the simplex threshold is
-    positive in that branch).
+    The eigenvalues of the symmetric part of ``M`` are shifted down by theta
+    and clipped at zero: theta is 0 when the positive eigenvalues sum to at
+    most one, and otherwise their simplex threshold.
+
+    Only the top r + 1 eigenpairs are computed (LAPACK ``dsyevr``), with r the
+    number kept last time: ``rank`` if given, else 1. Theta is taken from those
+    values; when the smallest of them is at most theta, every lower eigenvalue
+    also maps to zero, so the result is the exact projection. Otherwise, or
+    when r + 1 exceeds ``max(2, n // _PARTIAL_EIG_DIVISOR)``, one full
+    decomposition (``dsyevd``) is used instead.
+
+    Returns the projected matrix; with ``rank`` given, returns
+    ``(matrix, kept)`` with ``kept`` the number of nonzero eigenvalues, the
+    hint for the next call.
     """
-    sym = (M + M.T) / 2.0
-    w, v = np.linalg.eigh(sym)
-    clipped = np.maximum(w, 0.0)
-    if clipped.sum() > 1.0:
-        clipped = _project_simplex(w, 1.0)
-    return (v * clipped) @ v.T
+    # Imported on first use, as in matrix.py: data.py imports scipy.linalg at
+    # package load anyway, but importing it here, earlier in that load,
+    # measured 1.2 MB more peak RSS.
+    from scipy.linalg import blas, lapack
+
+    M = np.asarray(M, dtype=float)
+    sym = M + M.T
+    sym *= 0.5
+    # sym is exactly symmetric, so its transpose is the same matrix in the
+    # Fortran order LAPACK reads without a transposing copy.
+    sym = sym.T
+    n = sym.shape[0]
+    r = 1 if rank is None else max(rank, 1)
+    w = None
+    if r + 1 < n and r + 1 <= max(2, n // _PARTIAL_EIG_DIVISOR):
+        top, v, m, _, info = lapack.dsyevr(sym, range="I", il=n - r, iu=n)
+        _check_lapack(info, "dsyevr")
+        # On a tightly clustered spectrum dsyevr can return fewer pairs than
+        # asked for with info = 0 (m = 0 for -I - J / 2 at n = 40); the full
+        # decomposition takes over then, as it does when the check fails.
+        if m == r + 1:
+            theta = _trace_ball_threshold(top[:m])
+            if top[0] <= theta:
+                w = top[:m]
+    if w is None:
+        w, v, info = lapack.dsyevd(sym, overwrite_a=1)
+        _check_lapack(info, "dsyevd")
+        theta = _trace_ball_threshold(w)
+    shifted = w - theta
+    kept = int(np.count_nonzero(shifted > 0.0))
+    if kept == 0:
+        projected = np.zeros((n, n))
+    else:
+        # w is ascending, so the kept pairs are the last columns. The result
+        # is transposed to C order; (V X^T)^T = X V^T with X = V diag(shifted).
+        vectors = v[:, w.size - kept:]
+        projected = blas.dgemm(1.0, vectors, vectors * shifted[-kept:], trans_b=True).T
+    return projected if rank is None else (projected, kept)
 
 
 def project_l1_ball_matrix(M, radius):
     """Frobenius-nearest matrix with entrywise l1 norm at most ``radius``.
 
     Inside the ball the input is returned unchanged; outside, entries are
-    soft-thresholded with the simplex threshold of their magnitudes.
-    Symmetric input yields symmetric output.
+    soft-thresholded by the simplex threshold of their magnitudes
+    (:func:`_simplex_threshold`, no sort). Symmetric input yields symmetric
+    output.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     M = np.asarray(M, dtype=float)
-    if np.abs(M).sum() <= radius:
+    magnitudes = np.abs(M)
+    total = magnitudes.sum()
+    if total <= radius:
         return M.copy()
-    magnitudes = _project_simplex(np.abs(M).ravel(), radius)
-    return (np.sign(M).ravel() * magnitudes).reshape(M.shape)
+    theta = _simplex_threshold(magnitudes.ravel(), radius, total)
+    return M - np.clip(M, -theta, theta)
+
+
+def _frobenius(D):
+    # Not np.linalg.norm, which calls NumPy's BLAS (see solve_sdp_relaxation).
+    return math.sqrt(np.einsum("ij,ij->", D, D))
 
 
 def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = None) -> SdpSolution:
@@ -146,6 +226,13 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     ``max_iters`` with ``converged=False`` (not an error). The reported
     matrix is the l1-feasible Y iterate re-projected once onto the PSD trace
     ball, so all residual families hold at solver level.
+
+    Each PSD projection starts from the rank the previous one kept. Every
+    BLAS and LAPACK call inside the loop goes to SciPy's library: NumPy
+    bundles a second one, and alternating the two makes their thread pools
+    contend. With two BLAS threads at n = 128, a top-2 ``dsyevr`` followed by
+    ``np.linalg.norm`` measured 10.3 ms, against 0.67 ms with the norm
+    computed without BLAS.
     """
     cfg = cfg or AdmmConfig()
     ensure_psd(A)
@@ -158,16 +245,17 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     Z = np.zeros((n, n))
     Y = np.zeros((n, n))
     U = np.zeros((n, n))
+    rank = 1
     converged = False
     iterations = 0
     adaptations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        Z = project_psd_trace_ball(Y - U + C / rho)
+        Z, rank = project_psd_trace_ball(Y - U + C / rho, rank)
         Y_prev = Y
         Y = project_l1_ball_matrix(Z + U, float(k))
         U = U + Z - Y
-        primal = float(np.linalg.norm(Z - Y))
-        dual = rho * float(np.linalg.norm(Y - Y_prev))
+        primal = _frobenius(Z - Y)
+        dual = rho * _frobenius(Y - Y_prev)
         if primal <= cfg.primal_tol and dual <= cfg.dual_tol:
             converged = True
             break
@@ -185,7 +273,7 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
                 U *= 2.0
                 adaptations += 1
 
-    reported = project_psd_trace_ball(Y)
+    reported, _ = project_psd_trace_ball(Y, rank)
     objective = float(np.sum(C * reported))
     eigenvalues = np.linalg.eigvalsh(reported)
     feas = FeasibilityResiduals(
@@ -232,16 +320,18 @@ def _truncate_to_top_magnitudes(u, s):
     return np.sort(order[:s]).astype(np.int64)
 
 
-def round_sdp_solution(sol: SdpSolution, s: int):
+def round_sdp_solution(sol: SdpSolution, s: int, diag: SdpDiagnostics | None = None):
     """Round Z to an s-sparse vector plus diagnostics.
 
     The vector keeps the ``s`` largest-magnitude coordinates of the scaled
     top eigenvector u (ties toward the lowest index) and is not renormalized,
-    so its norm is at most one.
+    so its norm is at most one. ``diag`` is ``rank_one_diagnostics(sol)`` when
+    the caller already has it.
     """
     if s < 1:
         raise ValueError("s must be a positive integer")
-    diag = rank_one_diagnostics(sol)
+    if diag is None:
+        diag = rank_one_diagnostics(sol)
     u = diag.top_eigenvector
     keep = _truncate_to_top_magnitudes(u, s)
     z = SparseUnitVector(sol.matrix.n, keep, u[keep], norm_le_one=True)
@@ -292,13 +382,12 @@ def spca_sdp(
     if s is None:
         s = min(A.n, int(math.ceil(9.0 * k * k * diag.beta * diag.beta / (epsilon * epsilon))))
         s = max(s, 1)
-    keep = _truncate_to_top_magnitudes(diag.top_eigenvector, s)
-    z = SparseUnitVector(A.n, keep, diag.top_eigenvector[keep], norm_le_one=True)
+    z, _ = round_sdp_solution(sol, s, diag)
     _check_truncation_chain(A, diag.top_eigenvector, z)
     if polish:
         # Best unit vector on the fixed support: top eigenpair of A[S, S]. The
         # quadratic form can only improve over the raw truncation, so every
         # floor certified for the truncation transfers to the polished vector.
-        _, vec = restricted_top_eigenpair(A, keep)
-        z = SparseUnitVector(A.n, keep, vec, norm_le_one=True)
+        _, vec = restricted_top_eigenpair(A, z.support)
+        z = SparseUnitVector(A.n, z.support, vec, norm_le_one=True)
     return z, sol, diag

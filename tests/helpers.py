@@ -1,9 +1,9 @@
 """Shared fixtures and independent oracles used across the test suite.
 
 Oracles here must stay independent of the library code paths they check:
-eigenvalues via the characteristic polynomial, projections via bisection,
-covariance via explicit two-pass loops, exact sparse PCA via one
-eigensolver call per support.
+eigenvalues via the characteristic polynomial; projections via bisection, a
+full sort, or a full eigendecomposition; covariance via explicit two-pass
+loops; exact sparse PCA via one eigensolver call per support.
 """
 
 import itertools
@@ -83,6 +83,42 @@ def l1_ball_projection_bisection(matrix, radius, tol=1e-12):
             break
     theta = (lo + hi) / 2.0
     return np.sign(matrix) * np.maximum(np.abs(matrix) - theta, 0.0)
+
+
+def simplex_projection_sort(v, radius):
+    """Euclidean projection of a vector onto {x >= 0, sum(x) = radius}.
+
+    Sorted cumulative-sum threshold rule; negative entries are handled by the
+    max with zero.
+    """
+    u = np.sort(v)[::-1]
+    cumulative = np.cumsum(u)
+    positions = np.arange(1, v.size + 1)
+    candidates = np.flatnonzero(u - (cumulative - radius) / positions > 0)
+    rho = candidates[-1]
+    theta = (cumulative[rho] - radius) / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def psd_trace_ball_projection_full(M):
+    """Projection onto {Z PSD, trace(Z) <= 1} from a full ``eigh`` of the symmetric part.
+
+    Eigenvalues are clipped at zero; if their sum still exceeds one they are
+    projected onto the unit simplex instead.
+    """
+    w, v = np.linalg.eigh((M + M.T) / 2.0)
+    clipped = np.maximum(w, 0.0)
+    if clipped.sum() > 1.0:
+        clipped = simplex_projection_sort(w, 1.0)
+    return (v * clipped) @ v.T
+
+
+def l1_ball_projection_sort(M, radius):
+    """Projection onto the entrywise l1 ball by a full sort of the magnitudes."""
+    if np.abs(M).sum() <= radius:
+        return M.copy()
+    magnitudes = simplex_projection_sort(np.abs(M).ravel(), radius)
+    return (np.sign(M).ravel() * magnitudes).reshape(M.shape)
 
 
 def two_pass_covariance(data, center=True):

@@ -45,7 +45,8 @@ class TestSolveCommand:
         code = _run(["solve", "--input", "builtin:identity4", "--algo", "svd", "--k", "2"])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["code"] == "ValidationError"
+        assert err["code"] == "ValueError"
+        assert "theory mode requires epsilon" in err["message"]
 
     @pytest.mark.parametrize("epsilon", ["1.5", "0", "-0.25"])
     def test_sdp_epsilon_outside_unit_interval_exits_2(self, capsys, epsilon):

@@ -8,17 +8,17 @@ from spcakit import (
     SvdParams,
     evaluate,
     exact_spca,
-    matrix_functionals,
     pit_props,
     solve,
     sparsity_sweep,
     spca_sdp,
     symmetrize,
 )
+from spcakit import evaluation as evaluation_mod
 from spcakit import matrix as matrix_mod
 from spcakit.evaluation import env_workers
 
-from helpers import random_psd
+from helpers import count_calls, random_psd
 
 
 class TestEvaluate:
@@ -41,12 +41,13 @@ class TestEvaluate:
         res = exact_spca(A, 3)
         ctx = EvalContext(epsilon=0.4, alpha=1.02, z_ref=res.optimal_value, solver_gap=1e-5)
         rep = evaluate(A, res.optimal_vector, ctx)
-        f = matrix_functionals(A)
+        norm = np.abs(np.linalg.eigvalsh(A.entries)).max()
+        trace = np.trace(A.entries)
         dense = res.optimal_vector.to_dense()
         assert rep.objective == pytest.approx(float(dense @ A.entries @ dense), abs=1e-10)
-        assert rep.f_value == pytest.approx(rep.objective / f.spectral_norm, abs=1e-12)
-        assert rep.pve == pytest.approx(rep.objective / f.trace, abs=1e-12)
-        assert rep.thm1_floor == pytest.approx(res.optimal_value - 3 * 0.4 * f.trace, abs=1e-12)
+        assert rep.f_value == pytest.approx(rep.objective / norm, abs=1e-12)
+        assert rep.pve == pytest.approx(rep.objective / trace, abs=1e-12)
+        assert rep.thm1_floor == pytest.approx(res.optimal_value - 3 * 0.4 * trace, abs=1e-12)
         assert rep.thm2_floor == pytest.approx(
             res.optimal_value / 1.02 - 0.4 - 1e-5, abs=1e-12
         )
@@ -145,6 +146,26 @@ class TestSolve:
             solve(pit_props(), algo, 7, sparsity=14)
 
     @pytest.mark.parametrize("algo", ["svd", "sdp", "oracle"])
+    def test_theory_mode_requires_epsilon(self, algo):
+        with pytest.raises(ValueError, match="theory mode requires epsilon"):
+            solve(pit_props(), algo, 3)
+
+    @pytest.mark.parametrize("sparsity", [2, 4, 40])
+    def test_oracle_sparsity_must_equal_k(self, sparsity):
+        A = random_psd(6, 12)
+        with pytest.raises(ValueError, match=f"oracle sparsity {sparsity} must equal k=3"):
+            solve(A, "oracle", 3, sparsity=sparsity)
+        assert solve(A, "oracle", 3, sparsity=3)[0].sparsity == 3
+
+    @pytest.mark.parametrize("algo", ["svd", "sdp", "oracle"])
+    def test_arguments_checked_before_enumeration(self, monkeypatch, algo):
+        enumerations = count_calls(monkeypatch, evaluation_mod, "exact_spca")
+        for kwargs in ({"sparsity": 14}, {"epsilon": None}, {"epsilon": 1.5}):
+            with pytest.raises(ValueError):
+                solve(pit_props(), algo, 7, oracle_ref=True, **kwargs)
+        assert enumerations == []
+
+    @pytest.mark.parametrize("algo", ["svd", "sdp", "oracle"])
     def test_epsilon_one_accepted(self, algo):
         _, report, _, _ = solve(random_psd(5, 9), algo, 2, sparsity=2, epsilon=1.0)
         assert report.objective > 0
@@ -152,7 +173,7 @@ class TestSolve:
     @pytest.mark.parametrize("algo", ["svd", "sdp", "oracle"])
     def test_solution_and_diagnostics_only_for_sdp(self, algo):
         A = random_psd(6, 77)
-        vec, report, sol, diag = solve(A, algo, 2, sparsity=3)
+        vec, report, sol, diag = solve(A, algo, 3, sparsity=3)
         assert report.objective == pytest.approx(vec.quadratic_form(A), abs=1e-12)
         if algo == "sdp":
             assert sol is not None and diag is not None

@@ -8,7 +8,6 @@ from spcakit import (
     NotSquare,
     eigendecompose,
     ensure_psd,
-    matrix_functionals,
     spectral_norm,
     symmetrize,
     top_l_eigenpairs,
@@ -151,27 +150,16 @@ class TestTopL:
 
 class TestFunctionals:
     def test_identity(self):
-        f = matrix_functionals(symmetrize(np.eye(5)))
-        assert f.trace == 5.0
-        assert f.spectral_norm == pytest.approx(1.0)
-        assert f.frobenius_norm == pytest.approx(np.sqrt(5.0))
-        assert f.entrywise_l1 == 5.0
-        assert f.min_eigenvalue == pytest.approx(1.0)
+        A = symmetrize(np.eye(5))
+        assert A.trace == 5.0
+        assert spectral_norm(A) == pytest.approx(1.0)
 
     def test_brute_force_recomputation(self):
         A = random_psd(7, 321)
-        f = matrix_functionals(A)
         entries = A.entries
-        assert f.trace == pytest.approx(sum(entries[i, i] for i in range(7)), abs=1e-8)
-        assert f.entrywise_l1 == pytest.approx(
-            sum(abs(entries[i, j]) for i in range(7) for j in range(7)), abs=1e-8
-        )
-        assert f.frobenius_norm == pytest.approx(
-            np.sqrt(sum(entries[i, j] ** 2 for i in range(7) for j in range(7))), abs=1e-8
-        )
+        assert A.trace == pytest.approx(sum(entries[i, i] for i in range(7)), abs=1e-8)
         oracle_vals = charpoly_eigenvalues(entries)
-        assert f.spectral_norm == pytest.approx(oracle_vals[0], abs=1e-8)
-        assert f.min_eigenvalue == pytest.approx(oracle_vals[-1], abs=1e-8)
+        assert spectral_norm(A) == pytest.approx(oracle_vals[0], abs=1e-8)
 
 
 class TestSpectralProperties:
@@ -289,7 +277,8 @@ class TestLargeMatrixPsdCheck:
     def test_norm_matches_dense_value(self):
         values = spectrum_with_min(-0.25, lam_max=2.5)
         A = symmetrize(with_spectrum(values, seed=3))
-        dense = matrix_functionals(symmetrize(A.entries)).spectral_norm
+        w = np.linalg.eigvalsh(A.entries)
+        dense = max(abs(w[0]), abs(w[-1]))
         assert spectral_norm(A) == pytest.approx(dense, rel=1e-12)
 
     def test_fresh_copies_give_bit_identical_norms(self):

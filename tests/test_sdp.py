@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from spcakit import (
     AdmmConfig,
@@ -21,9 +22,18 @@ from spcakit import (
     unit_row_normalize,
 )
 
+from spcakit import sdp as sdp_mod
 from spcakit.sdp import _check_truncation_chain
 
-from helpers import forged_truncation, l1_ball_projection_bisection, random_psd, run_python
+from helpers import (
+    count_calls,
+    forged_truncation,
+    l1_ball_projection_bisection,
+    l1_ball_projection_sort,
+    psd_trace_ball_projection_full,
+    random_psd,
+    run_python,
+)
 
 # Projection of the Philox(999) 5x5 symmetric matrix below onto the PSD
 # trace ball, solved at build time by an independent convex solver
@@ -41,6 +51,51 @@ def _seeded_symmetric(n, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     raw = rng.standard_normal((n, n))
     return (raw + raw.T) / 2.0
+
+
+def _with_spectrum(values, seed):
+    """Symmetric matrix with the given eigenvalues and a seeded orthogonal basis."""
+    values = np.asarray(values, dtype=float)
+    rng = np.random.Generator(np.random.Philox(seed))
+    q, _ = np.linalg.qr(rng.standard_normal((values.size, values.size)))
+    M = (q * values) @ q.T
+    return (M + M.T) / 2.0
+
+
+def _admm_inputs(n, k, iters, seed):
+    """The inputs both projections receive during the first ``iters`` ADMM iterations."""
+    psd_inputs, l1_inputs = [], []
+    psd, l1 = sdp_mod.project_psd_trace_ball, sdp_mod.project_l1_ball_matrix
+
+    def record_psd(M, rank=None):
+        psd_inputs.append((M.copy(), rank))
+        return psd(M, rank)
+
+    def record_l1(M, radius):
+        l1_inputs.append((M.copy(), radius))
+        return l1(M, radius)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp_mod, "project_psd_trace_ball", record_psd)
+        mp.setattr(sdp_mod, "project_l1_ball_matrix", record_l1)
+        solve_sdp_relaxation(random_psd(n, seed), k, AdmmConfig(max_iters=iters))
+    return psd_inputs, l1_inputs
+
+
+def _noise_plus_spike(n, seed, scale, spike):
+    u = np.linspace(1.0, 2.0, n)
+    return scale * _seeded_symmetric(n, seed) + spike * np.outer(u, u) / n
+
+
+# Symmetric inputs whose projections keep anywhere from none to all
+# eigenpairs: seeded noise at a drawn scale plus a drawn rank-1 spike.
+_symmetric_inputs = st.builds(
+    _noise_plus_spike,
+    st.integers(1, 40),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([1e-3, 0.05, 0.3, 1.0, 3.0]),
+    st.sampled_from([0.0, 0.5, 2.0, 20.0]),
+)
 
 
 class TestPsdTraceBallProjection:
@@ -68,6 +123,63 @@ class TestPsdTraceBallProjection:
         assert w[0] >= -1e-12
         assert np.trace(P) <= 1.0 + 1e-12
         np.testing.assert_allclose(project_psd_trace_ball(P), P, atol=1e-10)
+
+    @given(_symmetric_inputs, st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_eigh_reference(self, M, rank):
+        expected = psd_trace_ball_projection_full(M)
+        got, _ = project_psd_trace_ball(M, rank)
+        np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(project_psd_trace_ball(M), expected, atol=1e-12, rtol=0)
+
+    def test_matches_reference_on_admm_states(self):
+        psd_inputs, _ = _admm_inputs(128, 8, 40, seed=61)
+        assert {rank for _, rank in psd_inputs} != {1}
+        for M, rank in psd_inputs:
+            got, _ = project_psd_trace_ball(M, rank)
+            np.testing.assert_allclose(got, psd_trace_ball_projection_full(M), atol=1e-12, rtol=0)
+
+    def test_inside_trace_ball_keeps_every_eigenpair(self, monkeypatch):
+        # All eigenvalues positive with sum 0.9: theta is 0 and nothing is
+        # clipped. The top-2 certificate fails, so one full decomposition runs.
+        values = np.linspace(1.0, 2.0, 40)
+        M = _with_spectrum(0.9 * values / values.sum(), seed=5)
+        full = count_calls(monkeypatch, lapack, "dsyevd")
+        got, kept = project_psd_trace_ball(M, 1)
+        assert kept == 40 and len(full) == 1
+        np.testing.assert_allclose(got, M, atol=1e-12, rtol=0)
+
+    def test_tie_at_theta_is_certified(self, monkeypatch):
+        # Top values 2 and 1 give theta = 1, equal to the second eigenvalue,
+        # which therefore maps to zero: the partial solve is exact.
+        M = np.diag([0.5, 1.0, -1.0, 2.0, 0.25, 1.0, 0.0, 0.125])
+        full = count_calls(monkeypatch, lapack, "dsyevd")
+        got, kept = project_psd_trace_ball(M, 1)
+        expected = np.zeros((8, 8))
+        expected[3, 3] = 1.0
+        assert kept == 1 and full == []
+        np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(got, psd_trace_ball_projection_full(M), atol=1e-12, rtol=0)
+
+    def test_rank_jump_falls_back_to_full_decomposition(self, monkeypatch):
+        # Five eigenvalues survive (theta = 0.2), but the rank hint is 1: the
+        # top two sum to 0.95, theta from them is 0 and the second value is
+        # above it, so the certificate fails.
+        values = np.concatenate([[0.5, 0.45, 0.4, 0.35, 0.3], -np.linspace(0.1, 1.0, 35)])
+        M = _with_spectrum(values, seed=8)
+        partial = count_calls(monkeypatch, lapack, "dsyevr")
+        full = count_calls(monkeypatch, lapack, "dsyevd")
+        got, kept = project_psd_trace_ball(M, 1)
+        assert kept == 5 and len(partial) == 1 and len(full) == 1
+        np.testing.assert_allclose(got, psd_trace_ball_projection_full(M), atol=1e-12, rtol=0)
+        np.testing.assert_allclose(np.linalg.eigvalsh(got)[-5:], values[:5][::-1] - 0.2, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_all_negative_and_zero_input_project_to_zero(self, n):
+        for M in (-np.eye(n) - 0.5 * np.ones((n, n)), np.zeros((n, n))):
+            got, kept = project_psd_trace_ball(M, 1)
+            assert kept == 0
+            np.testing.assert_array_equal(got, np.zeros((n, n)))
 
 
 class TestL1BallProjection:
@@ -99,6 +211,35 @@ class TestL1BallProjection:
         np.testing.assert_allclose(
             out, l1_ball_projection_bisection(M, radius), atol=1e-7, rtol=0
         )
+
+    @given(_symmetric_inputs, st.floats(0.01, 50.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sort_reference(self, M, radius):
+        out = project_l1_ball_matrix(M, radius)
+        np.testing.assert_allclose(out, l1_ball_projection_sort(M, radius), atol=1e-12, rtol=0)
+        np.testing.assert_array_equal(out, out.T)
+
+    def test_matches_reference_on_admm_states(self):
+        _, l1_inputs = _admm_inputs(128, 8, 40, seed=61)
+        for M, radius in l1_inputs:
+            np.testing.assert_allclose(
+                project_l1_ball_matrix(M, radius), l1_ball_projection_sort(M, radius),
+                atol=1e-12, rtol=0,
+            )
+
+    def test_on_boundary_unchanged(self):
+        M = np.array([[0.5, -0.25], [-0.25, 1.0]])
+        np.testing.assert_array_equal(project_l1_ball_matrix(M, 2.0), M)
+
+    def test_tied_magnitudes_shrink_equally(self):
+        M = np.array([[0.5, -0.5], [-0.5, 0.5]])
+        np.testing.assert_allclose(project_l1_ball_matrix(M, 1.0), M / 2.0, atol=1e-15)
+
+    def test_one_dominant_entry(self):
+        M = np.diag([0.01, -10.0, 0.02, 0.03])
+        expected = np.zeros((4, 4))
+        expected[1, 1] = -1.0
+        np.testing.assert_allclose(project_l1_ball_matrix(M, 1.0), expected, atol=1e-15)
 
 
 class TestSolveRelaxation:
@@ -141,6 +282,21 @@ class TestSolveRelaxation:
         sol = solve_sdp_relaxation(random_psd(6, 5), 2, AdmmConfig(max_iters=3))
         assert not sol.converged
         assert sol.iterations_used == 3
+
+    def test_loop_calls_no_numpy_linalg(self, monkeypatch):
+        # NumPy and SciPy each bundle their own BLAS. Alternating the two
+        # inside the loop makes their thread pools contend, so every
+        # per-iteration call goes to SciPy's LAPACK and BLAS.
+        spies = {
+            name: count_calls(monkeypatch, np.linalg, name) for name in ("eigh", "eigvalsh", "norm")
+        }
+        counts = []
+        for iters in (5, 50):
+            before = {name: len(calls) for name, calls in spies.items()}
+            sol = solve_sdp_relaxation(random_psd(20, 44), 3, AdmmConfig(max_iters=iters))
+            assert sol.iterations_used == iters
+            counts.append({name: len(calls) - before[name] for name, calls in spies.items()})
+        assert counts[0] == counts[1]
 
     def test_deterministic(self):
         A = random_psd(6, 51)
