@@ -3,8 +3,8 @@
 Reports are JSON (or CSV for tabular sweeps) with a top-level
 schema_version and the fully resolved configuration embedded, so any report
 can be reproduced byte-for-byte from its own config block. All randomness
-derives from --seed. Exit codes: 0 success, 2 validation error, 3 solver
-non-convergence under --strict.
+derives from --seed. Exit codes: 0 success, 2 validation error, 3 relaxation
+duality gap not certified within --max-iters under --strict.
 """
 
 from __future__ import annotations
@@ -86,8 +86,7 @@ def _admm_config(args):
     return AdmmConfig(
         rho=args.rho,
         max_iters=args.max_iters,
-        primal_tol=args.primal_tol,
-        dual_tol=args.dual_tol,
+        gap_tol=args.gap_tol,
         adaptive_rho=not args.no_adaptive_rho,
     )
 
@@ -365,8 +364,8 @@ def _add_io_arguments(sub, needs_input=True):
 def _add_admm_arguments(sub):
     sub.add_argument("--rho", type=float, default=1.0)
     sub.add_argument("--max-iters", type=int, default=50_000)
-    sub.add_argument("--primal-tol", type=float, default=1e-6)
-    sub.add_argument("--dual-tol", type=float, default=1e-6)
+    sub.add_argument("--gap-tol", type=float, default=1e-4,
+                     help="stop once the certified duality gap is at most this share of the bound")
     sub.add_argument("--no-adaptive-rho", action="store_true")
 
 
@@ -392,7 +391,7 @@ def build_parser():
     solve.add_argument("--oracle-ref", action="store_true",
                        help="also compute the exact optimum for bound reporting")
     solve.add_argument("--strict", action="store_true",
-                       help="exit 3 when the relaxation solver does not converge")
+                       help="exit 3 when the relaxation's duality gap is not certified")
     _add_io_arguments(solve)
     _add_admm_arguments(solve)
     _add_svd_arguments(solve)

@@ -7,7 +7,8 @@ instead. Two bound families can be attached to a report:
 * ``thm1_floor = Z_ref - 3 * epsilon * trace(A)``, the additive floor of the
   eigenbasis-thresholding solver;
 * ``thm2_floor = (1/alpha) * Z_ref - epsilon - solver_gap``, the
-  multiplicative floor of the relaxation-rounding solver.
+  multiplicative floor of the relaxation-rounding solver; ``solver_gap`` is
+  the relaxation solve's certified duality gap ``dual_bound - trace(A Z)``.
 
 ``Z_ref`` is the exact optimum when available; the relaxation objective is a
 valid stand-in since it upper-bounds the optimum. :func:`solve` runs one

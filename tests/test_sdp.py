@@ -306,6 +306,98 @@ class TestSolveRelaxation:
         assert a.objective == b.objective
 
 
+class TestDualityGap:
+    @pytest.mark.parametrize("n, seed, k", [(6, 51, 2), (6, 130, 2)])
+    def test_scale_invariance(self, n, seed, k):
+        # Scaling A and rho by a power of two is exact in floating point, so
+        # a scale-free solver repeats every iterate bit for bit and scales
+        # the objective and the bound exactly. Absolute stopping tolerances
+        # fail this.
+        A = random_psd(n, seed)
+        ref = solve_sdp_relaxation(A, k, AdmmConfig(rho=1.0))
+        assert ref.converged
+        for j in range(-10, 11):
+            scaled = symmetrize(A.entries * 2.0**j)
+            sol = solve_sdp_relaxation(scaled, k, AdmmConfig(rho=2.0**j))
+            assert sol.iterations_used == ref.iterations_used, j
+            assert np.array_equal(sol.Z, ref.Z), j
+            assert sol.objective == ref.objective * 2.0**j, j
+            assert sol.dual_bound == ref.dual_bound * 2.0**j, j
+            assert sol.converged
+
+    def test_scale_invariance_covers_rho_adaptation(self):
+        # The second instance above runs past the first rho adaptation, and
+        # the adaptation changes its path.
+        A = random_psd(6, 130)
+        adaptive = solve_sdp_relaxation(A, 2)
+        fixed = solve_sdp_relaxation(A, 2, AdmmConfig(adaptive_rho=False))
+        assert adaptive.iterations_used > sdp_mod._RHO_ADAPT_EVERY
+        assert adaptive.iterations_used != fixed.iterations_used
+
+    @given(st.integers(1, 12), st.integers(0, 2**31 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(max_examples=40, deadline=None)
+    def test_dual_bound_dominates_oracle(self, n, seed, scale):
+        # The bound holds at every iterate; max_iters only caps the cost of
+        # the rare input the default rho schedule cannot certify. At k = n
+        # both sides are lambda_max(A), from two eigensolvers whose results
+        # can differ in the last bits, hence the rounding allowance.
+        A = random_psd(n, seed, scale=scale)
+        cfg = AdmmConfig(rho=scale, max_iters=5000)
+        for k in range(1, n + 1):
+            sol = solve_sdp_relaxation(A, k, cfg)
+            z_star = exact_spca(A, k).optimal_value
+            assert sol.dual_bound >= z_star * (1.0 - 1e-12), k
+            assert sol.objective <= sol.dual_bound * (1.0 + 1e-12), k
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gap_nonnegative_when_max_iters_hit(self, seed):
+        sol = solve_sdp_relaxation(random_psd(8, 700 + seed), 3, AdmmConfig(max_iters=3))
+        assert not sol.converged and sol.iterations_used == 3
+        assert sol.solver_gap == sol.dual_bound - sol.objective > 0.0
+
+    @pytest.mark.parametrize("max_iters", [1, 3, 24, 50_000])
+    def test_reported_z_is_feasible(self, max_iters):
+        for seed in range(5):
+            A = random_psd(12, 800 + seed)
+            k = 1 + seed
+            sol = solve_sdp_relaxation(A, k, AdmmConfig(max_iters=max_iters))
+            assert np.trace(sol.Z) <= 1.0 + 1e-12
+            assert np.abs(sol.Z).sum() <= k + 1e-12
+            assert sol.feasibility.min_eigenvalue >= -1e-12
+            assert sol.feasibility.min_eigenvalue == np.linalg.eigvalsh(sol.Z)[0]
+            assert sol.objective == pytest.approx(float(np.sum(A.entries * sol.Z)), rel=1e-12)
+
+    @pytest.mark.parametrize("gap_tol", [1e-2, 1e-4, 1e-6])
+    def test_converged_gap_within_tolerance(self, gap_tol):
+        sol = solve_sdp_relaxation(pit_props(), 7, AdmmConfig(gap_tol=gap_tol))
+        assert sol.converged
+        assert 0.0 <= sol.solver_gap <= gap_tol * sol.dual_bound
+        assert sol.iterations_used % sdp_mod._GAP_CHECK_EVERY == 0
+
+    def test_tighter_tolerance_costs_iterations(self):
+        loose = solve_sdp_relaxation(pit_props(), 7, AdmmConfig(gap_tol=1e-2))
+        tight = solve_sdp_relaxation(pit_props(), 7, AdmmConfig(gap_tol=1e-6))
+        assert loose.iterations_used < tight.iterations_used
+        assert tight.solver_gap < loose.solver_gap
+
+    @pytest.mark.parametrize("field", ["rho", "gap_tol"])
+    def test_config_rejects_nonpositive(self, field):
+        with pytest.raises(ValueError):
+            AdmmConfig(**{field: 0.0})
+
+    def test_lambda_max_falls_back_when_dsyevr_finds_nothing(self, monkeypatch):
+        # dsyevr's index-range bisection can return no value (m = 0,
+        # info = 2) when the top eigenvalue is repeated exactly.
+        def empty(M, **kwargs):
+            return np.zeros(M.shape[0]), None, 0, None, 2
+
+        monkeypatch.setattr(lapack, "dsyevr", empty)
+        full = count_calls(monkeypatch, lapack, "dsyevd")
+        M = _with_spectrum([1.0, 1.0, 1.0, 0.0, -2.0], seed=3)
+        assert sdp_mod._lambda_max(M) == pytest.approx(1.0, abs=1e-12)
+        assert len(full) == 1
+
+
 class TestRounding:
     def test_already_rank_one_one_sparse(self):
         A = np.zeros((4, 4))
@@ -325,7 +417,7 @@ class TestRounding:
             feasibility=FeasibilityResiduals(0.0, 0.0, 0.4),
             iterations_used=0,
             converged=True,
-            solver_gap=0.0,
+            dual_bound=1.0,
         )
         z, diag = round_sdp_solution(sol, 1)
         np.testing.assert_allclose(z.to_dense(), [np.sqrt(0.6), 0.0], atol=1e-12)
@@ -341,7 +433,7 @@ class TestRounding:
             feasibility=FeasibilityResiduals(0.0, 0.0, 0.0),
             iterations_used=0,
             converged=True,
-            solver_gap=0.0,
+            dual_bound=0.0,
         )
         with pytest.raises(DegenerateSolution):
             round_sdp_solution(sol, 1)
