@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,6 +83,18 @@ def _parse_int(token, lineno, column):
         raise ParseError(f"expected an integer, got {token!r}", lineno, column) from None
 
 
+# A comment line in text whose lines are joined by "\n": optional blanks, then "%".
+_COMMENT_LINE = re.compile(r"^[^\S\n]*%.*$", re.MULTILINE)
+
+
+def _content_lines(lines, start):
+    """(1-based line number, line) for each non-blank, non-comment line from ``start``."""
+    for i in range(start, len(lines)):
+        line = lines[i]
+        if line.strip() and not line.lstrip().startswith("%"):
+            yield i + 1, line
+
+
 def _read_matrix_market(path):
     """Dense array from a MatrixMarket file (symmetric storage expanded to full)."""
     lines = Path(path).read_text().splitlines()
@@ -98,14 +111,9 @@ def _read_matrix_market(path):
     if shape not in ("general", "symmetric"):
         raise ParseError(f"unsupported symmetry {shape!r}", 1, 5)
 
-    body = [
-        (i + 1, line)
-        for i, line in enumerate(lines)
-        if i > 0 and line.strip() and not line.lstrip().startswith("%")
-    ]
-    if not body:
+    size_lineno, size_line = next(_content_lines(lines, 1), (None, None))
+    if size_line is None:
         raise ParseError("missing size line", len(lines))
-    size_lineno, size_line = body[0]
     size_tokens = size_line.split()
 
     if layout == "coordinate":
@@ -114,10 +122,11 @@ def _read_matrix_market(path):
         rows = _parse_int(size_tokens[0], size_lineno, 1)
         cols = _parse_int(size_tokens[1], size_lineno, 2)
         nnz = _parse_int(size_tokens[2], size_lineno, 3)
-        if len(body) - 1 != nnz:
-            raise ParseError(f"expected {nnz} entries, found {len(body) - 1}", size_lineno)
+        entries = list(_content_lines(lines, size_lineno))
+        if len(entries) != nnz:
+            raise ParseError(f"expected {nnz} entries, found {len(entries)}", size_lineno)
         arr = np.zeros((rows, cols))
-        for lineno, line in body[1:]:
+        for lineno, line in entries:
             tokens = line.split()
             if len(tokens) != 3:
                 raise ParseError("coordinate entry needs 'i j value'", lineno)
@@ -135,10 +144,20 @@ def _read_matrix_market(path):
         raise ParseError("array size line needs 'rows cols'", size_lineno)
     rows = _parse_int(size_tokens[0], size_lineno, 1)
     cols = _parse_int(size_tokens[1], size_lineno, 2)
-    values = []
-    for lineno, line in body[1:]:
-        for column, token in enumerate(line.split(), start=1):
-            values.append(_parse_float(token, lineno, column))
+    # One split and one float() over the whole body. splitlines() leaves no
+    # line break inside a line, so joined by "\n" every line keeps its tokens
+    # and one regex finds exactly the comment lines _content_lines skips.
+    body = "\n".join(lines[size_lineno:])
+    if "%" in body:
+        body = _COMMENT_LINE.sub("", body)
+    try:
+        values = list(map(float, body.split()))
+    except ValueError:
+        # the same float() token by token, to report the failing position
+        for lineno, line in _content_lines(lines, size_lineno):
+            for column, token in enumerate(line.split(), start=1):
+                _parse_float(token, lineno, column)
+        raise
     if shape == "symmetric":
         if rows != cols:
             raise ParseError("symmetric array must be square", size_lineno)
@@ -362,17 +381,18 @@ def hadamard_basis(p: int) -> np.ndarray:
 
 
 def givens_composition_apply(vtilde: np.ndarray, theta: float) -> np.ndarray:
-    """Apply the fixed schedule of disjoint plane rotations to a basis.
+    """Apply the fixed schedule of disjoint plane rotations to the rows of an n x c array.
 
     The 1-indexed plane pairs are (n/2 + 2t - 1, n/2 + 2t) for
     t = 1 .. n/4, which tile the bottom half of the rows; because the pairs
-    are disjoint, the composition order is immaterial. theta = 0 returns the
-    input unchanged.
+    are disjoint, the composition order is immaterial. Each column is rotated
+    on its own, so rotating some columns of a basis gives exactly those
+    columns of the rotated basis. theta = 0 returns the input unchanged.
     """
     vtilde = np.asarray(vtilde, dtype=float)
+    if vtilde.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {vtilde.shape}")
     n = vtilde.shape[0]
-    if vtilde.ndim != 2 or vtilde.shape[1] != n:
-        raise ValueError("expected a square matrix")
     if n % 4 != 0:
         raise DimensionNotDivisibleBy4(f"n={n} is not divisible by 4")
     out = vtilde.copy()
@@ -413,12 +433,18 @@ def synthetic_spiked(cfg: SyntheticConfig) -> DataMatrix:
     (100, e^-2, e^-3, ..., e^-m) padded with zero columns; V is the
     n-dimensional Hadamard basis twisted by the rotation schedule. With
     sigma = 0 the singular values of X are exactly the diagonal of S.
+
+    Only the first m columns of V meet a nonzero singular value. Sylvester's
+    construction gives H_n = kron(H_(n/m), H_m), and the first column of
+    H_(n/m) is all ones, so those columns are H_m stacked n/m times: the same
+    values as in the full basis, without building the other n - m columns.
     """
     left = hadamard_basis(cfg.m)
-    right = givens_composition_apply(hadamard_basis(cfg.n), cfg.theta)
+    columns = np.tile(hadamard(cfg.m), (cfg.n // cfg.m, 1)).astype(float) / math.sqrt(cfg.n)
+    right = givens_composition_apply(columns, cfg.theta)  # V[:, :m]
     spectrum = np.exp(-np.arange(1, cfg.m + 1, dtype=float))
     spectrum[0] = 100.0
-    core = (left * spectrum) @ right[:, : cfg.m].T  # U @ diag(s) @ V[:, :m].T
+    core = (left * spectrum) @ right.T  # U @ diag(s) @ V[:, :m].T
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     noise = cfg.sigma * rng.standard_normal((cfg.m, cfg.n)) if cfg.sigma > 0 else 0.0
     return DataMatrix(core + noise)

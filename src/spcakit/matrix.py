@@ -45,6 +45,12 @@ _KRYLOV_C = 2.0
 # up to n = 256.
 _DENSE_CHECK_MAX_N = 256
 
+# Side of the square tiles SymmetricMatrix averages with their mirror images.
+# Measured at n = 2048 on a machine with 2 MiB of L2 per core: 64 and 128
+# take 0.038-0.039 s, 32 takes 0.057 s, 256 and 512 take 0.068-0.075 s, and
+# the whole-array expressions 0.13 s.
+_TILE = 128
+
 
 def _fix_signs(vectors):
     """Flip column signs so the largest-|entry| coordinate is positive.
@@ -56,6 +62,31 @@ def _fix_signs(vectors):
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     return vectors * signs
+
+
+def _symmetrize_tiles(arr):
+    """``(arr + arr.T) / 2`` and ``max |arr - arr.T|`` in one pass over tile pairs.
+
+    Reading ``arr.T`` whole is a strided pass over memory; a pair of
+    ``_TILE``-square tiles fits in cache, and the mirrored tile of the average
+    is the transpose of its partner, since ``(a + b) / 2 == (b + a) / 2``
+    exactly. The entries are bitwise those of the whole-array expressions.
+    """
+    n = arr.shape[0]
+    out = np.empty((n, n))
+    max_gap = 0.0
+    for r in range(0, n, _TILE):
+        rows = slice(r, r + _TILE)
+        for c in range(r, n, _TILE):
+            cols = slice(c, c + _TILE)
+            upper, lower_t = arr[rows, cols], arr[cols, rows].T
+            max_gap = max(max_gap, float(np.abs(upper - lower_t).max()))
+            block = out[rows, cols]
+            np.add(upper, lower_t, out=block)
+            block /= 2.0
+            if c != r:
+                out[cols, rows] = block.T
+    return out, max_gap
 
 
 class SymmetricMatrix:
@@ -71,18 +102,18 @@ class SymmetricMatrix:
     __slots__ = ("entries", "n", "symmetry_tol", "trace", "_eig", "_norm", "_psd")
 
     def __init__(self, raw, symmetry_tol=1e-8):
-        arr = np.array(raw, dtype=float)
+        arr = np.asarray(raw, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise NotSquare(f"expected a square 2-d array, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise NonFiniteEntries("matrix contains NaN or infinite entries")
         if symmetry_tol < 0:
             raise ValueError("symmetry_tol must be nonnegative")
-        gap = np.abs(arr - arr.T)
-        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        if gap[i, j] > symmetry_tol:
+        entries, max_gap = _symmetrize_tiles(arr)
+        if max_gap > symmetry_tol:
+            gap = np.abs(arr - arr.T)
+            i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)  # first in row-major order
             raise AsymmetryExceedsTolerance(int(i), int(j), float(gap[i, j]), symmetry_tol)
-        entries = (arr + arr.T) / 2.0
         entries.flags.writeable = False
         self.entries = entries
         self.n = int(arr.shape[0])

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from spcakit import (
     DataMatrix,
@@ -127,6 +130,78 @@ class TestLoadSave:
         with pytest.raises(ParseError) as info:
             load_matrix(path)
         assert info.value.line == 1
+
+
+ARRAY_HEADER = "%%MatrixMarket matrix array real general\n"
+
+# Finite doubles whose text form is hardest to round-trip: signed zero, the
+# smallest subnormal, a mid-range subnormal and values near the largest double.
+EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 1.5e-310, 1.7e308, -1.7e308)
+
+
+class TestArrayReader:
+    """The MatrixMarket array layout: positions, comments, line endings, tokens."""
+
+    def _load(self, tmp_path, text):
+        path = tmp_path / "a.mtx"
+        path.write_bytes(text.encode())
+        return load_matrix(path, kind="data").entries
+
+    def test_bad_token_after_comment_and_blank_line(self, tmp_path):
+        text = ARRAY_HEADER + "2 2\n1.0\n% comment\n\n2.0\noops\n4.0\n"
+        with pytest.raises(ParseError) as info:
+            self._load(tmp_path, text)
+        assert (info.value.line, info.value.column) == (7, 1)
+        assert str(info.value) == "expected a number, got 'oops' (line 7, column 1)"
+
+    def test_bad_second_token_on_a_line(self, tmp_path):
+        with pytest.raises(ParseError) as info:
+            self._load(tmp_path, ARRAY_HEADER + "2 2\n1.0 x2\n3.0 4.0\n")
+        assert (info.value.line, info.value.column) == (3, 2)
+
+    def test_percent_inside_a_value_line_is_a_bad_token(self, tmp_path):
+        with pytest.raises(ParseError) as info:
+            self._load(tmp_path, ARRAY_HEADER + "2 2\n1.0 2.0 %note\n3.0 4.0\n")
+        assert (info.value.line, info.value.column) == (3, 3)
+
+    def test_crlf_line_endings(self, tmp_path):
+        text = ARRAY_HEADER.replace("\n", "\r\n") + "2 2\r\n1.0\r\n2.0\r\n3.0\r\n4.0\r\n"
+        np.testing.assert_array_equal(self._load(tmp_path, text), [[1.0, 3.0], [2.0, 4.0]])
+
+    def test_comment_and_blank_lines_in_body_skipped(self, tmp_path):
+        text = ARRAY_HEADER + "% before size\n2 2\n1.0\n\n% c\n  \t% indented\n2.0 3.0\n   \n4.0\n%"
+        np.testing.assert_array_equal(self._load(tmp_path, text), [[1.0, 3.0], [2.0, 4.0]])
+
+    def test_short_body(self, tmp_path):
+        with pytest.raises(ParseError) as info:
+            self._load(tmp_path, ARRAY_HEADER + "2 2\n1.0\n")
+        assert str(info.value) == "expected 4 values, found 1 (line 2)"
+
+    def test_missing_size_line(self, tmp_path):
+        with pytest.raises(ParseError) as info:
+            self._load(tmp_path, ARRAY_HEADER + "% only a comment\n\n")
+        assert str(info.value) == "missing size line (line 3)"
+
+    def test_python_float_syntax(self, tmp_path):
+        # tokens go through float(), which accepts digit-group underscores
+        assert self._load(tmp_path, ARRAY_HEADER + "1 1\n1_0\n")[0, 0] == 10.0
+
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=7),
+                  elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from(EDGE_FLOATS))))
+    @example(arr=np.array([EDGE_FLOATS]))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_bit_exact(self, tmp_path, arr):
+        path = tmp_path / "rt.mtx"
+        save_matrix(path, arr)
+        assert load_matrix(path, kind="data").entries.tobytes() == arr.tobytes()
+
+    def test_round_trip_at_benchmark_size(self, tmp_path):
+        X = synthetic_spiked(SyntheticConfig(m=128, n=2048, sigma=0.1, seed=3))
+        path = tmp_path / "big.mtx"
+        save_matrix(path, X)
+        assert load_matrix(path, kind="data").entries.tobytes() == X.entries.tobytes()
 
 
 class TestCovariance:
@@ -262,6 +337,27 @@ class TestHadamardAndRotations:
     def test_dimension_not_divisible_by_4(self):
         with pytest.raises(DimensionNotDivisibleBy4):
             givens_composition_apply(np.eye(6), 0.1)
+        with pytest.raises(DimensionNotDivisibleBy4):
+            givens_composition_apply(np.ones((6, 2)), 0.1)
+
+    def test_rejects_non_2d_input(self):
+        with pytest.raises(ValueError, match="2-d"):
+            givens_composition_apply(np.ones(8), 0.1)
+
+    @pytest.mark.parametrize("cols", [slice(0, 1), slice(0, 8), slice(3, 40, 5), [63, 0, 17]])
+    def test_commutes_with_column_slicing(self, cols):
+        rng = np.random.Generator(np.random.Philox(21))
+        for v in (hadamard_basis(64), rng.standard_normal((64, 64))):
+            full = givens_composition_apply(v, 0.27 * np.pi)
+            part = givens_composition_apply(v[:, cols], 0.27 * np.pi)
+            assert part.tobytes() == np.ascontiguousarray(full[:, cols]).tobytes()
+
+    def test_wide_array(self):
+        v = np.arange(4 * 9, dtype=float).reshape(4, 9)
+        out = givens_composition_apply(v, np.pi / 2)
+        np.testing.assert_array_equal(out[:2], v[:2])
+        np.testing.assert_allclose(out[2], -v[3], atol=1e-14)
+        np.testing.assert_allclose(out[3], v[2], atol=1e-14)
 
 
 class TestSyntheticSpiked:
@@ -291,6 +387,17 @@ class TestSyntheticSpiked:
 
         values = eigendecompose(cov).values
         assert values[1] <= np.exp(-2) * 1.5 + 1e-2
+
+    @pytest.mark.parametrize("m, n", [(8, 64), (128, 2048)])
+    def test_matches_full_basis_formula(self, m, n):
+        # the m columns the model uses, taken from the full rotated n x n basis
+        cfg = SyntheticConfig(m=m, n=n, sigma=0.1, seed=9)
+        right = givens_composition_apply(hadamard_basis(n), cfg.theta)
+        spectrum = np.exp(-np.arange(1, m + 1, dtype=float))
+        spectrum[0] = 100.0
+        core = (hadamard_basis(m) * spectrum) @ right[:, :m].T
+        noise = cfg.sigma * np.random.Generator(np.random.Philox(cfg.seed)).standard_normal((m, n))
+        assert synthetic_spiked(cfg).entries.tobytes() == (core + noise).tobytes()
 
     def test_deterministic(self):
         a = synthetic_spiked(SyntheticConfig(m=8, n=16, seed=5))

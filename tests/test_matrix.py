@@ -57,6 +57,53 @@ class TestSymmetrize:
         with pytest.raises(ValueError):
             A.entries[0, 0] = 5.0
 
+    # 127, 128 and 129 sit at the edge of the 128-wide tiles the average is
+    # computed in; 300 has a partial third tile.
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_entries_bitwise_equal_average(self, n):
+        rng = np.random.Generator(np.random.Philox(n))
+        raw = rng.standard_normal((n, n))
+        raw = raw + raw.T + 1e-9 * rng.standard_normal((n, n))
+        raw[0, -1], raw[-1, 0] = -0.0, 0.0  # the average of +0 and -0 is +0
+        raw[n // 2, n // 2] = -0.0
+        expected = (raw + raw.T) / 2.0
+        A = symmetrize(raw, symmetry_tol=1e-8)
+        assert A.entries.tobytes() == expected.tobytes()
+        assert A.entries.flags.c_contiguous
+        assert raw[n // 2, n // 2] == 0.0 and np.signbit(raw[n // 2, n // 2])  # input untouched
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 300])
+    def test_tolerance_boundary_in_last_column(self, n):
+        # row 0 starts the first tile row, 127 ends it, n - 2 lies in the last one
+        for i in sorted({0, min(127, n - 2), n - 2}):
+            raw = np.zeros((n, n))
+            raw[n - 1, i] = 2.0**-20  # an exact gap of 2^-20
+            symmetrize(raw, symmetry_tol=2.0**-20)  # a gap equal to the tolerance passes
+            with pytest.raises(AsymmetryExceedsTolerance) as info:
+                symmetrize(raw, symmetry_tol=2.0**-21)
+            assert (info.value.i, info.value.j, info.value.delta) == (i, n - 1, 2.0**-20)
+
+    @pytest.mark.parametrize(
+        "n, pairs, expected",
+        [
+            # equal gaps in different 128-wide tiles: the first in row-major
+            # order is reported, not the first tile's
+            (301, [(5, 300), (100, 130)], (5, 300)),
+            (301, [(130, 100), (300, 5)], (5, 300)),
+            (129, [(0, 128), (1, 2)], (0, 128)),
+            (300, [(200, 250), (129, 0)], (0, 129)),
+        ],
+    )
+    def test_reports_first_maximal_pair_in_row_major_order(self, n, pairs, expected):
+        rng = np.random.Generator(np.random.Philox(7))
+        raw = rng.integers(-4, 5, size=(n, n)).astype(float)
+        raw = raw + raw.T
+        for i, j in pairs:
+            raw[i, j] += 3.0
+        with pytest.raises(AsymmetryExceedsTolerance) as info:
+            symmetrize(raw, symmetry_tol=1.0)
+        assert (info.value.i, info.value.j, info.value.delta) == (*expected, 3.0)
+
 
 class TestEigendecompose:
     def test_identity_spectrum(self):
