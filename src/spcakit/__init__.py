@@ -62,7 +62,6 @@ from .sdp import (
 )
 from .oracle import OracleResult, exact_spca, restricted_top_eigenpair
 from .evaluation import (
-    EvalContext,
     EvalReport,
     evaluate,
     solve,
@@ -94,7 +93,6 @@ __all__ = [
     "DimensionNotDivisibleBy4",
     "EigenPairs",
     "EnumerationBudgetExceeded",
-    "EvalContext",
     "EvalReport",
     "FeasibilityResiduals",
     "InvalidKernelParams",

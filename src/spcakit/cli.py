@@ -10,6 +10,7 @@ duality gap not certified within --max-iters under --strict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -31,7 +32,7 @@ from .data import (
     PIT_PROPS_VARIABLES,
 )
 from .errors import SpcaError
-from .evaluation import env_workers, solve, sparsity_sweep
+from .evaluation import solve, sparsity_sweep
 from .matrix import SvdParams, symmetrize
 from .oracle import exact_spca
 from .sdp import AdmmConfig
@@ -117,7 +118,15 @@ def _vector_payload(vec, variable_names=None):
     return payload
 
 
-def _emit(report, args):
+def _emit(args, command, input_name, n, **body):
+    """Write ``body`` (``result=`` or ``results=``) inside the report envelope."""
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "input": {"name": input_name, "n": n},
+        "config": _resolved_config(args),
+        **body,
+    }
     if args.format == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
@@ -183,7 +192,7 @@ def _cmd_solve(args):
         oracle_ref=args.oracle_ref,
     )
     names = PIT_PROPS_VARIABLES if input_name == "builtin:pitprops" else None
-    result = {**_vector_payload(vec, names), "metrics": metrics.to_dict()}
+    result = {**_vector_payload(vec, names), "metrics": dataclasses.asdict(metrics)}
     exit_code = 0
     if sol is not None:
         result["sdp"] = {
@@ -193,23 +202,11 @@ def _cmd_solve(args):
             "solver_gap": sol.solver_gap,
             "alpha": diag.alpha,
             "beta": diag.beta,
-            "feasibility": {
-                "trace_residual": sol.feasibility.trace_residual,
-                "l1_residual": sol.feasibility.l1_residual,
-                "min_eigenvalue": sol.feasibility.min_eigenvalue,
-            },
+            "feasibility": dataclasses.asdict(sol.feasibility),
         }
         if not sol.converged and args.strict:
             exit_code = 3
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "solve",
-        "input": {"name": input_name, "n": A.n},
-        "config": _resolved_config(args),
-        "result": result,
-    }
-    _emit(report, args)
+    _emit(args, "solve", input_name, A.n, result=result)
     return exit_code
 
 
@@ -217,18 +214,12 @@ def _cmd_oracle(args):
     A, input_name = _load_input(args)
     res = exact_spca(A, args.k, args.max_enumeration)
     names = PIT_PROPS_VARIABLES if input_name == "builtin:pitprops" else None
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "oracle",
-        "input": {"name": input_name, "n": A.n},
-        "config": _resolved_config(args),
-        "result": {
-            "optimal_value": res.optimal_value,
-            "instances_enumerated": res.instances_enumerated,
-            **_vector_payload(res.optimal_vector, names),
-        },
+    result = {
+        "optimal_value": res.optimal_value,
+        "instances_enumerated": res.instances_enumerated,
+        **_vector_payload(res.optimal_vector, names),
     }
-    _emit(report, args)
+    _emit(args, "oracle", input_name, A.n, result=result)
     return 0
 
 
@@ -244,19 +235,9 @@ def _cmd_sweep(args):
         svd=_svd_params(args),
         admm=_admm_config(args),
         oracle_ref=args.oracle_ref,
-        workers=env_workers(),
     )
-    results = [
-        {"grid_sparsity": s, **report.to_dict()} for s, report in zip(grid, reports)
-    ]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sweep",
-        "input": {"name": input_name, "n": A.n},
-        "config": _resolved_config(args),
-        "results": results,
-    }
-    _emit(report, args)
+    results = [{"grid_sparsity": s, **dataclasses.asdict(r)} for s, r in zip(grid, reports)]
+    _emit(args, "sweep", input_name, A.n, results=results)
     return 0
 
 
@@ -265,11 +246,7 @@ def _cmd_gen_synthetic(args):
     X = synthetic_spiked(cfg)
     metadata = {
         "name": "synthetic_spiked",
-        "m": cfg.m,
-        "n": cfg.n,
-        "theta": cfg.theta,
-        "sigma": cfg.sigma,
-        "seed": cfg.seed,
+        **dataclasses.asdict(cfg),
         "schema_version": SCHEMA_VERSION,
     }
     save_matrix(args.output, X, metadata=metadata)
@@ -332,14 +309,7 @@ def reproduce_pitprops(admm: AdmmConfig | None = None):
 
 def _cmd_reproduce_pitprops(args):
     rows = reproduce_pitprops(_admm_config(args))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "reproduce-pitprops",
-        "input": {"name": "builtin:pitprops", "n": 13},
-        "config": _resolved_config(args),
-        "results": [rows],
-    }
-    _emit(report, args)
+    _emit(args, "reproduce-pitprops", "builtin:pitprops", 13, results=[rows])
     return 0
 
 
@@ -450,8 +420,8 @@ def main(argv=None) -> int:
         return 2
 
 
-def _diagnostic(code, message, **context):
-    sys.stderr.write(json.dumps({"code": code, "message": message, "context": context}) + "\n")
+def _diagnostic(code, message):
+    sys.stderr.write(json.dumps({"code": code, "message": message, "context": {}}) + "\n")
 
 
 def entry_point():

@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     ZeroVarianceColumn,
 )
-from .matrix import SymmetricMatrix, symmetrize
+from .matrix import PSD_SLACK, SymmetricMatrix, symmetrize
 
 
 @dataclass(frozen=True)
@@ -293,14 +293,11 @@ def unit_row_normalize(A: SymmetricMatrix, max_iters=25, tol=1e-8) -> SymmetricM
     return symmetrize(entries, symmetry_tol=1e-12)
 
 
-def covariance_from_data(
-    X: DataMatrix, center=True, to_correlation=False, unit_row_norm=False
-) -> SymmetricMatrix:
-    """Sample covariance ``X_c.T X_c / (m - 1)`` with optional rescalings.
+def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> SymmetricMatrix:
+    """Sample covariance ``X_c.T X_c / (m - 1)`` with optional rescaling.
 
     ``to_correlation`` divides rows and columns by the standard deviations
-    (unit diagonal exactly); ``unit_row_norm`` applies
-    :func:`unit_row_normalize` afterwards.
+    (unit diagonal exactly).
     """
     entries = X.entries
     if center:
@@ -318,10 +315,7 @@ def covariance_from_data(
         scale = 1.0 / np.sqrt(diag)
         cov = cov * scale[:, None] * scale[None, :]
         np.fill_diagonal(cov, 1.0)
-    A = symmetrize(cov, symmetry_tol=1e-10)
-    if unit_row_norm:
-        A = unit_row_normalize(A)
-    return A
+    return symmetrize(cov, symmetry_tol=1e-10)
 
 
 def kernel_matrix(
@@ -362,7 +356,7 @@ def kernel_matrix(
     # user-supplied parameters can produce an invalid (indefinite) kernel;
     # flag it rather than fail, since downstream solvers validate again
     w = np.linalg.eigvalsh(out.entries)
-    if w[0] < -1e-8 * max(abs(w[0]), abs(w[-1]), 1e-300):
+    if w[0] < -PSD_SLACK * max(abs(w[0]), abs(w[-1]), 1e-300):
         warnings.warn(
             f"kernel matrix is not PSD (min eigenvalue {w[0]:.3e})", NotPsdWarning
         )

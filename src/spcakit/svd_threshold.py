@@ -10,6 +10,7 @@ within an additive ``3 * epsilon * trace(A)`` of the best k-sparse value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,17 +31,25 @@ from .matrix import (
 _THRESHOLD_SLACK = 1e-12
 
 
+def _check_integer(label, value):
+    """Raise ``ValueError`` unless ``value`` is an integer (NumPy integers included)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{label} {value} is not an integer")
+
+
 def _check_sizing(n, sparsity, epsilon):
     """Raise ``ValueError`` unless the support size is determined.
 
-    Budget mode (``sparsity`` given) needs ``1 <= sparsity <= n``; theory mode
-    (``sparsity`` is None) needs epsilon in (0, 1].
+    Budget mode (``sparsity`` given) needs an integer ``1 <= sparsity <= n``;
+    theory mode (``sparsity`` is None) needs epsilon in (0, 1].
     """
     if sparsity is None:
         if epsilon is None or not 0.0 < epsilon <= 1.0:
             raise ValueError("theory mode requires epsilon in (0, 1]")
-    elif not 1 <= sparsity <= n:
-        raise ValueError(f"sparsity {sparsity} outside [1, {n}]")
+    else:
+        _check_integer("sparsity", sparsity)
+        if not 1 <= sparsity <= n:
+            raise ValueError(f"sparsity {sparsity} outside [1, {n}]")
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,26 @@ class TestSolveCommand:
         assert _read_json(out)["input"]["n"] == 5
 
 
+PITPROPS = ["--input", "builtin:pitprops"]
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (["solve", *PITPROPS, "--algo", "svd", "--k", "3", "--sparsity", "3"], "result"),
+        (["oracle", *PITPROPS, "--k", "3"], "result"),
+        (["sweep", *PITPROPS, "--algo", "svd", "--grid", "2:3"], "results"),
+        (["reproduce-pitprops"], "results"),
+    ],
+)
+def test_report_envelope(capsys, argv, body):
+    assert _run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"schema_version", "command", "input", "config", body}
+    assert report["command"] == argv[0]
+    assert report["input"] == {"name": "builtin:pitprops", "n": 13}
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         args = [

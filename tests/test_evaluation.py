@@ -3,7 +3,6 @@ import pytest
 
 from spcakit import (
     DimensionMismatch,
-    EvalContext,
     SparseUnitVector,
     SvdParams,
     evaluate,
@@ -16,7 +15,6 @@ from spcakit import (
 )
 from spcakit import evaluation as evaluation_mod
 from spcakit import matrix as matrix_mod
-from spcakit.evaluation import env_workers
 
 from helpers import count_calls, random_psd
 
@@ -39,8 +37,10 @@ class TestEvaluate:
     def test_floors_match_scalar_recomputation(self):
         A = random_psd(7, 1203)
         res = exact_spca(A, 3)
-        ctx = EvalContext(epsilon=0.4, alpha=1.02, z_ref=res.optimal_value, solver_gap=1e-5)
-        rep = evaluate(A, res.optimal_vector, ctx)
+        rep = evaluate(
+            A, res.optimal_vector, epsilon=0.4, alpha=1.02, z_ref=res.optimal_value,
+            solver_gap=1e-5,
+        )
         norm = np.abs(np.linalg.eigvalsh(A.entries)).max()
         trace = np.trace(A.entries)
         dense = res.optimal_vector.to_dense()
@@ -103,18 +103,20 @@ class TestSparsitySweep:
             (report,) = sparsity_sweep(A, "sdp", [7], epsilon=0.5, oracle_ref=True)
             assert report.thm2_floor <= report.objective + 1e-6
 
-    def test_parallel_matches_serial(self):
-        A = random_psd(8, 31)
-        serial = sparsity_sweep(A, "svd", [1, 2, 3], workers=1)
-        parallel = sparsity_sweep(A, "svd", [1, 2, 3], workers=3)
-        for a, b in zip(serial, parallel):
-            assert a.objective == b.objective
-            assert a.f_value == b.f_value
-
     def test_grid_validation(self):
         for grid in ([0], []):
             with pytest.raises(ValueError):
                 sparsity_sweep(random_psd(4, 0), "svd", grid)
+
+    def test_non_integer_grid_value_rejected(self, monkeypatch):
+        solves = count_calls(monkeypatch, evaluation_mod, "solve")
+        with pytest.raises(ValueError, match="grid value 2.7 is not an integer"):
+            sparsity_sweep(pit_props(), "svd", [3, 2.7])
+        assert solves == []
+
+    def test_numpy_integer_grid_accepted(self):
+        reports = sparsity_sweep(pit_props(), "svd", np.arange(2, 4))
+        assert [r.sparsity for r in reports] == [2, 3]
 
     @pytest.mark.parametrize("algo", ["svd", "sdp", "oracle"])
     def test_points_equal_solve(self, algo):
@@ -123,7 +125,7 @@ class TestSparsitySweep:
         reports = sparsity_sweep(A, algo, grid, oracle_ref=True)
         for s, report in zip(grid, reports):
             _, expected, _, _ = solve(A, algo, s, sparsity=s, oracle_ref=True)
-            assert report.to_dict() == expected.to_dict()
+            assert report == expected
 
 
 class TestSolve:
@@ -157,10 +159,22 @@ class TestSolve:
             solve(A, "oracle", 3, sparsity=sparsity)
         assert solve(A, "oracle", 3, sparsity=3)[0].sparsity == 3
 
+    def test_non_integer_sparsity_rejected(self):
+        with pytest.raises(ValueError, match="sparsity 2.7 is not an integer"):
+            solve(pit_props(), "svd", 2, sparsity=2.7)
+
+    def test_non_integer_k_rejected(self):
+        with pytest.raises(ValueError, match="k 2.5 is not an integer"):
+            solve(pit_props(), "svd", 2.5, sparsity=2)
+
+    def test_numpy_integer_sizes_accepted(self):
+        vec, _, _, _ = solve(pit_props(), "svd", np.int64(2), sparsity=np.int32(2))
+        assert vec.sparsity == 2
+
     @pytest.mark.parametrize("algo", ["svd", "sdp", "oracle"])
     def test_arguments_checked_before_enumeration(self, monkeypatch, algo):
         enumerations = count_calls(monkeypatch, evaluation_mod, "exact_spca")
-        for kwargs in ({"sparsity": 14}, {"epsilon": None}, {"epsilon": 1.5}):
+        for kwargs in ({"sparsity": 14}, {"sparsity": 7.0}, {"epsilon": None}, {"epsilon": 1.5}):
             with pytest.raises(ValueError):
                 solve(pit_props(), algo, 7, oracle_ref=True, **kwargs)
         assert enumerations == []
@@ -197,11 +211,3 @@ def test_f_value_above_dense_crossover():
     assert rep.f_value == pytest.approx(expected, rel=1e-12, abs=0)
     assert rep.pve == rep.objective / A.trace
 
-
-def test_env_workers(monkeypatch):
-    monkeypatch.delenv("SPCA_THREADS", raising=False)
-    assert env_workers() == 1
-    monkeypatch.setenv("SPCA_THREADS", "4")
-    assert env_workers() == 4
-    monkeypatch.setenv("SPCA_THREADS", "bogus")
-    assert env_workers() == 1

@@ -1,3 +1,7 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import spcakit
 
 
@@ -6,4 +10,21 @@ def test_export_list_sorted_unique_and_resolvable():
     assert names == sorted(names)
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(spcakit, name)]
+    assert missing == []
+
+
+def test_traced_functions_exist():
+    # The benchmark's tracer wraps these names by module; a rename must fail
+    # here, not only in a traced benchmark run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYERS
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in tracer.LAYERS.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"spcakit.{layer}"), name, None))
+    ]
     assert missing == []
