@@ -29,11 +29,12 @@ from .errors import (
     InvalidKernelParams,
     NonConvergenceWarning,
     NotPowerOfTwo,
+    NotPSD,
     NotPsdWarning,
     ParseError,
     ZeroVarianceColumn,
 )
-from .matrix import PSD_SLACK, SymmetricMatrix, symmetrize
+from .matrix import SymmetricMatrix, ensure_psd, symmetrize
 
 
 @dataclass(frozen=True)
@@ -355,11 +356,10 @@ def kernel_matrix(
     out = symmetrize(K, symmetry_tol=1e-8)
     # user-supplied parameters can produce an invalid (indefinite) kernel;
     # flag it rather than fail, since downstream solvers validate again
-    w = np.linalg.eigvalsh(out.entries)
-    if w[0] < -PSD_SLACK * max(abs(w[0]), abs(w[-1]), 1e-300):
-        warnings.warn(
-            f"kernel matrix is not PSD (min eigenvalue {w[0]:.3e})", NotPsdWarning
-        )
+    try:
+        ensure_psd(out)
+    except NotPSD as exc:
+        warnings.warn(f"kernel matrix is not PSD: {exc}", NotPsdWarning)
     return out
 
 

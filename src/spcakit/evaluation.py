@@ -23,7 +23,7 @@ from .errors import DimensionMismatch
 from .matrix import SvdParams, SymmetricMatrix, spectral_norm
 from .oracle import exact_spca
 from .sdp import AdmmConfig, spca_sdp
-from .svd_threshold import SparseUnitVector, _check_integer, _check_sizing, spca_svd
+from .svd_threshold import SparseUnitVector, _check_count, _check_sizing, spca_svd
 
 
 @dataclass(frozen=True)
@@ -114,20 +114,18 @@ def solve(
     lie in (0, 1]; in budget mode it defaults to 1.0 for the floors and for
     :func:`spca_svd`. With ``oracle_ref``, or for ``algo="oracle"``, the
     exact optimum at ``k`` is the reference value; without it the sdp floor
-    uses the relaxation objective. ``k`` and ``sparsity`` must be integers.
-    All arguments are checked before any solver or the enumeration runs.
+    uses the relaxation objective. ``k`` and ``sparsity`` must be integers
+    in [1, n]; they and ``epsilon`` are checked before any solver or the
+    enumeration runs.
 
     Returns ``(vector, report, solution, diagnostics)``; the last two are set
     only for ``algo="sdp"``.
     """
     if algo not in ("svd", "sdp", "oracle"):
         raise ValueError(f"unknown algorithm {algo!r}")
-    _check_integer("k", k)
-    if epsilon is not None and not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
     if algo == "oracle" and sparsity not in (None, k):
         raise ValueError(f"oracle sparsity {sparsity} must equal k={k}")
-    _check_sizing(A.n, sparsity, epsilon)
+    _check_sizing(A.n, k, sparsity, epsilon)
     eps = epsilon if epsilon is not None else 1.0
     z_ref = sol = diag = alpha = None
     gap = 0.0
@@ -166,9 +164,7 @@ def sparsity_sweep(
     if not grid:
         raise ValueError("sparsity grid is empty")
     for s in grid:
-        _check_integer("grid value", s)
-        if not 1 <= s <= A.n:
-            raise ValueError(f"grid value {s} outside [1, {A.n}]")
+        _check_count("grid value", s, A.n)
     return [
         solve(
             A, algo, s, sparsity=s, epsilon=epsilon, svd=svd, admm=admm, oracle_ref=oracle_ref

@@ -99,7 +99,7 @@ class SymmetricMatrix:
     the same matrix pay for each once.
     """
 
-    __slots__ = ("entries", "n", "symmetry_tol", "trace", "_eig", "_norm", "_psd")
+    __slots__ = ("entries", "n", "trace", "_eig", "_norm", "_psd")
 
     def __init__(self, raw, symmetry_tol=1e-8):
         arr = np.asarray(raw, dtype=float)
@@ -117,7 +117,6 @@ class SymmetricMatrix:
         entries.flags.writeable = False
         self.entries = entries
         self.n = int(arr.shape[0])
-        self.symmetry_tol = float(symmetry_tol)
         self.trace = float(np.trace(entries))
         self._eig = None
         self._norm = None
@@ -141,15 +140,12 @@ def symmetrize(raw, symmetry_tol=1e-8):
 class EigenPairs:
     """Leading eigenvalues/eigenvectors of a symmetric matrix.
 
-    ``values`` is sorted descending, ``vectors`` holds the matching
-    orthonormal columns, and ``residual`` is the largest per-column
-    ``||A v - lambda v||_2`` observed at construction time.
+    ``values`` is sorted descending and ``vectors`` holds the matching
+    orthonormal columns.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    method: str
-    residual: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -181,11 +177,6 @@ class SvdParams:
     seed: int = 0
 
 
-def _column_residual(A_entries, values, vectors):
-    resid = A_entries @ vectors - vectors * values
-    return float(np.linalg.norm(resid, axis=0).max(initial=0.0))
-
-
 def eigendecompose(A: SymmetricMatrix) -> EigenPairs:
     """Full eigendecomposition of ``A``, descending order, fixed signs.
 
@@ -201,26 +192,13 @@ def eigendecompose(A: SymmetricMatrix) -> EigenPairs:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = _fix_signs(v[:, order])
-    pairs = EigenPairs(w, v, "exact", _column_residual(A.entries, w, v))
+    pairs = EigenPairs(w, v)
     A._eig = pairs
     return pairs
 
 
 def _krylov_iters(n, svd_eps):
     return int(math.ceil(_KRYLOV_C * math.log(max(n, 2)) / math.sqrt(svd_eps)))
-
-
-def _uses_full_decomposition(n, l, method, svd_eps) -> bool:
-    """Whether :func:`top_l_eigenpairs` truncates the full decomposition:
-    always for "exact", and for "block_krylov" once the Krylov subspace would
-    span all ``n`` dimensions. False for arguments it rejects."""
-    if method == "exact":
-        return True
-    return (
-        method == "block_krylov"
-        and 0.0 < svd_eps < 1.0
-        and l * (_krylov_iters(n, svd_eps) + 1) >= n
-    )
 
 
 def top_l_eigenpairs(
@@ -247,11 +225,9 @@ def top_l_eigenpairs(
     n = A.n
     if method == "block_krylov" and not 0.0 < svd_eps < 1.0:
         raise ValueError("svd_eps must lie in (0, 1) for block_krylov")
-    if _uses_full_decomposition(n, l, method, svd_eps):
+    if method == "exact" or l * (_krylov_iters(n, svd_eps) + 1) >= n:
         full = eigendecompose(A)
-        values = full.values[:l].copy()
-        vectors = full.vectors[:, :l].copy()
-        return EigenPairs(values, vectors, method, _column_residual(A.entries, values, vectors))
+        return EigenPairs(full.values[:l].copy(), full.vectors[:, :l].copy())
 
     rng = np.random.Generator(np.random.Philox(seed))
     block, _ = np.linalg.qr(rng.standard_normal((n, l)))
@@ -273,7 +249,7 @@ def top_l_eigenpairs(
     vectors = _fix_signs(basis @ s[:, order])
     if not np.isfinite(values).all() or not np.isfinite(vectors).all():
         raise ConvergenceFailure("block Krylov iteration produced non-finite output")
-    return EigenPairs(values, vectors, "block_krylov", _column_residual(A.entries, values, vectors))
+    return EigenPairs(values, vectors)
 
 
 def _dense_check(A: SymmetricMatrix) -> bool:

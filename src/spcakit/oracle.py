@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EnumerationBudgetExceeded, InvalidSupport
 from .matrix import SymmetricMatrix, _fix_signs, ensure_psd
-from .svd_threshold import SparseUnitVector
+from .svd_threshold import SparseUnitVector, _check_count
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
@@ -110,9 +110,8 @@ def exact_spca(
     (see the module docstring); the optimum, its support and the tie-break are
     those of evaluating every support, since pruning needs a strict bound.
     """
+    _check_count("k", k, A.n)
     ensure_psd(A)
-    if not 1 <= k <= A.n:
-        raise ValueError(f"k={k} outside [1, {A.n}]")
     required = math.comb(A.n, k)
     if required > max_enumeration:
         raise EnumerationBudgetExceeded(required, max_enumeration)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConvergenceFailure, DegenerateSolution, InvariantViolation
 from .matrix import SymmetricMatrix, _fix_signs, ensure_psd
 from .oracle import restricted_top_eigenpair
-from .svd_threshold import SparseUnitVector, _check_sizing
+from .svd_threshold import SparseUnitVector, _check_count, _check_sizing, _top_indices
 
 # rho stays within this factor of its starting value.
 _RHO_RANGE = 1e6
@@ -301,9 +301,8 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     computed without BLAS.
     """
     cfg = cfg or AdmmConfig()
+    _check_count("k", k, A.n)
     ensure_psd(A)
-    if not 1 <= k <= A.n:
-        raise ValueError(f"k={k} outside [1, {A.n}]")
 
     n = A.n
     C = A.entries
@@ -382,11 +381,6 @@ def rank_one_diagnostics(sol: SdpSolution) -> SdpDiagnostics:
     return SdpDiagnostics(alpha=alpha, beta=beta, top_eigenvector=u)
 
 
-def _truncate_to_top_magnitudes(u, s):
-    order = np.argsort(-np.abs(u), kind="stable")
-    return np.sort(order[:s]).astype(np.int64)
-
-
 def round_sdp_solution(sol: SdpSolution, s: int, diag: SdpDiagnostics | None = None):
     """Round Z to an s-sparse vector plus diagnostics.
 
@@ -395,12 +389,11 @@ def round_sdp_solution(sol: SdpSolution, s: int, diag: SdpDiagnostics | None = N
     so its norm is at most one. ``diag`` is ``rank_one_diagnostics(sol)`` when
     the caller already has it.
     """
-    if s < 1:
-        raise ValueError("s must be a positive integer")
+    _check_count("s", s, sol.matrix.n)
     if diag is None:
         diag = rank_one_diagnostics(sol)
     u = diag.top_eigenvector
-    keep = _truncate_to_top_magnitudes(u, s)
+    keep = _top_indices(np.abs(u), s)
     z = SparseUnitVector(sol.matrix.n, keep, u[keep], norm_le_one=True)
     return z, diag
 
@@ -442,7 +435,7 @@ def spca_sdp(
 
     Returns ``(vector, solution, diagnostics)``.
     """
-    _check_sizing(A.n, sparsity, epsilon)
+    _check_sizing(A.n, k, sparsity, epsilon)
     sol = solve_sdp_relaxation(A, k, cfg)
     diag = rank_one_diagnostics(sol)
     s = sparsity

@@ -21,8 +21,6 @@ from .matrix import (
     SvdParams,
     SymmetricMatrix,
     _fix_signs,
-    _uses_full_decomposition,
-    eigendecompose,
     ensure_psd,
     top_l_eigenpairs,
 )
@@ -31,25 +29,35 @@ from .matrix import (
 _THRESHOLD_SLACK = 1e-12
 
 
-def _check_integer(label, value):
-    """Raise ``ValueError`` unless ``value`` is an integer (NumPy integers included)."""
+def _check_count(label, value, n):
+    """Raise ``ValueError`` unless ``value`` is an integer (NumPy integers included) in [1, n]."""
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{label} {value} is not an integer")
+    if not 1 <= value <= n:
+        raise ValueError(f"{label} {value} outside [1, {n}]")
 
 
-def _check_sizing(n, sparsity, epsilon):
-    """Raise ``ValueError`` unless the support size is determined.
+def _check_sizing(n, k, sparsity, epsilon):
+    """Raise ``ValueError`` unless ``k`` and the support size are valid for dimension ``n``.
 
-    Budget mode (``sparsity`` given) needs an integer ``1 <= sparsity <= n``;
-    theory mode (``sparsity`` is None) needs epsilon in (0, 1].
+    ``k`` is a count in [1, n], and ``epsilon``, when given, lies in (0, 1].
+    Budget mode (``sparsity`` given) needs a count ``sparsity`` in [1, n];
+    theory mode (``sparsity`` is None) needs epsilon.
     """
+    _check_count("k", k, n)
+    if epsilon is not None and not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
     if sparsity is None:
-        if epsilon is None or not 0.0 < epsilon <= 1.0:
+        if epsilon is None:
             raise ValueError("theory mode requires epsilon in (0, 1]")
     else:
-        _check_integer("sparsity", sparsity)
-        if not 1 <= sparsity <= n:
-            raise ValueError(f"sparsity {sparsity} outside [1, {n}]")
+        _check_count("sparsity", sparsity, n)
+
+
+def _top_indices(scores, s):
+    """Sorted indices of the ``s`` largest ``scores``, ties toward the lowest index."""
+    order = np.argsort(-scores, kind="stable")
+    return np.sort(order[:s]).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -117,10 +125,8 @@ def threshold_row_indices(pairs: EigenPairs, k, sparsity=None, epsilon=None):
     selection falls back to the single heaviest row. Returns a sorted index
     array.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
     row_norms_sq = np.einsum("ij,ij->i", pairs.vectors, pairs.vectors)
-    _check_sizing(row_norms_sq.shape[0], sparsity, epsilon)
+    _check_sizing(row_norms_sq.shape[0], k, sparsity, epsilon)
     if sparsity is None:
         thr = epsilon * epsilon / k
         selected = np.flatnonzero(row_norms_sq >= thr - _THRESHOLD_SLACK * max(thr, 1.0))
@@ -131,8 +137,7 @@ def threshold_row_indices(pairs: EigenPairs, k, sparsity=None, epsilon=None):
                 f"theory-mode selection has {selected.size} rows, above k*l/eps^2 = {size_bound}"
             )
     else:
-        order = np.argsort(-row_norms_sq, kind="stable")
-        selected = np.sort(order[:sparsity])
+        selected = _top_indices(row_norms_sq, sparsity)
     if selected.size == 0:
         selected = np.array([int(np.argmax(row_norms_sq))], dtype=np.int64)
     return selected.astype(np.int64)
@@ -141,30 +146,16 @@ def threshold_row_indices(pairs: EigenPairs, k, sparsity=None, epsilon=None):
 def _top_right_singular_vector(factor):
     """Unit top right singular vector of a small dense factor (l x r).
 
-    For r > l the l x l Gram matrix is the cheaper eigenproblem; the right
-    singular vector is recovered from the top left one. Otherwise the r x r
-    Gram matrix is used directly. A zero factor falls back to the first
-    coordinate so the output is always well defined.
+    Read from the SVD of the factor itself, which does not square its
+    condition number as a Gram matrix would. A zero factor falls back to the
+    first coordinate so the output is always well defined.
     """
-    l, r = factor.shape
-    if r > l:
-        gram = factor @ factor.T
-        w, vecs = np.linalg.eigh((gram + gram.T) / 2.0)
-        left = vecs[:, -1]
-        y = factor.T @ left
-        norm = np.linalg.norm(y)
-        if norm <= 1e-300 or w[-1] <= 0.0:
-            y = np.zeros(r)
-            y[0] = 1.0
-            return y
-        return y / norm
-    gram = factor.T @ factor
-    w, vecs = np.linalg.eigh((gram + gram.T) / 2.0)
-    if w[-1] <= 0.0:
-        y = np.zeros(r)
+    _, sigma, vt = np.linalg.svd(factor, full_matrices=False)
+    if sigma[0] <= 0.0:
+        y = np.zeros(factor.shape[1])
         y[0] = 1.0
         return y
-    return vecs[:, -1]
+    return vt[0]
 
 
 def spca_svd(
@@ -189,22 +180,17 @@ def spca_svd(
     leading eigenpairs is ``ceil(1 / epsilon)`` unless pinned by
     ``l_override``; ``svd`` selects the eigensolver.
     """
-    if not 1 <= k <= A.n:
-        raise ValueError(f"k={k} outside [1, {A.n}]")
-    # epsilon sizes l in both modes, so it is checked in budget mode too.
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    _check_sizing(A.n, sparsity, epsilon)
-    if l_override is not None and l_override < 1:
+    _check_sizing(A.n, k, sparsity, epsilon)
+    if l_override is not None and not (
+        isinstance(l_override, numbers.Integral) and l_override >= 1
+    ):
         raise ValueError("l_override must be a positive integer")
     svd = svd or SvdParams()
     l = min(l_override if l_override is not None else math.ceil(1.0 / epsilon), A.n)
-    if _uses_full_decomposition(A.n, l, svd.method, svd.svd_eps):
-        # The eigensolver decomposes A anyway; doing it first lets the PSD
-        # check read the cached spectrum instead of its own Lanczos and Cholesky.
-        eigendecompose(A)
-    ensure_psd(A)
     pairs = top_l_eigenpairs(A, l, method=svd.method, svd_eps=svd.svd_eps, seed=svd.seed)
+    # Checked after the eigensolver: when it decomposes A in full, the check
+    # reads the cached spectrum instead of running its own Lanczos and Cholesky.
+    ensure_psd(A)
     selected = threshold_row_indices(pairs, k, sparsity, epsilon)
     factor = np.sqrt(np.maximum(pairs.values, 0.0))[:, None] * pairs.vectors[selected].T
     y = _top_right_singular_vector(factor)

@@ -70,6 +70,16 @@ class TestSolveCommand:
         assert err["code"] == "ValueError"
         assert "sparsity 20 outside [1, 13]" in err["message"]
 
+    def test_k_above_n_exits_2(self, capsys):
+        code = _run([
+            "solve", "--input", "builtin:pitprops", "--algo", "svd", "--k", "14",
+            "--epsilon", "0.5",
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "ValueError"
+        assert err["message"] == "k 14 outside [1, 13]"
+
     def test_unknown_builtin_exits_2(self, capsys):
         code = _run([
             "solve", "--input", "builtin:nope", "--algo", "svd", "--k", "2",

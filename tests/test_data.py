@@ -27,7 +27,9 @@ from spcakit import (
     ZeroVarianceColumn,
 )
 
-from helpers import random_psd, two_pass_covariance
+from spcakit import matrix as matrix_mod
+
+from helpers import count_calls, random_psd, two_pass_covariance
 
 
 class TestLoadSave:
@@ -284,6 +286,20 @@ class TestKernels:
         X = DataMatrix(rng.standard_normal((6, 3)))
         with pytest.warns(NotPsdWarning):
             kernel_matrix(X, kernel="polynomial", degree=3, c=-2.0)
+
+    def test_indefinite_kernel_above_dense_crossover_is_flagged(self, monkeypatch):
+        # 300 rows is above the dense crossover, so the PSD check runs a
+        # Lanczos norm and a shifted Cholesky and never decomposes K in full.
+        from spcakit import NotPsdWarning
+
+        cholesky = count_calls(monkeypatch, matrix_mod, "_shifted_cholesky_succeeds")
+        full = count_calls(monkeypatch, matrix_mod, "eigendecompose")
+        rng = np.random.Generator(np.random.Philox(44))
+        X = DataMatrix(rng.standard_normal((300, 3)))
+        assert X.m > matrix_mod._DENSE_CHECK_MAX_N
+        with pytest.warns(NotPsdWarning, match="kernel matrix is not PSD"):
+            kernel_matrix(X, kernel="polynomial", degree=3, c=-2.0)
+        assert len(cholesky) == 1 and full == []
 
 
 class TestHadamardAndRotations:

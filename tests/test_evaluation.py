@@ -8,10 +8,15 @@ from spcakit import (
     evaluate,
     exact_spca,
     pit_props,
+    round_sdp_solution,
     solve,
+    solve_sdp_relaxation,
     sparsity_sweep,
     spca_sdp,
+    spca_svd,
     symmetrize,
+    threshold_row_indices,
+    top_l_eigenpairs,
 )
 from spcakit import evaluation as evaluation_mod
 from spcakit import matrix as matrix_mod
@@ -196,6 +201,34 @@ class TestSolve:
         else:
             assert sol is None and diag is None
             assert report.thm2_floor is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda A: spca_svd(A, 2.5, sparsity=2), id="spca_svd-k-float"),
+        pytest.param(lambda A: spca_sdp(A, 2.5, sparsity=2), id="spca_sdp-k-float"),
+        pytest.param(lambda A: solve_sdp_relaxation(A, 2.5), id="solve_sdp_relaxation-k-float"),
+        pytest.param(lambda A: exact_spca(A, 2.5), id="exact_spca-k-float"),
+        pytest.param(
+            lambda A: solve(A, "svd", 3, epsilon=0.5, l_override=1.5), id="solve-l_override-float"
+        ),
+        pytest.param(
+            lambda A: round_sdp_solution(solve_sdp_relaxation(A, 2), 2.5), id="round-s-float"
+        ),
+        pytest.param(
+            lambda A: round_sdp_solution(solve_sdp_relaxation(A, 2), A.n + 1),
+            id="round-s-above-n",
+        ),
+        pytest.param(
+            lambda A: threshold_row_indices(top_l_eigenpairs(A, 2), A.n + 1, sparsity=2),
+            id="threshold_row_indices-k-above-n",
+        ),
+    ],
+)
+def test_solver_entries_reject_invalid_sizes(call):
+    with pytest.raises(ValueError):
+        call(pit_props())
 
 
 def test_f_value_above_dense_crossover():

@@ -17,7 +17,6 @@ from spcakit import (
     top_l_eigenpairs,
 )
 from spcakit import matrix as matrix_mod
-from spcakit import svd_threshold as svd_mod
 
 from helpers import count_calls, random_psd, random_unit_vector
 
@@ -32,19 +31,19 @@ class TestThresholdRowIndices:
     def test_single_nonzero_row(self):
         vecs = np.zeros((4, 1))
         vecs[0, 0] = 1.0
-        pairs = EigenPairs(np.array([1.0]), vecs, "exact", 0.0)
+        pairs = EigenPairs(np.array([1.0]), vecs)
         selected = threshold_row_indices(pairs, k=2, epsilon=0.5)
         assert list(selected) == [0]
 
     def test_uniform_rows_boundary_inclusive(self):
         vecs = np.full((8, 1), np.sqrt(1.0 / 8.0))
-        pairs = EigenPairs(np.array([1.0]), vecs, "exact", 0.0)
+        pairs = EigenPairs(np.array([1.0]), vecs)
         selected = threshold_row_indices(pairs, k=8, epsilon=1.0)
         assert list(selected) == list(range(8))
 
     def test_budget_matches_exhaustive_sort(self):
         vecs = _orthonormal_columns(10, 2, seed=31)
-        pairs = EigenPairs(np.array([2.0, 1.0]), vecs, "exact", 0.0)
+        pairs = EigenPairs(np.array([2.0, 1.0]), vecs)
         selected = threshold_row_indices(pairs, k=3, sparsity=3, epsilon=1.0)
         norms = (vecs ** 2).sum(axis=1)
         brute = sorted(sorted(range(10), key=lambda i: (-norms[i], i))[:3])
@@ -54,7 +53,7 @@ class TestThresholdRowIndices:
     @settings(max_examples=40, deadline=None)
     def test_budget_keeps_heaviest_rows_property(self, seed, budget):
         vecs = _orthonormal_columns(12, 3, seed=seed)
-        pairs = EigenPairs(np.array([3.0, 2.0, 1.0]), vecs, "exact", 0.0)
+        pairs = EigenPairs(np.array([3.0, 2.0, 1.0]), vecs)
         selected = threshold_row_indices(pairs, k=2, sparsity=budget, epsilon=1.0)
         norms = (vecs ** 2).sum(axis=1)
         brute = sorted(sorted(range(12), key=lambda i: (-norms[i], i))[: min(budget, 12)])
@@ -72,7 +71,7 @@ class TestThresholdRowIndices:
     def test_empty_selection_falls_back_to_heaviest_row(self):
         # all rows far below the threshold: n large, l = 1, tight eps
         vecs = _orthonormal_columns(40, 1, seed=8)
-        pairs = EigenPairs(np.array([1.0]), vecs, "exact", 0.0)
+        pairs = EigenPairs(np.array([1.0]), vecs)
         selected = threshold_row_indices(pairs, k=1, epsilon=1.0)
         if selected.size == 1:
             norms = (vecs ** 2).sum(axis=1)
@@ -200,7 +199,7 @@ class TestEigensolverCalls:
     def calls(self, monkeypatch):
         n = matrix_mod._DENSE_CHECK_MAX_N + 1
         spied = {
-            "eigendecompose": (matrix_mod, svd_mod),
+            "eigendecompose": (matrix_mod,),
             "_lanczos_norm": (matrix_mod,),
             "_shifted_cholesky_succeeds": (matrix_mod,),
         }
