@@ -10,9 +10,13 @@ instead. Two bound families can be attached to a report:
   multiplicative floor of the relaxation-rounding solver; ``solver_gap`` is
   the relaxation solve's certified duality gap ``dual_bound - trace(A Z)``.
 
-``Z_ref`` is the exact optimum when available; the relaxation objective is a
-valid stand-in since it upper-bounds the optimum. :func:`solve` runs one
-solver and wires these inputs; :func:`sparsity_sweep` maps it over a grid.
+``Z_ref`` is the exact optimum when available. Without it the sdp floor
+uses the relaxation objective ``trace(A Z)``, which does not bound the
+optimum from above: Z is a feasible point, so ``trace(A Z)`` is at least
+``Z* - solver_gap``, and it is ``dual_bound = trace(A Z) + solver_gap`` that
+bounds Z* from above. The floor stays valid for the output, because rounding
+certifies ``trace(A Z) / alpha`` directly. :func:`solve` runs one solver and
+wires these inputs; :func:`sparsity_sweep` maps it over a grid.
 """
 
 from __future__ import annotations

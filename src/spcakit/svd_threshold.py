@@ -178,7 +178,8 @@ def spca_svd(
     without it (theory mode) R is every row with squared norm at least
     ``epsilon**2 / k``, so ``|R| <= k * l / epsilon**2``. The number of
     leading eigenpairs is ``ceil(1 / epsilon)`` unless pinned by
-    ``l_override``; ``svd`` selects the eigensolver.
+    ``l_override``; ``svd`` selects the eigensolver. Budget mode needs no
+    epsilon: ``epsilon=None`` counts as 1.0 there, so ``l`` is 1.
     """
     _check_sizing(A.n, k, sparsity, epsilon)
     if l_override is not None and not (
@@ -186,7 +187,7 @@ def spca_svd(
     ):
         raise ValueError("l_override must be a positive integer")
     svd = svd or SvdParams()
-    l = min(l_override if l_override is not None else math.ceil(1.0 / epsilon), A.n)
+    l = min(l_override if l_override is not None else math.ceil(1.0 / (epsilon or 1.0)), A.n)
     pairs = top_l_eigenpairs(A, l, method=svd.method, svd_eps=svd.svd_eps, seed=svd.seed)
     # Checked after the eigensolver: when it decomposes A in full, the check
     # reads the cached spectrum instead of running its own Lanczos and Cholesky.

@@ -10,6 +10,8 @@ from spcakit import (
     FeasibilityResiduals,
     InvariantViolation,
     SdpSolution,
+    SyntheticConfig,
+    covariance_from_data,
     exact_spca,
     pit_props,
     project_l1_ball_matrix,
@@ -18,10 +20,13 @@ from spcakit import (
     round_sdp_solution,
     solve_sdp_relaxation,
     spca_sdp,
+    spca_svd,
     symmetrize,
+    synthetic_spiked,
     unit_row_normalize,
 )
 
+from spcakit import matrix as matrix_mod
 from spcakit import sdp as sdp_mod
 from spcakit.sdp import _check_truncation_chain
 
@@ -302,6 +307,7 @@ class TestSolveRelaxation:
         A = random_psd(6, 51)
         a = solve_sdp_relaxation(A, 2)
         b = solve_sdp_relaxation(A, 2)
+        assert a.iterations_used > 0
         assert np.array_equal(a.Z, b.Z)
         assert a.objective == b.objective
 
@@ -315,7 +321,7 @@ class TestDualityGap:
         # fail this.
         A = random_psd(n, seed)
         ref = solve_sdp_relaxation(A, k, AdmmConfig(rho=1.0))
-        assert ref.converged
+        assert ref.converged and ref.iterations_used > 0
         for j in range(-10, 11):
             scaled = symmetrize(A.entries * 2.0**j)
             sol = solve_sdp_relaxation(scaled, k, AdmmConfig(rho=2.0**j))
@@ -364,7 +370,7 @@ class TestDualityGap:
             assert np.trace(sol.Z) <= 1.0 + 1e-12
             assert np.abs(sol.Z).sum() <= k + 1e-12
             assert sol.feasibility.min_eigenvalue >= -1e-12
-            assert sol.feasibility.min_eigenvalue == np.linalg.eigvalsh(sol.Z)[0]
+            assert sol.feasibility.min_eigenvalue == np.linalg.eigh(sol.Z)[0][0]
             assert sol.objective == pytest.approx(float(np.sum(A.entries * sol.Z)), rel=1e-12)
 
     @pytest.mark.parametrize("gap_tol", [1e-2, 1e-4, 1e-6])
@@ -372,12 +378,13 @@ class TestDualityGap:
         sol = solve_sdp_relaxation(pit_props(), 7, AdmmConfig(gap_tol=gap_tol))
         assert sol.converged
         assert 0.0 <= sol.solver_gap <= gap_tol * sol.dual_bound
+        assert sol.iterations_used > 0
         assert sol.iterations_used % sdp_mod._GAP_CHECK_EVERY == 0
 
     def test_tighter_tolerance_costs_iterations(self):
         loose = solve_sdp_relaxation(pit_props(), 7, AdmmConfig(gap_tol=1e-2))
         tight = solve_sdp_relaxation(pit_props(), 7, AdmmConfig(gap_tol=1e-6))
-        assert loose.iterations_used < tight.iterations_used
+        assert 0 < loose.iterations_used < tight.iterations_used
         assert tight.solver_gap < loose.solver_gap
 
     @pytest.mark.parametrize("field", ["rho", "gap_tol"])
@@ -396,6 +403,122 @@ class TestDualityGap:
         M = _with_spectrum([1.0, 1.0, 1.0, 0.0, -2.0], seed=3)
         assert sdp_mod._lambda_max(M) == pytest.approx(1.0, abs=1e-12)
         assert len(full) == 1
+
+
+def _spiked_second_moment(seed):
+    X = synthetic_spiked(SyntheticConfig(m=32, n=128, seed=seed))
+    return covariance_from_data(X, center=False)
+
+
+class TestThresholdCertificate:
+    """The thresholding solution x x^T and the dual clip(A, -t, t), tried before ADMM."""
+
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bounds_dominate_oracle_and_z_is_feasible(self, n, seed, scale, fraction):
+        # The structured dual bounds the optimum at every threshold, not only
+        # at the searched one. Solves that certify before ADMM (most at k = 1
+        # and k = n) and solves that run the loop (most others) give a
+        # feasible Z and a dual bound at least the exact optimum.
+        A = random_psd(n, seed, scale=scale)
+        C = A.entries
+        t = fraction * float(np.abs(C).max())
+        cfg = AdmmConfig(rho=scale, max_iters=5000)
+        for k in range(1, n + 1):
+            z_star = exact_spca(A, k).optimal_value
+            x = spca_svd(A, k, sparsity=k).to_dense()
+            _, _, bound = sdp_mod._certificate(C, np.outer(x, x), 1.0, np.clip(C, -t, t), k)
+            assert bound >= z_star * (1.0 - 1e-12), k
+            sol = solve_sdp_relaxation(A, k, cfg)
+            assert sol.dual_bound >= z_star * (1.0 - 1e-12), k
+            assert sol.objective <= sol.dual_bound * (1.0 + 1e-12), k
+            assert sol.objective == pytest.approx(float(np.sum(C * sol.Z)), rel=1e-12)
+            assert np.trace(sol.Z) <= 1.0 + 1e-12
+            assert np.abs(sol.Z).sum() <= k * (1.0 + 1e-12)
+            assert sol.feasibility.min_eigenvalue >= -1e-12
+
+    def test_spiked_input_certifies_without_iterations(self):
+        # gen-synthetic seed 3, as in the sdp-spiked benchmark. ADMM took 225
+        # iterations here; the rounded support is the one it gave.
+        A = _spiked_second_moment(3)
+        z, sol, diag = spca_sdp(A, k=8, sparsity=8)
+        assert sol.iterations_used == 0 and sol.converged
+        assert sol.solver_gap <= 1e-4 * sol.dual_bound
+        assert list(z.support) == [71, 75, 77, 103, 105, 107, 113, 117]
+        x = spca_svd(A, 8, sparsity=8).to_dense()
+        np.testing.assert_allclose(sol.Z, np.outer(x, x), atol=1e-15, rtol=0)
+        assert diag.alpha == pytest.approx(1.0, abs=1e-12)
+        assert diag.beta == pytest.approx(1.0, abs=1e-12)
+
+    def test_uncertified_input_runs_the_same_loop(self):
+        # Pit props at k = 7 does not certify before ADMM; iterations and
+        # objective are those of the loop without the check.
+        sol = solve_sdp_relaxation(pit_props(), 7)
+        assert sol.iterations_used == 75
+        assert sol.objective == 4.031470911063948
+        assert sol.dual_bound == 4.031614079142497
+
+    def test_tiny_one_by_one_certifies(self):
+        # With rho = 1 this input ran all 50 000 iterations uncertified.
+        sol = solve_sdp_relaxation(symmetrize([[3.9e-6]]), 1)
+        assert sol.iterations_used == 0 and sol.converged
+        assert sol.objective == 3.9e-6 and sol.dual_bound == 3.9e-6
+        np.testing.assert_array_equal(sol.Z, [[1.0]])
+
+    def test_scale_invariance(self):
+        # As in the loop, scaling A by a power of two changes no decision and
+        # scales the objective and the bound exactly.
+        A = _spiked_second_moment(4)
+        ref = solve_sdp_relaxation(A, 16)
+        assert ref.iterations_used == 0
+        for j in range(-10, 11):
+            sol = solve_sdp_relaxation(symmetrize(A.entries * 2.0**j), 16)
+            assert sol.iterations_used == 0, j
+            assert np.array_equal(sol.Z, ref.Z), j
+            assert sol.objective == ref.objective * 2.0**j, j
+            assert sol.dual_bound == ref.dual_bound * 2.0**j, j
+
+    def test_sign_flips_certify_alike(self):
+        # D A D with D = diag(+-1) has the same optimum and eigenvectors D v,
+        # so x must be chosen by magnitude, not by signed value.
+        A = _spiked_second_moment(3)
+        signs = np.where(np.arange(A.n) % 3 == 0, -1.0, 1.0)
+        ref = solve_sdp_relaxation(A, 8)
+        sol = solve_sdp_relaxation(symmetrize(A.entries * np.outer(signs, signs)), 8)
+        assert sol.iterations_used == 0
+        np.testing.assert_allclose(sol.Z, ref.Z * np.outer(signs, signs), atol=1e-14, rtol=0)
+        assert sol.dual_bound == pytest.approx(ref.dual_bound, rel=1e-12)
+
+    def test_explicit_rho_does_not_change_a_certified_solve(self):
+        A = _spiked_second_moment(3)
+        ref = solve_sdp_relaxation(A, 8)
+        sol = solve_sdp_relaxation(A, 8, AdmmConfig(rho=50.0))
+        assert sol.iterations_used == 0
+        assert np.array_equal(sol.Z, ref.Z) and sol.dual_bound == ref.dual_bound
+
+    def test_no_full_decomposition_above_dense_crossover(self, monkeypatch):
+        # Above the crossover ensure_psd checks A by Lanczos and Cholesky, and
+        # the check before ADMM adds no full decomposition of A.
+        n = matrix_mod._DENSE_CHECK_MAX_N + 1
+        calls = count_calls(monkeypatch, matrix_mod, "eigendecompose")
+        sol = solve_sdp_relaxation(random_psd(n, 4242), 4, AdmmConfig(max_iters=1))
+        assert calls == [] and sol.iterations_used == 1
+
+    def test_search_stops_once_certified(self, monkeypatch):
+        A = _spiked_second_moment(3)
+        x = spca_svd(A, 8, sparsity=8).to_dense()
+        objective = float(x @ A.entries @ x)
+        calls = count_calls(monkeypatch, sdp_mod, "_top_eigenpair")
+        t = sdp_mod._clip_threshold(A.entries, 8, objective, 1e-4)
+        assert 0 < len(calls) < sdp_mod._CLIP_SEARCH_STEPS
+        W = np.clip(A.entries, -t, t)
+        _, _, bound = sdp_mod._certificate(A.entries, np.outer(x, x), 1.0, W, 8)
+        assert bound - objective <= 1e-4 * bound
 
 
 class TestRounding:
@@ -514,6 +637,7 @@ class TestSpcaSdp:
         A = random_psd(7, 62)
         z1, s1, d1 = spca_sdp(A, k=2, sparsity=3)
         z2, s2, d2 = spca_sdp(A, k=2, sparsity=3)
+        assert s1.iterations_used > 0
         assert np.array_equal(z1.values, z2.values)
         assert np.array_equal(s1.Z, s2.Z)
         assert d1.alpha == d2.alpha and d1.beta == d2.beta

@@ -189,6 +189,14 @@ class TestSpcaSvd:
         with pytest.raises(ValueError):
             spca_svd(random_psd(4, 0), 5)
 
+    def test_budget_mode_epsilon_none_counts_as_one(self):
+        # No epsilon is needed in budget mode, as for spca_sdp: l is 1.
+        A = pit_props()
+        z = spca_svd(A, 2, sparsity=2, epsilon=None)
+        ref = spca_svd(A, 2, sparsity=2, epsilon=1.0)
+        assert np.array_equal(z.support, ref.support)
+        assert np.array_equal(z.values, ref.values)
+
 
 class TestEigensolverCalls:
     """Above the dense crossover, block Krylov never decomposes A in full, and
