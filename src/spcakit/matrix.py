@@ -141,13 +141,30 @@ class EigenPairs:
     """Leading eigenvalues/eigenvectors of a symmetric matrix.
 
     ``values`` is sorted descending and ``vectors`` holds the matching
-    orthonormal columns.
+    orthonormal columns. Pairs built by a caller, and by the block Krylov
+    path, are checked for both. Pairs that :func:`eigendecompose` takes from
+    LAPACK's ``eigh``, and their truncations, skip the orthonormality check:
+    LAPACK returns columns orthonormal to working precision, and the check's
+    l x l Gram product cost about 0.2 s on top of a 1.8 s ``eigh`` at n = 2048
+    with one BLAS thread.
     """
 
     values: np.ndarray
     vectors: np.ndarray
 
     def __post_init__(self):
+        self._freeze(check_orthonormal=True)
+
+    @classmethod
+    def _from_lapack(cls, values, vectors):
+        """Pairs from ``eigh`` output: every check but orthonormality."""
+        pairs = cls.__new__(cls)
+        object.__setattr__(pairs, "values", values)
+        object.__setattr__(pairs, "vectors", vectors)
+        pairs._freeze(check_orthonormal=False)
+        return pairs
+
+    def _freeze(self, check_orthonormal):
         values = np.asarray(self.values, dtype=float)
         vectors = np.asarray(self.vectors, dtype=float)
         if values.ndim != 1 or vectors.ndim != 2 or vectors.shape[1] != values.shape[0]:
@@ -155,9 +172,10 @@ class EigenPairs:
         scale = max(1.0, float(np.abs(values).max(initial=0.0)))
         if np.any(np.diff(values) > 1e-10 * scale):
             raise ValueError("eigenvalues must be sorted in descending order")
-        gram_err = np.abs(vectors.T @ vectors - np.eye(values.shape[0])).max()
-        if gram_err > 1e-8:
-            raise ValueError(f"eigenvector columns not orthonormal (error {gram_err:.3e})")
+        if check_orthonormal:
+            gram_err = np.abs(vectors.T @ vectors - np.eye(values.shape[0])).max()
+            if gram_err > 1e-8:
+                raise ValueError(f"eigenvector columns not orthonormal (error {gram_err:.3e})")
         values.flags.writeable = False
         vectors.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -192,7 +210,7 @@ def eigendecompose(A: SymmetricMatrix) -> EigenPairs:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = _fix_signs(v[:, order])
-    pairs = EigenPairs(w, v)
+    pairs = EigenPairs._from_lapack(w, v)
     A._eig = pairs
     return pairs
 
@@ -227,7 +245,7 @@ def top_l_eigenpairs(
         raise ValueError("svd_eps must lie in (0, 1) for block_krylov")
     if method == "exact" or l * (_krylov_iters(n, svd_eps) + 1) >= n:
         full = eigendecompose(A)
-        return EigenPairs(full.values[:l].copy(), full.vectors[:, :l].copy())
+        return EigenPairs._from_lapack(full.values[:l].copy(), full.vectors[:, :l].copy())
 
     rng = np.random.Generator(np.random.Philox(seed))
     block, _ = np.linalg.qr(rng.standard_normal((n, l)))

@@ -171,8 +171,10 @@ def spca_svd(
     Steps: compute the top ``l`` eigenpairs, select the retained rows R,
     form the weighted restricted factor ``diag(sqrt(values)) @ vectors[R].T``
     and return its top right singular direction embedded back into R^n.
-    The result has unit norm, support R, and is invariant under positive
-    rescaling of A.
+    The result has unit norm and support R. Rescaling A by c > 0 leaves it
+    unchanged up to rounding, and bit for bit when c is an even power of two:
+    the factor then scales by the power of two ``sqrt(c)``, while an odd power
+    of two scales it by an irrational number.
 
     With ``sparsity`` (budget mode) R is the ``sparsity`` heaviest rows;
     without it (theory mode) R is every row with squared norm at least

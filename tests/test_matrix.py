@@ -3,6 +3,7 @@ import pytest
 
 from spcakit import (
     AsymmetryExceedsTolerance,
+    EigenPairs,
     InvalidRank,
     NotPSD,
     NotSquare,
@@ -103,6 +104,27 @@ class TestSymmetrize:
         with pytest.raises(AsymmetryExceedsTolerance) as info:
             symmetrize(raw, symmetry_tol=1.0)
         assert (info.value.i, info.value.j, info.value.delta) == (*expected, 3.0)
+
+
+class TestEigenPairs:
+    def test_user_built_non_orthonormal_pairs_raise(self):
+        vectors = np.array([[1.0, 0.1], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not orthonormal"):
+            EigenPairs(np.array([2.0, 1.0]), vectors)
+
+    def test_unsorted_values_raise(self):
+        with pytest.raises(ValueError, match="descending"):
+            EigenPairs(np.array([1.0, 2.0]), np.eye(2))
+
+    def test_lapack_pairs_skip_only_the_gram_product(self, monkeypatch):
+        A = random_psd(40, 8)
+        products = count_calls(monkeypatch, matrix_mod.np, "eye")
+        full = eigendecompose(A)
+        top = top_l_eigenpairs(A, 3)
+        assert products == []
+        np.testing.assert_allclose(full.vectors.T @ full.vectors, np.eye(40), atol=1e-12)
+        np.testing.assert_array_equal(top.vectors, full.vectors[:, :3])
+        assert not full.values.flags.writeable and not top.vectors.flags.writeable
 
 
 class TestEigendecompose:

@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spcakit import oracle
 from spcakit import (
@@ -36,6 +39,17 @@ _TIE_HEAVY_INPUTS = {
     "duplicated-blocks": np.kron(np.eye(3), _TRIDIAGONAL_BLOCK),
     "duplicated-random-blocks": np.kron(np.eye(2), random_psd(5, 77).entries),
     "zero": np.zeros((6, 6)),
+}
+# Blocks whose spread ``f - t**2/k`` cancels to rounding level. The scalar
+# plus a 1e-8 rank-one part has a Wolkowicz-Styan bound that is exact, and a
+# spread the size of the rounding error in ``f``, so without the screen's
+# ``2k sqrt(eps f)`` slack its computed bound can fall below eigvalsh.
+_NEAR_SCALAR_INPUTS = {
+    "scalar": np.eye(9),
+    "scalar-perturbed": np.eye(9) + 1e-13 * random_psd(9, 5).entries,
+    "scalar-plus-rank-one": np.eye(9) + 1e-8 * np.ones((9, 9)),
+    "constant": np.ones((9, 9)),
+    "block-ones": np.kron(np.eye(3), np.ones((3, 3))),
 }
 
 
@@ -92,7 +106,7 @@ class TestExactSpca:
         def no_enumeration(*args, **kwargs):
             raise AssertionError("enumeration started before the budget check")
 
-        monkeypatch.setattr(itertools, "combinations", no_enumeration)
+        monkeypatch.setattr(oracle, "_leaf_batches", no_enumeration)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_enumeration)
         with pytest.raises(EnumerationBudgetExceeded) as info:
             exact_spca(A, 5, max_enumeration=100)
@@ -157,6 +171,75 @@ class TestScreenedEnumeration:
         g = rng.standard_normal((20, 20))
         res = _assert_matches_loop(symmetrize(g @ g.T / 20), 5)
         assert res.instances_pruned > 0
+
+    @given(
+        st.integers(1, 10),
+        st.integers(1, 10),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_loop_on_random_low_rank_psd(self, n, rank, seed, scale):
+        # Rank-one blocks make the Wolkowicz-Styan bound exact, so low ranks
+        # put supports right at the screen's threshold.
+        rng = np.random.Generator(np.random.Philox(seed))
+        g = rng.standard_normal((n, min(rank, n)))
+        A = symmetrize(scale * (g @ g.T) / n)
+        for k in range(1, n + 1):
+            _assert_matches_loop(A, k)
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.7, 1e3])
+    @pytest.mark.parametrize("name", sorted(_NEAR_SCALAR_INPUTS))
+    def test_screen_covers_every_support_when_the_spread_cancels(self, name, scale):
+        A = symmetrize(scale * _NEAR_SCALAR_INPUTS[name])
+        entries = A.entries
+        for k in range(1, A.n + 1):
+            margin = oracle._SCREEN_MARGIN * k * np.abs(entries).max()
+            for prefixes, rows, cols, trace, frob in oracle._leaf_batches(entries, k):
+                supports = np.column_stack([prefixes[rows], cols])
+                blocks = entries[supports[:, :, None], supports[:, None, :]]
+                values = np.linalg.eigvalsh(blocks)[:, -1]
+                assert np.all(oracle._screen_bounds(trace, frob, k) >= values - margin), k
+            res = _assert_matches_loop(A, k)
+            if name in ("scalar", "constant"):
+                assert res.support == tuple(range(k))
+
+    @pytest.mark.parametrize("entries", [1, 40, oracle._CHUNK_ENTRIES])
+    def test_leaf_batches_are_the_combinations_in_order(self, monkeypatch, entries):
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", entries)
+        A = random_psd(7, 12)
+        for k in range(1, 8):
+            supports, traces, frobs = [], [], []
+            for prefixes, rows, cols, trace, frob in oracle._leaf_batches(A.entries, k):
+                supports.extend(map(tuple, np.column_stack([prefixes[rows], cols]).tolist()))
+                traces.extend(trace)
+                frobs.extend(frob)
+            assert supports == list(itertools.combinations(range(7), k))
+            blocks = [A.entries[np.ix_(s, s)] for s in supports]
+            np.testing.assert_allclose(traces, [np.trace(b) for b in blocks], rtol=1e-14)
+            np.testing.assert_allclose(frobs, [np.sum(b * b) for b in blocks], rtol=1e-14)
+
+    def test_prunes_nearly_every_support_on_wishart_input(self):
+        # Gershgorin row sums pruned 95.5% of the 658 008 supports here; the
+        # Wolkowicz-Styan screen sends under 0.1% of them to eigvalsh.
+        res = exact_spca(random_psd(40, 1), 5)
+        assert res.instances_pruned >= 0.99 * res.instances_enumerated
+
+    def test_working_memory_is_bounded(self):
+        # C(49, 5) = 1 906 884 supports, just under the default budget. The
+        # peak must stay under twice the 2 MB of _CHUNK_ENTRIES float64s.
+        A = random_psd(49, 5)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            exact_spca(A, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 2 * 8 * oracle._CHUNK_ENTRIES
 
     @pytest.mark.parametrize("n, k", [(256, 256), (120, 119)])
     def test_k_near_n_scores_no_more_than_the_supports(self, monkeypatch, n, k):

@@ -184,6 +184,10 @@ class TestSpcaSvd:
         z2 = spca_svd(symmetrize(7.5 * A.entries), 3, epsilon=0.5)
         assert np.array_equal(z1.support, z2.support)
         np.testing.assert_allclose(z1.values, z2.values, atol=1e-12, rtol=0)
+        for power in (-8, -2, 2, 8):
+            z3 = spca_svd(symmetrize(2.0**power * A.entries), 3, epsilon=0.5)
+            assert np.array_equal(z1.support, z3.support)
+            assert np.array_equal(z1.values, z3.values)
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
