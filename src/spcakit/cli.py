@@ -332,7 +332,8 @@ def _add_io_arguments(sub, needs_input=True):
 
 
 def _add_admm_arguments(sub):
-    sub.add_argument("--rho", type=float, default=1.0)
+    sub.add_argument("--rho", type=float, default=None,
+                     help="starting ADMM penalty, absolute; default: the top eigenvalue of the input")
     sub.add_argument("--max-iters", type=int, default=50_000)
     sub.add_argument("--gap-tol", type=float, default=1e-4,
                      help="stop once the certified duality gap is at most this share of the bound")

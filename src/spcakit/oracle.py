@@ -97,19 +97,22 @@ def _greedy_incumbent(entries, k):
 
     Each of the k steps adds the index whose extension has the largest top
     eigenvalue, scored by one stacked ``eigvalsh`` over all extensions: at
-    most n * k supports in all, and n * k * k stacked entries per step.
+    most n * k supports in all, and n * k * k stacked entries per step. Row i
+    of ``supports`` is the chosen indices, in the order chosen, followed by
+    the i-th free index; each pick is written into its column of every row.
     """
     n = entries.shape[0]
-    chosen = np.empty(0, dtype=np.int64)
+    free = np.ones(n, dtype=bool)
+    supports = np.empty((n, k), dtype=np.int64)
     value = -math.inf
-    for _ in range(k):
-        candidates = np.setdiff1d(np.arange(n), chosen)
-        supports = np.column_stack(
-            [np.broadcast_to(chosen, (candidates.size, chosen.size)), candidates]
-        )
-        values = np.linalg.eigvalsh(_principal_blocks(entries, supports))[:, -1]
+    for step in range(k):
+        candidates = np.flatnonzero(free)
+        rows = supports[: candidates.size, : step + 1]
+        rows[:, step] = candidates
+        values = np.linalg.eigvalsh(_principal_blocks(entries, rows))[:, -1]
         best = int(np.argmax(values))
-        chosen = supports[best]
+        supports[:, step] = candidates[best]
+        free[candidates[best]] = False
         value = float(values[best])
     return value
 

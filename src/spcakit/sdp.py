@@ -75,22 +75,24 @@ class AdmmConfig:
 
     The solve stops once ``dual_bound - objective <= gap_tol * dual_bound``,
     a relative gap, so the stopping rule does not depend on the scale of A.
-    ``rho`` is the starting penalty. ``adaptive_rho`` enables residual
-    balancing: the penalty is doubled or halved (with the matching dual
-    rescaling) whenever one residual exceeds ten times the other, within a
-    factor ``_RHO_RANGE`` of the start. The dual residual is measured in
-    units of the starting ``rho``, so scaling A and ``rho`` by the same power
-    of two scales the objective and the bound by it and leaves every iterate
-    unchanged.
+    ``rho`` is the starting penalty: None (the default) starts at
+    ``lambda_max(A)``, the penalty's natural scale (Boyd et al. 2011, section
+    3.4.1), and a positive value is used as given, whatever the scale of A.
+    ``adaptive_rho`` enables residual balancing: the penalty is doubled or
+    halved (with the matching dual rescaling) whenever one residual exceeds
+    ten times the other, within a factor ``_RHO_RANGE`` of the start. The
+    dual residual is measured in units of the starting penalty, so scaling A
+    by a power of two (and an explicit ``rho`` with it) scales the objective
+    and the bound by it and leaves every iterate unchanged.
     """
 
-    rho: float = 1.0
+    rho: float | None = None
     max_iters: int = 50_000
     gap_tol: float = 1e-4
     adaptive_rho: bool = True
 
     def __post_init__(self):
-        if self.rho <= 0 or self.gap_tol <= 0:
+        if (self.rho is not None and self.rho <= 0) or self.gap_tol <= 0:
             raise ValueError("rho and gap_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
@@ -375,6 +377,12 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     not run; continuing from that point was measured slower on the inputs
     that do not certify.
 
+    The loop starts at ``rho = cfg.rho``, or at ``lambda_max(A)`` when that
+    is None (1.0 for the zero matrix, which certifies before the loop). That
+    eigenvalue comes from the same top eigenpair as x, so the default start
+    costs no eigensolve and makes the loop scale-free: scaling A by a power
+    of two changes no iterate.
+
     Every ``_GAP_CHECK_EVERY`` iterations, and at ``max_iters``, the PSD
     iterate is scaled to a feasible point and the scaled dual ``rho * U``
     gives an upper bound on the optimum (:func:`_certificate`). The solve
@@ -397,7 +405,7 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
 
     n = A.n
     C = A.entries
-    _, v = _top_eigenpair(C, 1)
+    lam, v = _top_eigenpair(C, 1)
     keep = _top_indices(v * v, k)
     x = np.zeros(n)
     x[keep] = v[keep] / math.sqrt(v[keep] @ v[keep])
@@ -407,7 +415,8 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     if dual_bound - objective <= cfg.gap_tol * dual_bound:
         return _solution(A, k, Z * scale, objective, 0, True, dual_bound)
 
-    rho = cfg.rho
+    rho0 = cfg.rho if cfg.rho is not None else (lam if lam > 0.0 else 1.0)
+    rho = rho0
     Y = np.zeros((n, n))
     U = np.zeros((n, n))
     rank = 1
@@ -433,12 +442,12 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
             and iterations % _RHO_ADAPT_EVERY == 0
         ):
             primal = _frobenius(Z - Y)
-            dual = rho / cfg.rho * _frobenius(Y - Y_prev)
-            if primal > 10.0 * dual and rho < _RHO_RANGE * cfg.rho:
+            dual = rho / rho0 * _frobenius(Y - Y_prev)
+            if primal > 10.0 * dual and rho < _RHO_RANGE * rho0:
                 rho *= 2.0
                 U /= 2.0
                 adaptations += 1
-            elif dual > 10.0 * primal and rho > cfg.rho / _RHO_RANGE:
+            elif dual > 10.0 * primal and rho > rho0 / _RHO_RANGE:
                 rho /= 2.0
                 U *= 2.0
                 adaptations += 1

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from spcakit import load_matrix, save_matrix
+from spcakit import AdmmConfig, load_matrix, pit_props, save_matrix, sparsity_sweep
 from spcakit.cli import main, reproduce_pitprops
 
 from helpers import random_psd, run_python
@@ -219,6 +220,25 @@ class TestSweepCommand:
         (row,) = _read_json(sweep_out)["results"]
         assert row.pop("grid_sparsity") == 3
         assert _read_json(solve_out)["result"]["metrics"] == row
+
+    def test_sdp_default_rho_matches_library_default(self, tmp_path):
+        # Pit props at k = 3..6 does not certify before ADMM, so the start of
+        # the loop shows in every row; --rho keeps its absolute meaning.
+        rows = {}
+        for name, flags, rho in (("default", [], None), ("absolute", ["--rho", "1"], 1.0)):
+            out = tmp_path / f"{name}.json"
+            assert _run([
+                "sweep", "--input", "builtin:pitprops", "--algo", "sdp", "--grid", "3:6",
+                *flags, "--output", str(out),
+            ]) == 0
+            report = _read_json(out)
+            assert report["config"]["rho"] == rho
+            assert [row.pop("grid_sparsity") for row in report["results"]] == [3, 4, 5, 6]
+            rows[name] = report["results"]
+        for name, admm in (("default", None), ("absolute", AdmmConfig(rho=1.0))):
+            expected = sparsity_sweep(pit_props(), "sdp", range(3, 7), admm=admm)
+            assert rows[name] == [dataclasses.asdict(r) for r in expected], name
+        assert rows["default"] != rows["absolute"]
 
     def test_grid_comma_list(self, tmp_path):
         out = tmp_path / "r.json"

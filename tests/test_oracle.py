@@ -219,6 +219,34 @@ class TestScreenedEnumeration:
             np.testing.assert_allclose(traces, [np.trace(b) for b in blocks], rtol=1e-14)
             np.testing.assert_allclose(frobs, [np.sum(b * b) for b in blocks], rtol=1e-14)
 
+    @pytest.mark.parametrize("n, seed", [(1, 3), (7, 12), (20, 8)])
+    def test_greedy_incumbent_stacks_the_forward_selection_blocks(self, monkeypatch, n, seed):
+        # Step s stacks A[S, S] for S = the picks so far, in the order picked,
+        # plus each free index in ascending order; the first largest top
+        # eigenvalue is picked. The same blocks in the same order keep the
+        # incumbent, and so the pruning, bit for bit.
+        eigvalsh = np.linalg.eigvalsh
+        stacks = []
+
+        def recording_eigvalsh(a):
+            stacks.append(a.copy())
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        A = random_psd(n, seed)
+        for k in range(1, n + 1):
+            stacks.clear()
+            value = oracle._greedy_incumbent(A.entries, k)
+            chosen = []
+            assert len(stacks) == k
+            for stack in stacks:
+                free = [j for j in range(n) if j not in chosen]
+                expected = [A.entries[np.ix_(chosen + [j], chosen + [j])] for j in free]
+                assert np.array_equal(stack, expected)
+                tops = eigvalsh(stack)[:, -1]
+                chosen.append(free[int(np.argmax(tops))])
+            assert value == float(tops.max())
+
     def test_prunes_nearly_every_support_on_wishart_input(self):
         # Gershgorin row sums pruned 95.5% of the 658 008 supports here; the
         # Wolkowicz-Styan screen sends under 0.1% of them to eigvalsh.

@@ -298,7 +298,8 @@ class TestSolveRelaxation:
         counts = []
         for iters in (5, 50):
             before = {name: len(calls) for name, calls in spies.items()}
-            sol = solve_sdp_relaxation(random_psd(20, 44), 3, AdmmConfig(max_iters=iters))
+            cfg = AdmmConfig(rho=1.0, max_iters=iters)
+            sol = solve_sdp_relaxation(random_psd(20, 44), 3, cfg)
             assert sol.iterations_used == iters
             counts.append({name: len(calls) - before[name] for name, calls in spies.items()})
         assert counts[0] == counts[1]
@@ -335,10 +336,35 @@ class TestDualityGap:
         # The second instance above runs past the first rho adaptation, and
         # the adaptation changes its path.
         A = random_psd(6, 130)
-        adaptive = solve_sdp_relaxation(A, 2)
-        fixed = solve_sdp_relaxation(A, 2, AdmmConfig(adaptive_rho=False))
+        adaptive = solve_sdp_relaxation(A, 2, AdmmConfig(rho=1.0))
+        fixed = solve_sdp_relaxation(A, 2, AdmmConfig(rho=1.0, adaptive_rho=False))
         assert adaptive.iterations_used > sdp_mod._RHO_ADAPT_EVERY
         assert adaptive.iterations_used != fixed.iterations_used
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+    def test_default_rho_converges_at_every_scale(self, scale):
+        # Started at the absolute rho = 1, this input ran all 50 000
+        # iterations uncertified at scale 1e-8. The default start,
+        # lambda_max(A), follows the scale of A.
+        sol = solve_sdp_relaxation(random_psd(6, 51, scale=scale), 2)
+        assert sol.converged
+        assert 0 < sol.iterations_used <= 100
+
+    def test_default_rho_is_scale_free(self):
+        # With the default config alone, scaling A by a power of two repeats
+        # every iterate. This input runs past a rho adaptation that changes
+        # its path, so the balancing rule is covered too.
+        A = random_psd(6, 21)
+        ref = solve_sdp_relaxation(A, 2)
+        fixed = solve_sdp_relaxation(A, 2, AdmmConfig(adaptive_rho=False))
+        assert ref.converged and ref.iterations_used > sdp_mod._RHO_ADAPT_EVERY
+        assert ref.iterations_used != fixed.iterations_used
+        for j in range(-30, 31):
+            sol = solve_sdp_relaxation(symmetrize(A.entries * 2.0**j), 2)
+            assert sol.iterations_used == ref.iterations_used, j
+            assert np.array_equal(sol.Z, ref.Z), j
+            assert sol.objective == ref.objective * 2.0**j, j
+            assert sol.dual_bound == ref.dual_bound * 2.0**j, j
 
     @given(st.integers(1, 12), st.integers(0, 2**31 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
     @settings(max_examples=40, deadline=None)
@@ -391,6 +417,14 @@ class TestDualityGap:
     def test_config_rejects_nonpositive(self, field):
         with pytest.raises(ValueError):
             AdmmConfig(**{field: 0.0})
+
+    def test_config_rho_none_is_the_default(self):
+        assert AdmmConfig().rho is None
+        assert AdmmConfig(rho=None) == AdmmConfig()
+        with pytest.raises(ValueError):
+            AdmmConfig(rho=-1.0)
+        with pytest.raises(ValueError):
+            AdmmConfig(rho=-np.inf)
 
     def test_lambda_max_falls_back_when_dsyevr_finds_nothing(self, monkeypatch):
         # dsyevr's index-range bisection can return no value (m = 0,
@@ -457,8 +491,9 @@ class TestThresholdCertificate:
 
     def test_uncertified_input_runs_the_same_loop(self):
         # Pit props at k = 7 does not certify before ADMM; iterations and
-        # objective are those of the loop without the check.
-        sol = solve_sdp_relaxation(pit_props(), 7)
+        # objective are those of the loop without the check, started at the
+        # absolute rho = 1.
+        sol = solve_sdp_relaxation(pit_props(), 7, AdmmConfig(rho=1.0))
         assert sol.iterations_used == 75
         assert sol.objective == 4.031470911063948
         assert sol.dual_bound == 4.031614079142497
