@@ -50,7 +50,6 @@ from .svd_threshold import (
 )
 from .sdp import (
     AdmmConfig,
-    FeasibilityResiduals,
     SdpDiagnostics,
     SdpSolution,
     project_l1_ball_matrix,
@@ -94,7 +93,6 @@ __all__ = [
     "EigenPairs",
     "EnumerationBudgetExceeded",
     "EvalReport",
-    "FeasibilityResiduals",
     "InvalidKernelParams",
     "InvalidRank",
     "InvalidSupport",

@@ -37,7 +37,7 @@ from .matrix import SvdParams, symmetrize
 from .oracle import exact_spca
 from .sdp import AdmmConfig
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Published benchmark values for the pit props first sparse component at
 # sparsity 7 (absolute loadings; signs differ between solvers).
@@ -84,12 +84,7 @@ def _load_input(args):
 
 
 def _admm_config(args):
-    return AdmmConfig(
-        rho=args.rho,
-        max_iters=args.max_iters,
-        gap_tol=args.gap_tol,
-        adaptive_rho=not args.no_adaptive_rho,
-    )
+    return AdmmConfig(rho=args.rho, max_iters=args.max_iters, gap_tol=args.gap_tol)
 
 
 def _svd_params(args):
@@ -202,7 +197,7 @@ def _cmd_solve(args):
             "solver_gap": sol.solver_gap,
             "alpha": diag.alpha,
             "beta": diag.beta,
-            "feasibility": dataclasses.asdict(sol.feasibility),
+            "min_eigenvalue": diag.min_eigenvalue,
         }
         if not sol.converged and args.strict:
             exit_code = 3
@@ -292,7 +287,7 @@ def reproduce_pitprops(admm: AdmmConfig | None = None):
         "optimal_value": oracle_res.optimal_value,
         "expected_value": ref["oracle_objective"],
         "value_ok": bool(abs(oracle_res.optimal_value - ref["oracle_objective"]) <= 0.005),
-        "support_names": [PIT_PROPS_VARIABLES[i] for i in oracle_res.support],
+        "support_names": [PIT_PROPS_VARIABLES[i] for i in oracle_res.optimal_vector.support],
     }
     rows["sdp"]["alpha"] = diag.alpha
     rows["sdp"]["beta"] = diag.beta
@@ -337,7 +332,6 @@ def _add_admm_arguments(sub):
     sub.add_argument("--max-iters", type=int, default=50_000)
     sub.add_argument("--gap-tol", type=float, default=1e-4,
                      help="stop once the certified duality gap is at most this share of the bound")
-    sub.add_argument("--no-adaptive-rho", action="store_true")
 
 
 def _add_svd_arguments(sub):

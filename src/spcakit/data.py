@@ -210,7 +210,7 @@ def _sniff_format(path, fmt):
     raise ValueError(f"cannot infer format from {path!r}; pass format explicitly")
 
 
-def load_matrix(path, format=None, kind="symmetric", symmetry_tol=1e-8):
+def load_matrix(path, format=None, kind="symmetric"):
     """Load a matrix file as a :class:`SymmetricMatrix` or :class:`DataMatrix`.
 
     ``kind="symmetric"`` routes through :func:`symmetrize` (MatrixMarket
@@ -225,7 +225,7 @@ def load_matrix(path, format=None, kind="symmetric", symmetry_tol=1e-8):
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if kind == "symmetric":
-        return symmetrize(arr, symmetry_tol)
+        return symmetrize(arr)
     if kind == "data":
         return DataMatrix(arr)
     raise ValueError(f"unknown kind {kind!r}")

@@ -67,7 +67,6 @@ class OracleResult:
 
     optimal_value: float
     optimal_vector: SparseUnitVector
-    support: tuple
     instances_enumerated: int
     instances_pruned: int
 
@@ -244,7 +243,6 @@ def exact_spca(
     return OracleResult(
         optimal_value=top_value,
         optimal_vector=vector,
-        support=best_support,
         instances_enumerated=required,
         instances_pruned=pruned,
     )

@@ -23,7 +23,8 @@ at most one and a certified objective floor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,32 +78,27 @@ class AdmmConfig:
     a relative gap, so the stopping rule does not depend on the scale of A.
     ``rho`` is the starting penalty: None (the default) starts at
     ``lambda_max(A)``, the penalty's natural scale (Boyd et al. 2011, section
-    3.4.1), and a positive value is used as given, whatever the scale of A.
-    ``adaptive_rho`` enables residual balancing: the penalty is doubled or
-    halved (with the matching dual rescaling) whenever one residual exceeds
-    ten times the other, within a factor ``_RHO_RANGE`` of the start. The
-    dual residual is measured in units of the starting penalty, so scaling A
-    by a power of two (and an explicit ``rho`` with it) scales the objective
-    and the bound by it and leaves every iterate unchanged.
+    3.4.1), and a finite positive value is used as given, whatever the scale
+    of A. The penalty then follows residual balancing: it is doubled or halved
+    (with the matching dual rescaling) whenever one residual exceeds ten times
+    the other, within a factor ``_RHO_RANGE`` of the start. The dual residual
+    is measured in units of the starting penalty, so scaling A by a power of
+    two (and an explicit ``rho`` with it) scales the objective and the bound
+    by it and leaves every iterate unchanged. ``gap_tol`` must be finite and
+    positive, and ``max_iters`` an integer of at least 1.
     """
 
     rho: float | None = None
     max_iters: int = 50_000
     gap_tol: float = 1e-4
-    adaptive_rho: bool = True
 
     def __post_init__(self):
-        if (self.rho is not None and self.rho <= 0) or self.gap_tol <= 0:
-            raise ValueError("rho and gap_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-
-@dataclass(frozen=True)
-class FeasibilityResiduals:
-    trace_residual: float
-    l1_residual: float
-    min_eigenvalue: float
+        for name in ("rho", "gap_tol"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -115,19 +111,16 @@ class SdpSolution:
     relaxation's optimum, and so on the sparse-PCA optimum.
     ``iterations_used`` is 0 when the thresholding solution was certified
     before the first ADMM iteration; ``Z`` is then the rank-1 ``x x^T`` of
-    :func:`solve_sdp_relaxation`. ``spectrum`` is ``np.linalg.eigh(Z)``,
-    taken once by the solver for ``feasibility.min_eigenvalue`` and read by
-    :func:`rank_one_diagnostics`; it is None on a hand-built solution.
+    :func:`solve_sdp_relaxation`. Z's eigendecomposition is taken by
+    :func:`rank_one_diagnostics`, not here.
     """
 
     matrix: SymmetricMatrix
     Z: np.ndarray
     objective: float
-    feasibility: FeasibilityResiduals
     iterations_used: int
     converged: bool
     dual_bound: float
-    spectrum: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def solver_gap(self) -> float:
@@ -146,12 +139,15 @@ class SdpDiagnostics:
 
     ``alpha = trace(A Z) / trace(A Z1)`` and ``beta = ||Z1||_1 / ||Z||_1``
     with ``Z1 = u u.T`` the best rank-1 approximation of Z; both are close to
-    one exactly when the relaxation is nearly rank-1.
+    one exactly when the relaxation is nearly rank-1. ``min_eigenvalue`` is
+    Z's smallest eigenvalue, from the same decomposition as u: Z is PSD, so
+    it is zero up to rounding or above.
     """
 
     alpha: float
     beta: float
     top_eigenvector: np.ndarray
+    min_eigenvalue: float
 
 
 def _simplex_threshold(values, radius, total):
@@ -283,11 +279,6 @@ def _top_eigenpair(M, compute_v):
     return float(w[-1]), v[:, -1] if compute_v else None
 
 
-def _lambda_max(M):
-    """Largest eigenvalue of the symmetric matrix ``M`` from SciPy's LAPACK."""
-    return _top_eigenpair(M, 0)[0]
-
-
 def _certificate(C, Z, rho, U, k):
     """Feasibility scale for ``Z``, the feasible objective, and a dual bound.
 
@@ -305,7 +296,7 @@ def _certificate(C, Z, rho, U, k):
     M *= -0.5 * rho
     l1_term = k * float(np.abs(M).max())
     M += C
-    return scale, objective, max(0.0, _lambda_max(M)) + l1_term
+    return scale, objective, max(0.0, _top_eigenpair(M, 0)[0]) + l1_term
 
 
 def _clip_threshold(C, k, objective, gap_tol):
@@ -340,25 +331,6 @@ def _clip_threshold(C, k, objective, gap_tol):
         else:
             hi = t
     return best_t
-
-
-def _solution(A, k, Z, objective, iterations, converged, dual_bound):
-    w, v = np.linalg.eigh(Z)
-    feas = FeasibilityResiduals(
-        trace_residual=max(0.0, float(np.trace(Z)) - 1.0),
-        l1_residual=max(0.0, float(np.abs(Z).sum()) - float(k)),
-        min_eigenvalue=float(w[0]),
-    )
-    return SdpSolution(
-        matrix=A,
-        Z=Z,
-        objective=objective,
-        feasibility=feas,
-        iterations_used=iterations,
-        converged=converged,
-        dual_bound=dual_bound,
-        spectrum=(w, v),
-    )
 
 
 def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = None) -> SdpSolution:
@@ -413,7 +385,7 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     Z = np.outer(x, x)
     scale, objective, dual_bound = _certificate(C, Z, 1.0, np.clip(C, -t, t), k)
     if dual_bound - objective <= cfg.gap_tol * dual_bound:
-        return _solution(A, k, Z * scale, objective, 0, True, dual_bound)
+        return SdpSolution(A, Z * scale, objective, 0, True, dual_bound)
 
     rho0 = cfg.rho if cfg.rho is not None else (lam if lam > 0.0 else 1.0)
     rho = rho0
@@ -436,11 +408,7 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
             if dual_bound - objective <= cfg.gap_tol * dual_bound:
                 converged = True
                 break
-        if (
-            cfg.adaptive_rho
-            and adaptations < _RHO_ADAPT_BUDGET
-            and iterations % _RHO_ADAPT_EVERY == 0
-        ):
+        if adaptations < _RHO_ADAPT_BUDGET and iterations % _RHO_ADAPT_EVERY == 0:
             primal = _frobenius(Z - Y)
             dual = rho / rho0 * _frobenius(Y - Y_prev)
             if primal > 10.0 * dual and rho < _RHO_RANGE * rho0:
@@ -452,17 +420,18 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
                 U *= 2.0
                 adaptations += 1
 
-    return _solution(A, k, Z * scale, objective, iterations, converged, dual_bound)
+    return SdpSolution(A, Z * scale, objective, iterations, converged, dual_bound)
 
 
 def rank_one_diagnostics(sol: SdpSolution) -> SdpDiagnostics:
     """Best rank-1 factor of the solved Z together with alpha and beta.
 
+    One ``np.linalg.eigh(Z)`` gives the factor and ``min_eigenvalue``.
     Raises :class:`DegenerateSolution` when Z has no positive leading
     eigenvalue, or when its rank-1 factor has no objective (for instance
     when A is the zero matrix).
     """
-    w, v = sol.spectrum if sol.spectrum is not None else np.linalg.eigh(sol.Z)
+    w, v = np.linalg.eigh(sol.Z)
     lam1 = float(w[-1])
     if lam1 <= 1e-12:
         raise DegenerateSolution(f"leading eigenvalue of Z is {lam1:.3e}")
@@ -475,24 +444,23 @@ def rank_one_diagnostics(sol: SdpSolution) -> SdpDiagnostics:
         raise DegenerateSolution("solved Z is numerically zero")
     alpha = sol.objective / trace_az1
     beta = float(np.abs(u).sum()) ** 2 / z_l1
-    return SdpDiagnostics(alpha=alpha, beta=beta, top_eigenvector=u)
+    return SdpDiagnostics(alpha=alpha, beta=beta, top_eigenvector=u, min_eigenvalue=float(w[0]))
 
 
 def round_sdp_solution(sol: SdpSolution, s: int, diag: SdpDiagnostics | None = None):
-    """Round Z to an s-sparse vector plus diagnostics.
+    """Round Z to an s-sparse vector.
 
     The vector keeps the ``s`` largest-magnitude coordinates of the scaled
     top eigenvector u (ties toward the lowest index) and is not renormalized,
     so its norm is at most one. ``diag`` is ``rank_one_diagnostics(sol)`` when
-    the caller already has it.
+    the caller already has it; otherwise it is computed here.
     """
     _check_count("s", s, sol.matrix.n)
     if diag is None:
         diag = rank_one_diagnostics(sol)
     u = diag.top_eigenvector
     keep = _top_indices(np.abs(u), s)
-    z = SparseUnitVector(sol.matrix.n, keep, u[keep], norm_le_one=True)
-    return z, diag
+    return SparseUnitVector(sol.matrix.n, keep, u[keep], norm_le_one=True)
 
 
 def _check_truncation_chain(A: SymmetricMatrix, u, z: SparseUnitVector):
@@ -539,7 +507,7 @@ def spca_sdp(
     if s is None:
         s = min(A.n, int(math.ceil(9.0 * k * k * diag.beta * diag.beta / (epsilon * epsilon))))
         s = max(s, 1)
-    z, _ = round_sdp_solution(sol, s, diag)
+    z = round_sdp_solution(sol, s, diag)
     _check_truncation_chain(A, diag.top_eigenvector, z)
     if polish:
         # Best unit vector on the fixed support: top eigenpair of A[S, S]. The

@@ -1,11 +1,22 @@
+import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spcakit import AdmmConfig, load_matrix, pit_props, save_matrix, sparsity_sweep
-from spcakit.cli import main, reproduce_pitprops
+from spcakit import (
+    AdmmConfig,
+    load_matrix,
+    pit_props,
+    rank_one_diagnostics,
+    save_matrix,
+    solve_sdp_relaxation,
+    sparsity_sweep,
+)
+from spcakit.cli import build_parser, main, reproduce_pitprops
 
 from helpers import random_psd, run_python
 
@@ -27,7 +38,7 @@ class TestSolveCommand:
         ])
         assert code == 0
         report = _read_json(out)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["result"]["metrics"]["objective"] == pytest.approx(3.996, abs=0.01)
         assert report["result"]["sdp"]["converged"] is True
         assert report["config"]["seed"] == 0
@@ -87,6 +98,48 @@ class TestSolveCommand:
             "--sparsity", "2",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--gap-tol", "nan"), ("--gap-tol", "inf"), ("--rho", "nan"), ("--rho", "inf")]
+    )
+    def test_nonfinite_admm_value_exits_2(self, capsys, flag, value):
+        # A NaN gap_tol never certifies, and a non-finite rho fails inside
+        # LAPACK; both are rejected before the solve starts.
+        code = _run([
+            "solve", *PITPROPS, "--algo", "sdp", "--k", "7", "--sparsity", "7",
+            "--max-iters", "50", flag, value,
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "ValueError"
+        assert flag[2:].replace("-", "_") in err["message"]
+
+    def test_no_adaptive_rho_flag_is_rejected(self, capsys):
+        # Residual balancing always runs; the switch is gone.
+        with pytest.raises(SystemExit) as exc:
+            _run(["solve", *PITPROPS, "--algo", "sdp", "--k", "7", "--sparsity", "7",
+                  "--no-adaptive-rho"])
+        assert exc.value.code == 2
+        assert "--no-adaptive-rho" in capsys.readouterr().err
+
+    def test_sdp_report_keys(self, capsys):
+        # Adding or dropping a solver field or a config knob changes the
+        # report's schema; this pins both key sets.
+        assert _run(["solve", *PITPROPS, "--algo", "sdp", "--k", "7", "--sparsity", "7"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        sdp = report["result"]["sdp"]
+        assert set(sdp) == {
+            "objective", "iterations_used", "converged", "solver_gap", "alpha", "beta",
+            "min_eigenvalue",
+        }
+        assert set(report["config"]) == {
+            "algo", "center", "command", "epsilon", "format", "gap_tol", "input",
+            "input_format", "input_kind", "k", "l_override", "max_iters", "oracle_ref", "rho",
+            "seed", "sparsity", "strict", "svd_eps", "svd_method", "to_correlation",
+            "unit_row_norm", "version",
+        }
+        diag = rank_one_diagnostics(solve_sdp_relaxation(pit_props(), 7))
+        assert sdp["min_eigenvalue"] == diag.min_eigenvalue
 
     def test_strict_nonconvergence_exits_3(self, tmp_path):
         mat = tmp_path / "a.mtx"
@@ -288,6 +341,25 @@ class TestReproducePitprops:
         assert _run(["reproduce-pitprops", "--output", str(out)]) == 0
         report = _read_json(out)
         assert report["results"][0]["all_ok"] is True
+
+
+def _option_strings(parser):
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _option_strings(sub)
+    return options
+
+
+def test_readme_flags_are_cli_options():
+    # Every flag the README names must exist, so a removed option cannot
+    # linger in the docs. pip's flag in the install block is not ours.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    assert "--rho" in named
+    assert sorted(named - _option_strings(build_parser())) == []
 
 
 def test_module_invocation_prints_version():

@@ -23,7 +23,8 @@ from helpers import exhaustive_spca_loop, random_psd
 
 def _assert_matches_loop(A, k):
     res = exact_spca(A, k)
-    assert (res.optimal_value, res.support, res.instances_enumerated) == exhaustive_spca_loop(A.entries, k)
+    support = tuple(res.optimal_vector.support)
+    assert (res.optimal_value, support, res.instances_enumerated) == exhaustive_spca_loop(A.entries, k)
     assert 0 <= res.instances_pruned < res.instances_enumerated
     return res
 
@@ -87,7 +88,7 @@ class TestExactSpca:
     def test_identity_lexicographic_tie_break(self):
         res = exact_spca(symmetrize(np.eye(5)), 2)
         assert res.optimal_value == pytest.approx(1.0)
-        assert res.support == (0, 1)
+        assert tuple(res.optimal_vector.support) == (0, 1)
         assert res.instances_enumerated == 10
 
     def test_diagonal_dominance(self):
@@ -98,7 +99,7 @@ class TestExactSpca:
     def test_pitprops_known_optimum(self):
         res = exact_spca(pit_props(), 7)
         assert res.optimal_value == pytest.approx(3.996, abs=0.005)
-        assert res.support == (0, 1, 5, 6, 7, 8, 9)
+        assert tuple(res.optimal_vector.support) == (0, 1, 5, 6, 7, 8, 9)
 
     def test_budget_exceeded(self, monkeypatch):
         A = random_psd(10, 3)
@@ -202,7 +203,7 @@ class TestScreenedEnumeration:
                 assert np.all(oracle._screen_bounds(trace, frob, k) >= values - margin), k
             res = _assert_matches_loop(A, k)
             if name in ("scalar", "constant"):
-                assert res.support == tuple(range(k))
+                assert tuple(res.optimal_vector.support) == tuple(range(k))
 
     @pytest.mark.parametrize("entries", [1, 40, oracle._CHUNK_ENTRIES])
     def test_leaf_batches_are_the_combinations_in_order(self, monkeypatch, entries):
@@ -283,5 +284,5 @@ class TestScreenedEnumeration:
         res = exact_spca(A, k)
         assert sum(scored) <= res.instances_enumerated == math.comb(n, k)
         if k == n:
-            assert res.support == tuple(range(n))
+            assert tuple(res.optimal_vector.support) == tuple(range(n))
             assert res.optimal_value == pytest.approx(eigvalsh(A.entries)[-1], rel=1e-12)

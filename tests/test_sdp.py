@@ -7,7 +7,6 @@ from scipy.linalg import lapack
 from spcakit import (
     AdmmConfig,
     DegenerateSolution,
-    FeasibilityResiduals,
     InvariantViolation,
     SdpSolution,
     SyntheticConfig,
@@ -281,7 +280,7 @@ class TestSolveRelaxation:
             assert sol.converged
             assert np.trace(sol.Z) <= 1.0 + 1e-5
             assert np.abs(sol.Z).sum() <= k * (1.0 + 1e-5)
-            assert sol.feasibility.min_eigenvalue >= -1e-6
+            assert np.linalg.eigvalsh(sol.Z)[0] >= -1e-6
 
     def test_nonconvergence_is_flagged_not_raised(self):
         sol = solve_sdp_relaxation(random_psd(6, 5), 2, AdmmConfig(max_iters=3))
@@ -332,12 +331,13 @@ class TestDualityGap:
             assert sol.dual_bound == ref.dual_bound * 2.0**j, j
             assert sol.converged
 
-    def test_scale_invariance_covers_rho_adaptation(self):
+    def test_scale_invariance_covers_rho_adaptation(self, monkeypatch):
         # The second instance above runs past the first rho adaptation, and
         # the adaptation changes its path.
         A = random_psd(6, 130)
         adaptive = solve_sdp_relaxation(A, 2, AdmmConfig(rho=1.0))
-        fixed = solve_sdp_relaxation(A, 2, AdmmConfig(rho=1.0, adaptive_rho=False))
+        monkeypatch.setattr(sdp_mod, "_RHO_ADAPT_BUDGET", 0)
+        fixed = solve_sdp_relaxation(A, 2, AdmmConfig(rho=1.0))
         assert adaptive.iterations_used > sdp_mod._RHO_ADAPT_EVERY
         assert adaptive.iterations_used != fixed.iterations_used
 
@@ -350,13 +350,15 @@ class TestDualityGap:
         assert sol.converged
         assert 0 < sol.iterations_used <= 100
 
-    def test_default_rho_is_scale_free(self):
+    def test_default_rho_is_scale_free(self, monkeypatch):
         # With the default config alone, scaling A by a power of two repeats
         # every iterate. This input runs past a rho adaptation that changes
         # its path, so the balancing rule is covered too.
         A = random_psd(6, 21)
         ref = solve_sdp_relaxation(A, 2)
-        fixed = solve_sdp_relaxation(A, 2, AdmmConfig(adaptive_rho=False))
+        with monkeypatch.context() as m:
+            m.setattr(sdp_mod, "_RHO_ADAPT_BUDGET", 0)
+            fixed = solve_sdp_relaxation(A, 2)
         assert ref.converged and ref.iterations_used > sdp_mod._RHO_ADAPT_EVERY
         assert ref.iterations_used != fixed.iterations_used
         for j in range(-30, 31):
@@ -395,8 +397,8 @@ class TestDualityGap:
             sol = solve_sdp_relaxation(A, k, AdmmConfig(max_iters=max_iters))
             assert np.trace(sol.Z) <= 1.0 + 1e-12
             assert np.abs(sol.Z).sum() <= k + 1e-12
-            assert sol.feasibility.min_eigenvalue >= -1e-12
-            assert sol.feasibility.min_eigenvalue == np.linalg.eigh(sol.Z)[0][0]
+            assert np.linalg.eigvalsh(sol.Z)[0] >= -1e-12
+            assert rank_one_diagnostics(sol).min_eigenvalue == np.linalg.eigh(sol.Z)[0][0]
             assert sol.objective == pytest.approx(float(np.sum(A.entries * sol.Z)), rel=1e-12)
 
     @pytest.mark.parametrize("gap_tol", [1e-2, 1e-4, 1e-6])
@@ -418,6 +420,23 @@ class TestDualityGap:
         with pytest.raises(ValueError):
             AdmmConfig(**{field: 0.0})
 
+    @pytest.mark.parametrize("field", ["rho", "gap_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_config_rejects_nonfinite(self, field, value):
+        # NaN passes a "<= 0" test; a NaN gap_tol never certifies and a
+        # non-finite rho fails inside LAPACK.
+        with pytest.raises(ValueError, match=field):
+            AdmmConfig(**{field: value})
+
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, 0, -1, "3"])
+    def test_config_rejects_non_integer_max_iters(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            AdmmConfig(max_iters=max_iters)
+
+    def test_config_accepts_numpy_integer_max_iters(self):
+        sol = solve_sdp_relaxation(random_psd(6, 5), 2, AdmmConfig(max_iters=np.int64(3)))
+        assert sol.iterations_used == 3
+
     def test_config_rho_none_is_the_default(self):
         assert AdmmConfig().rho is None
         assert AdmmConfig(rho=None) == AdmmConfig()
@@ -435,7 +454,7 @@ class TestDualityGap:
         monkeypatch.setattr(lapack, "dsyevr", empty)
         full = count_calls(monkeypatch, lapack, "dsyevd")
         M = _with_spectrum([1.0, 1.0, 1.0, 0.0, -2.0], seed=3)
-        assert sdp_mod._lambda_max(M) == pytest.approx(1.0, abs=1e-12)
+        assert sdp_mod._top_eigenpair(M, 0)[0] == pytest.approx(1.0, abs=1e-12)
         assert len(full) == 1
 
 
@@ -474,7 +493,7 @@ class TestThresholdCertificate:
             assert sol.objective == pytest.approx(float(np.sum(C * sol.Z)), rel=1e-12)
             assert np.trace(sol.Z) <= 1.0 + 1e-12
             assert np.abs(sol.Z).sum() <= k * (1.0 + 1e-12)
-            assert sol.feasibility.min_eigenvalue >= -1e-12
+            assert np.linalg.eigvalsh(sol.Z)[0] >= -1e-12
 
     def test_spiked_input_certifies_without_iterations(self):
         # gen-synthetic seed 3, as in the sdp-spiked benchmark. ADMM took 225
@@ -561,7 +580,8 @@ class TestRounding:
         A = np.zeros((4, 4))
         A[0, 0] = 1.0
         sol = solve_sdp_relaxation(symmetrize(A), 1)
-        z, diag = round_sdp_solution(sol, 1)
+        diag = rank_one_diagnostics(sol)
+        z = round_sdp_solution(sol, 1)
         np.testing.assert_allclose(z.to_dense(), [1.0, 0.0, 0.0, 0.0], atol=1e-4)
         assert diag.alpha == pytest.approx(1.0, abs=1e-6)
         assert diag.beta == pytest.approx(1.0, abs=1e-4)
@@ -572,12 +592,12 @@ class TestRounding:
             matrix=A,
             Z=np.diag([0.6, 0.4]),
             objective=1.0,
-            feasibility=FeasibilityResiduals(0.0, 0.0, 0.4),
             iterations_used=0,
             converged=True,
             dual_bound=1.0,
         )
-        z, diag = round_sdp_solution(sol, 1)
+        diag = rank_one_diagnostics(sol)
+        z = round_sdp_solution(sol, 1)
         np.testing.assert_allclose(z.to_dense(), [np.sqrt(0.6), 0.0], atol=1e-12)
         assert diag.beta == pytest.approx(0.6)
         assert z.norm_le_one and z.norm == pytest.approx(np.sqrt(0.6))
@@ -588,13 +608,29 @@ class TestRounding:
             matrix=A,
             Z=np.zeros((2, 2)),
             objective=0.0,
-            feasibility=FeasibilityResiduals(0.0, 0.0, 0.0),
             iterations_used=0,
             converged=True,
             dual_bound=0.0,
         )
         with pytest.raises(DegenerateSolution):
             round_sdp_solution(sol, 1)
+
+    def test_hand_built_solution_gives_identical_diagnostics(self):
+        # Diagnostics depend on Z alone: a solution rebuilt from the solver's
+        # fields gives the same numbers bit for bit, whether the solve
+        # certified before ADMM (spiked) or ran the loop (the others).
+        iterations = []
+        for A, k in ((pit_props(), 7), (random_psd(9, 40), 3), (_spiked_second_moment(3), 8)):
+            sol = solve_sdp_relaxation(A, k)
+            iterations.append(sol.iterations_used)
+            rebuilt = SdpSolution(
+                A, sol.Z.copy(), sol.objective, sol.iterations_used, sol.converged, sol.dual_bound
+            )
+            a, b = rank_one_diagnostics(sol), rank_one_diagnostics(rebuilt)
+            assert (a.alpha, a.beta, a.min_eigenvalue) == (b.alpha, b.beta, b.min_eigenvalue)
+            assert np.array_equal(a.top_eigenvector, b.top_eigenvector)
+            assert a.min_eigenvalue == np.linalg.eigh(sol.Z)[0][0]
+        assert [i > 0 for i in iterations] == [True, True, False]
 
     def test_alpha_at_least_one(self):
         for seed in range(6):
@@ -611,7 +647,7 @@ class TestRounding:
         u = diag.top_eigenvector
         prev = np.inf
         for s in range(1, 10):
-            z, _ = round_sdp_solution(sol, s)
+            z = round_sdp_solution(sol, s)
             dist = np.linalg.norm(u - z.to_dense())
             assert dist <= prev + 1e-12
             prev = dist
@@ -620,7 +656,7 @@ class TestRounding:
         A = random_psd(8, 91)
         sol = solve_sdp_relaxation(A, 3)
         diag = rank_one_diagnostics(sol)
-        z, _ = round_sdp_solution(sol, 4)
+        z = round_sdp_solution(sol, 4)
         order = np.argsort(-np.abs(diag.top_eigenvector), kind="stable")[:4]
         assert sorted(order.tolist()) == list(z.support)
 
