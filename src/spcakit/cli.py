@@ -3,8 +3,9 @@
 Reports are JSON (or CSV for tabular sweeps) with a top-level
 schema_version and the fully resolved configuration embedded, so any report
 can be reproduced byte-for-byte from its own config block. All randomness
-derives from --seed. Exit codes: 0 success, 2 validation error, 3 relaxation
-duality gap not certified within --max-iters under --strict.
+derives from --seed. Exit codes: 0 success, 2 usage or validation error (one
+JSON diagnostic line on stderr), 3 relaxation duality gap not certified
+within --max-iters under --strict.
 """
 
 from __future__ import annotations
@@ -58,22 +59,18 @@ PITPROPS_REFERENCE = {
 }
 
 
-class CliValidationError(Exception):
-    pass
-
-
 def _load_input(args):
     name = args.input
     builtin = re.fullmatch(r"builtin:identity(\d+)", name)
     if builtin:
         n = int(builtin.group(1))
         if n < 1:
-            raise CliValidationError(f"identity size must be positive, got {n}")
+            raise ValueError(f"identity size must be positive, got {n}")
         return symmetrize(np.eye(n)), name
     if name == "builtin:pitprops":
         return pit_props(), name
     if name.startswith("builtin:"):
-        raise CliValidationError(f"unknown builtin dataset {name!r}")
+        raise ValueError(f"unknown builtin dataset {name!r}")
 
     loaded = load_matrix(name, format=args.input_format, kind=args.input_kind)
     if isinstance(loaded, DataMatrix):
@@ -323,7 +320,6 @@ def _add_io_arguments(sub, needs_input=True):
         sub.add_argument("--unit-row-norm", action="store_true")
     sub.add_argument("--output", default=None, help="write the report here instead of stdout")
     sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _add_admm_arguments(sub):
@@ -337,10 +333,18 @@ def _add_admm_arguments(sub):
 def _add_svd_arguments(sub):
     sub.add_argument("--svd-method", choices=["exact", "block_krylov"], default="exact")
     sub.add_argument("--svd-eps", type=float, default=0.1)
+    sub.add_argument("--seed", type=int, default=0, help="seed of the block Krylov start")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so main reports them like any bad value."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spca", description="Sparse PCA by thresholding: solvers, oracle, and sweeps."
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -397,13 +401,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliValidationError as exc:
-        _diagnostic("ValidationError", str(exc))
-        return 2
     except SpcaError as exc:
         _diagnostic(type(exc).__name__, str(exc))
         return 2

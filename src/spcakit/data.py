@@ -291,7 +291,7 @@ def unit_row_normalize(A: SymmetricMatrix, max_iters=25, tol=1e-8) -> SymmetricM
                 f"{max_iters} iterations",
                 NonConvergenceWarning,
             )
-    return symmetrize(entries, symmetry_tol=1e-12)
+    return symmetrize(entries)
 
 
 def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> SymmetricMatrix:
@@ -316,7 +316,7 @@ def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> Sy
         scale = 1.0 / np.sqrt(diag)
         cov = cov * scale[:, None] * scale[None, :]
         np.fill_diagonal(cov, 1.0)
-    return symmetrize(cov, symmetry_tol=1e-10)
+    return symmetrize(cov)
 
 
 def kernel_matrix(
@@ -353,7 +353,7 @@ def kernel_matrix(
         m = K.shape[0]
         ones = np.full((m, m), 1.0 / m)
         K = K - ones @ K - K @ ones + ones @ K @ ones
-    out = symmetrize(K, symmetry_tol=1e-8)
+    out = symmetrize(K)
     # user-supplied parameters can produce an invalid (indefinite) kernel;
     # flag it rather than fail, since downstream solvers validate again
     try:
@@ -479,4 +479,4 @@ def pit_props() -> SymmetricMatrix:
     values = np.concatenate(_PIT_PROPS_LOWER)
     arr[i, j] = values
     arr[j, i] = values
-    return symmetrize(arr, symmetry_tol=0.0)
+    return symmetrize(arr)

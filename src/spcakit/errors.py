@@ -14,7 +14,7 @@ class NonFiniteEntries(SpcaError):
 
 
 class AsymmetryExceedsTolerance(SpcaError):
-    """A pair of mirrored entries differs by more than the allowed tolerance."""
+    """Mirrored entries differ by ``delta``, more than ``tol = _SYMMETRY_RTOL * max |A_ij|``."""
 
     def __init__(self, i, j, delta, tol):
         super().__init__(

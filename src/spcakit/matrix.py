@@ -33,6 +33,7 @@ from .errors import (
 # Relative slack for advisory PSD validation: covariance estimates are often
 # marginally indefinite, so eigenvalues down to -PSD_SLACK * ||A||_2 pass.
 PSD_SLACK = 1e-8
+_SYMMETRY_RTOL = 1e-8  # largest mirrored gap symmetrize accepts, as a share of max |A_ij|
 
 _KRYLOV_C = 2.0
 
@@ -93,27 +94,26 @@ class SymmetricMatrix:
     """Immutable dense symmetric matrix with cached spectral data.
 
     Construct through :func:`symmetrize`; the constructor averages the input
-    with its transpose after checking the asymmetry tolerance, then freezes
-    the storage. The full eigendecomposition, the Lanczos spectral norm and a
-    passing PSD verdict are computed lazily and cached, so repeated solves on
-    the same matrix pay for each once.
+    with its transpose after checking the asymmetry tolerance (relative, see
+    :func:`symmetrize`), then freezes the storage. The full eigendecomposition,
+    the Lanczos spectral norm and a passing PSD verdict are computed lazily
+    and cached, so repeated solves on the same matrix pay for each once.
     """
 
     __slots__ = ("entries", "n", "trace", "_eig", "_norm", "_psd")
 
-    def __init__(self, raw, symmetry_tol=1e-8):
+    def __init__(self, raw):
         arr = np.asarray(raw, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise NotSquare(f"expected a square 2-d array, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise NonFiniteEntries("matrix contains NaN or infinite entries")
-        if symmetry_tol < 0:
-            raise ValueError("symmetry_tol must be nonnegative")
         entries, max_gap = _symmetrize_tiles(arr)
-        if max_gap > symmetry_tol:
+        tol = _SYMMETRY_RTOL * float(np.abs(arr).max()) if max_gap > 0.0 else 0.0
+        if max_gap > tol:
             gap = np.abs(arr - arr.T)
             i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)  # first in row-major order
-            raise AsymmetryExceedsTolerance(int(i), int(j), float(gap[i, j]), symmetry_tol)
+            raise AsymmetryExceedsTolerance(int(i), int(j), float(gap[i, j]), tol)
         entries.flags.writeable = False
         self.entries = entries
         self.n = int(arr.shape[0])
@@ -126,14 +126,15 @@ class SymmetricMatrix:
         return f"SymmetricMatrix(n={self.n}, trace={self.trace:.6g})"
 
 
-def symmetrize(raw, symmetry_tol=1e-8):
+def symmetrize(raw):
     """Build a :class:`SymmetricMatrix` from a square array.
 
     Entries are replaced by (raw + raw.T) / 2. Raises
     :class:`AsymmetryExceedsTolerance` if any mirrored pair differs by more
-    than ``symmetry_tol`` before averaging.
+    than ``_SYMMETRY_RTOL * max |raw_ij|`` before averaging; scaling raw by
+    a power of two changes no verdict.
     """
-    return SymmetricMatrix(raw, symmetry_tol)
+    return SymmetricMatrix(raw)
 
 
 @dataclass(frozen=True)

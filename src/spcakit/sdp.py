@@ -180,23 +180,22 @@ def _check_lapack(info, routine):
         raise ConvergenceFailure(f"LAPACK {routine} failed with info={info}")
 
 
-def project_psd_trace_ball(M, rank=None):
+def project_psd_trace_ball(M, rank=1):
     """Frobenius-nearest matrix in {Z PSD, trace(Z) <= 1}.
 
     The eigenvalues of the symmetric part of ``M`` are shifted down by theta
     and clipped at zero: theta is 0 when the positive eigenvalues sum to at
     most one, and otherwise their simplex threshold.
 
-    Only the top r + 1 eigenpairs are computed (LAPACK ``dsyevr``), with r the
-    number kept last time: ``rank`` if given, else 1. Theta is taken from those
+    Only the top r + 1 eigenpairs are computed (LAPACK ``dsyevr``), with
+    r = ``rank``, the number the previous call kept. Theta is taken from those
     values; when the smallest of them is at most theta, every lower eigenvalue
     also maps to zero, so the result is the exact projection. Otherwise, or
     when r + 1 exceeds ``max(2, n // _PARTIAL_EIG_DIVISOR)``, one full
     decomposition (``dsyevd``) is used instead.
 
-    Returns the projected matrix; with ``rank`` given, returns
-    ``(matrix, kept)`` with ``kept`` the number of nonzero eigenvalues, the
-    hint for the next call.
+    Returns ``(matrix, kept)`` with ``kept`` the number of nonzero
+    eigenvalues, the ``rank`` for the next call.
     """
     # Imported on first use, as in matrix.py: data.py imports scipy.linalg at
     # package load anyway, but importing it here, earlier in that load,
@@ -210,7 +209,7 @@ def project_psd_trace_ball(M, rank=None):
     # Fortran order LAPACK reads without a transposing copy.
     sym = sym.T
     n = sym.shape[0]
-    r = 1 if rank is None else max(rank, 1)
+    r = max(rank, 1)
     w = None
     if r + 1 < n and r + 1 <= max(2, n // _PARTIAL_EIG_DIVISOR):
         top, v, m, _, info = lapack.dsyevr(sym, range="I", il=n - r, iu=n)
@@ -235,7 +234,7 @@ def project_psd_trace_ball(M, rank=None):
         # is transposed to C order; (V X^T)^T = X V^T with X = V diag(shifted).
         vectors = v[:, w.size - kept:]
         projected = blas.dgemm(1.0, vectors, vectors * shifted[-kept:], trans_b=True).T
-    return projected if rank is None else (projected, kept)
+    return projected, kept
 
 
 def project_l1_ball_matrix(M, radius):
@@ -311,7 +310,8 @@ def _clip_threshold(C, k, objective, gap_tol):
     ``g'(t) = k - v' sign(C - W) v``, and elsewhere ``g'(t) = k``. The search
     bisects ``[0, max |C_ij|]`` on the sign of ``g'`` for
     ``_CLIP_SEARCH_STEPS`` steps, stops early once ``g(t)`` is within a
-    relative ``gap_tol`` of ``objective``, and returns the best t it saw.
+    relative ``gap_tol`` of ``objective``, and returns the best t it saw
+    with its bound ``g(t)``.
     """
     lo, hi = 0.0, float(np.abs(C).max())
     best_t, best = hi, k * hi
@@ -330,7 +330,7 @@ def _clip_threshold(C, k, objective, gap_tol):
             lo = t
         else:
             hi = t
-    return best_t
+    return best_t, best
 
 
 def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = None) -> SdpSolution:
@@ -341,13 +341,13 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     on its k largest squared entries and renormalized. It is built here from
     one top eigenpair so that, like every ADMM iterate, it does not change
     when A is scaled by a power of two. x is a unit k-sparse vector, so
-    ``||x||_1^2 <= k`` and ``x x^T`` is feasible; the structured dual
-    ``clip(A, -t, t)``, with t from :func:`_clip_threshold`, bounds the
-    optimum (:func:`_certificate`). When they already meet the gap test
-    below, the solve returns ``Z = x x^T`` with ``iterations_used=0`` and
-    ``converged=True``. Otherwise ADMM starts from zero, as if the check had
-    not run; continuing from that point was measured slower on the inputs
-    that do not certify.
+    ``||x||_1^2 <= k`` and ``x x^T`` is feasible (scaled by ``min(1, k /
+    ||x||_1^2)`` against rounding). The structured dual ``clip(A, -t, t)``
+    bounds the optimum; :func:`_clip_threshold` picks t and returns its bound.
+    When they already meet the gap test below, the solve returns the scaled
+    ``x x^T`` with ``iterations_used=0`` and ``converged=True``. Otherwise
+    ADMM starts from zero, as if the check had not run; continuing from that
+    point was measured slower on the inputs that do not certify.
 
     The loop starts at ``rho = cfg.rho``, or at ``lambda_max(A)`` when that
     is None (1.0 for the zero matrix, which certifies before the loop). That
@@ -381,11 +381,11 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     keep = _top_indices(v * v, k)
     x = np.zeros(n)
     x[keep] = v[keep] / math.sqrt(v[keep] @ v[keep])
-    t = _clip_threshold(C, k, float(x @ C @ x), cfg.gap_tol)
-    Z = np.outer(x, x)
-    scale, objective, dual_bound = _certificate(C, Z, 1.0, np.clip(C, -t, t), k)
+    scale = min(1.0, k / float(np.abs(x).sum()) ** 2)
+    objective = scale * float(x @ C @ x)
+    _, dual_bound = _clip_threshold(C, k, objective, cfg.gap_tol)
     if dual_bound - objective <= cfg.gap_tol * dual_bound:
-        return SdpSolution(A, Z * scale, objective, 0, True, dual_bound)
+        return SdpSolution(A, scale * np.outer(x, x), objective, 0, True, dual_bound)
 
     rho0 = cfg.rho if cfg.rho is not None else (lam if lam > 0.0 else 1.0)
     rho = rho0
@@ -447,17 +447,15 @@ def rank_one_diagnostics(sol: SdpSolution) -> SdpDiagnostics:
     return SdpDiagnostics(alpha=alpha, beta=beta, top_eigenvector=u, min_eigenvalue=float(w[0]))
 
 
-def round_sdp_solution(sol: SdpSolution, s: int, diag: SdpDiagnostics | None = None):
+def round_sdp_solution(sol: SdpSolution, s: int, diag: SdpDiagnostics):
     """Round Z to an s-sparse vector.
 
-    The vector keeps the ``s`` largest-magnitude coordinates of the scaled
+    ``diag`` is ``rank_one_diagnostics(sol)``, the one decomposition of Z.
+    The vector keeps the ``s`` largest-magnitude coordinates of its scaled
     top eigenvector u (ties toward the lowest index) and is not renormalized,
-    so its norm is at most one. ``diag`` is ``rank_one_diagnostics(sol)`` when
-    the caller already has it; otherwise it is computed here.
+    so its norm is at most one.
     """
     _check_count("s", s, sol.matrix.n)
-    if diag is None:
-        diag = rank_one_diagnostics(sol)
     u = diag.top_eigenvector
     keep = _top_indices(np.abs(u), s)
     return SparseUnitVector(sol.matrix.n, keep, u[keep], norm_le_one=True)

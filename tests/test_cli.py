@@ -98,6 +98,8 @@ class TestSolveCommand:
             "--sparsity", "2",
         ])
         assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "ValueError" and "builtin:nope" in err["message"]
 
     @pytest.mark.parametrize(
         "flag, value", [("--gap-tol", "nan"), ("--gap-tol", "inf"), ("--rho", "nan"), ("--rho", "inf")]
@@ -116,11 +118,11 @@ class TestSolveCommand:
 
     def test_no_adaptive_rho_flag_is_rejected(self, capsys):
         # Residual balancing always runs; the switch is gone.
-        with pytest.raises(SystemExit) as exc:
-            _run(["solve", *PITPROPS, "--algo", "sdp", "--k", "7", "--sparsity", "7",
-                  "--no-adaptive-rho"])
-        assert exc.value.code == 2
-        assert "--no-adaptive-rho" in capsys.readouterr().err
+        code = _run(["solve", *PITPROPS, "--algo", "sdp", "--k", "7", "--sparsity", "7",
+                     "--no-adaptive-rho"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "ValueError" and "--no-adaptive-rho" in err["message"]
 
     def test_sdp_report_keys(self, capsys):
         # Adding or dropping a solver field or a config knob changes the
@@ -202,6 +204,40 @@ def test_report_envelope(capsys, argv, body):
     assert set(report) == {"schema_version", "command", "input", "config", body}
     assert report["command"] == argv[0]
     assert report["input"] == {"name": "builtin:pitprops", "n": 13}
+    # --seed seeds the block Krylov start, so only the commands that solve
+    # by thresholding take it
+    assert ("seed" in report["config"]) == (argv[0] in ("solve", "sweep"))
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["oracle", *PITPROPS], "required: --k"),
+        (["solve", *PITPROPS, "--algo", "svd", "--k", "two"], "invalid int value: 'two'"),
+        (["solve", *PITPROPS, "--algo", "lasso", "--k", "2"], "invalid choice: 'lasso'"),
+        (["oracle", *PITPROPS, "--k", "3", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["reproduce-pitprops", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["transpose"], "invalid choice: 'transpose'"),
+        ([], "required: command"),
+    ],
+)
+def test_usage_error_is_a_json_diagnostic(capsys, argv, fragment):
+    assert _run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert set(err) == {"code", "message", "context"}
+    assert err["code"] == "ValueError" and fragment in err["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["solve", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 class TestDeterminism:

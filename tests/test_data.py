@@ -133,6 +133,20 @@ class TestLoadSave:
             load_matrix(path)
         assert info.value.line == 1
 
+    def test_covariance_in_large_units_loads(self, tmp_path):
+        # Rounding in D C D leaves mirrored entries of a 4e10-scale matrix
+        # about 2e-6 apart: far above 1e-8 in absolute terms, but 4e-17 of
+        # the largest entry.
+        rng = np.random.default_rng(3)
+        X = 1e5 * rng.standard_normal((50, 30))
+        D = np.diag(rng.uniform(1, 2, 50))
+        raw = D @ np.cov(X) @ D
+        assert np.abs(raw - raw.T).max() > 1e-8
+        path = tmp_path / "cov.mtx"
+        save_matrix(path, raw)
+        A = load_matrix(path)
+        assert A.entries.tobytes() == ((raw + raw.T) / 2.0).tobytes()
+
 
 ARRAY_HEADER = "%%MatrixMarket matrix array real general\n"
 
@@ -269,6 +283,14 @@ class TestKernels:
             center_in_feature_space=True,
         )
         np.testing.assert_allclose(K.entries.sum(axis=0), np.zeros(6), atol=1e-10)
+
+    def test_high_degree_centered_polynomial_is_accepted(self):
+        # Entries reach 1.6e13, and the centered Gram matrix's mirrored
+        # entries differ by rounding alone (6e-5, about 4e-18 of the largest).
+        X = DataMatrix(3 * np.random.default_rng(1).standard_normal((40, 5)))
+        K = kernel_matrix(X, "polynomial", degree=6, c=1.0, center_in_feature_space=True)
+        np.testing.assert_array_equal(K.entries, K.entries.T)
+        assert np.abs(K.entries).max() > 1e13
 
     def test_invalid_params(self):
         X = DataMatrix(np.eye(2))

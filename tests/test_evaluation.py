@@ -8,6 +8,7 @@ from spcakit import (
     evaluate,
     exact_spca,
     pit_props,
+    rank_one_diagnostics,
     round_sdp_solution,
     solve,
     solve_sdp_relaxation,
@@ -203,6 +204,11 @@ class TestSolve:
             assert report.thm2_floor is None
 
 
+def _round_relaxation(A, s):
+    sol = solve_sdp_relaxation(A, 2)
+    return round_sdp_solution(sol, s, rank_one_diagnostics(sol))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -214,10 +220,10 @@ class TestSolve:
             lambda A: solve(A, "svd", 3, epsilon=0.5, l_override=1.5), id="solve-l_override-float"
         ),
         pytest.param(
-            lambda A: round_sdp_solution(solve_sdp_relaxation(A, 2), 2.5), id="round-s-float"
+            lambda A: _round_relaxation(A, 2.5), id="round-s-float"
         ),
         pytest.param(
-            lambda A: round_sdp_solution(solve_sdp_relaxation(A, 2), A.n + 1),
+            lambda A: _round_relaxation(A, A.n + 1),
             id="round-s-above-n",
         ),
         pytest.param(

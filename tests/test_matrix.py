@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spcakit import (
     AsymmetryExceedsTolerance,
@@ -33,19 +35,21 @@ CHARPOLY_EXPECTED = [
 
 class TestSymmetrize:
     def test_symmetric_input_unchanged(self):
-        A = symmetrize(np.eye(3), symmetry_tol=0.0)
+        A = symmetrize(np.eye(3))
         np.testing.assert_array_equal(A.entries, np.eye(3))
         assert A.trace == 3.0
 
-    def test_averaging(self):
-        A = symmetrize([[1.0, 2.0000001], [2.0, 1.0]], symmetry_tol=1e-6)
+    def test_averaging(self, monkeypatch):
+        monkeypatch.setattr(matrix_mod, "_SYMMETRY_RTOL", 1e-6)
+        A = symmetrize([[1.0, 2.0000001], [2.0, 1.0]])
         np.testing.assert_allclose(A.entries, [[1.0, 2.00000005], [2.00000005, 1.0]], rtol=0, atol=1e-15)
 
     def test_violation_raises_with_offending_pair(self):
         with pytest.raises(AsymmetryExceedsTolerance) as info:
-            symmetrize([[0.0, 1.0], [5.0, 0.0]], symmetry_tol=1e-6)
+            symmetrize([[0.0, 1.0], [5.0, 0.0]])
         assert {info.value.i, info.value.j} == {0, 1}
         assert info.value.delta == pytest.approx(4.0)
+        assert info.value.tol == matrix_mod._SYMMETRY_RTOL * 5.0  # the tolerance applied
 
     def test_not_square(self):
         with pytest.raises(NotSquare):
@@ -68,21 +72,24 @@ class TestSymmetrize:
         raw[0, -1], raw[-1, 0] = -0.0, 0.0  # the average of +0 and -0 is +0
         raw[n // 2, n // 2] = -0.0
         expected = (raw + raw.T) / 2.0
-        A = symmetrize(raw, symmetry_tol=1e-8)
+        A = symmetrize(raw)
         assert A.entries.tobytes() == expected.tobytes()
         assert A.entries.flags.c_contiguous
         assert raw[n // 2, n // 2] == 0.0 and np.signbit(raw[n // 2, n // 2])  # input untouched
 
     @pytest.mark.parametrize("n", [127, 128, 129, 300])
-    def test_tolerance_boundary_in_last_column(self, n):
+    def test_tolerance_boundary_in_last_column(self, monkeypatch, n):
         # row 0 starts the first tile row, 127 ends it, n - 2 lies in the last one
         for i in sorted({0, min(127, n - 2), n - 2}):
-            raw = np.zeros((n, n))
+            raw = np.eye(n)  # largest |entry| 1, so the tolerance is _SYMMETRY_RTOL
             raw[n - 1, i] = 2.0**-20  # an exact gap of 2^-20
-            symmetrize(raw, symmetry_tol=2.0**-20)  # a gap equal to the tolerance passes
+            monkeypatch.setattr(matrix_mod, "_SYMMETRY_RTOL", 2.0**-20)
+            symmetrize(raw)  # a gap equal to the tolerance passes
+            monkeypatch.setattr(matrix_mod, "_SYMMETRY_RTOL", 2.0**-21)
             with pytest.raises(AsymmetryExceedsTolerance) as info:
-                symmetrize(raw, symmetry_tol=2.0**-21)
+                symmetrize(raw)
             assert (info.value.i, info.value.j, info.value.delta) == (i, n - 1, 2.0**-20)
+            assert info.value.tol == 2.0**-21
 
     @pytest.mark.parametrize(
         "n, pairs, expected",
@@ -102,8 +109,45 @@ class TestSymmetrize:
         for i, j in pairs:
             raw[i, j] += 3.0
         with pytest.raises(AsymmetryExceedsTolerance) as info:
-            symmetrize(raw, symmetry_tol=1.0)
+            symmetrize(raw)
         assert (info.value.i, info.value.j, info.value.delta) == (*expected, 3.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.25, 0.5, 0.99, 1.0, 1.01, 2.0, 4.0]),
+    )
+    def test_verdict_does_not_depend_on_scale(self, n, seed, rel):
+        # A near-symmetric input with one pair apart by rel * _SYMMETRY_RTOL
+        # of its largest entry: scaling by 2^j changes no verdict, and a
+        # rejection names the same pair with delta and tol scaled by 2^j.
+        rng = np.random.Generator(np.random.Philox(seed))
+        raw = rng.standard_normal((n, n))
+        raw = raw + raw.T
+        raw[0, -1] += rel * matrix_mod._SYMMETRY_RTOL * np.abs(raw).max()
+
+        def verdict(scale):
+            try:
+                symmetrize(scale * raw)
+            except AsymmetryExceedsTolerance as exc:
+                return exc.i, exc.j, exc.delta / scale, exc.tol / scale
+            return None
+
+        expected = verdict(1.0)
+        if rel <= 0.5 or n == 1:
+            assert expected is None
+        elif rel >= 2.0:
+            assert expected is not None
+        for j in range(-60, 61):
+            assert verdict(2.0**j) == expected
+
+    def test_rejects_large_relative_gap_at_tiny_scale(self):
+        raw = 1e-9 * np.eye(3)
+        raw[0, 1] = 5e-9  # mirrored entries differ by 5x the diagonal
+        with pytest.raises(AsymmetryExceedsTolerance) as info:
+            symmetrize(raw)
+        assert (info.value.i, info.value.j, info.value.delta) == (0, 1, 5e-9)
 
 
 class TestEigenPairs:
@@ -286,10 +330,10 @@ class TestLargeMatrixPsdCheck:
     def test_slack_scales_with_norm(self):
         for scale in (1e-6, 1e6):
             values = scale * spectrum_with_min(-0.5 * PSD_SLACK)
-            ensure_psd(symmetrize(with_spectrum(values), symmetry_tol=1e-8 * scale))
+            ensure_psd(symmetrize(with_spectrum(values)))
             with pytest.raises(NotPSD):
                 values = scale * spectrum_with_min(-2.0 * PSD_SLACK)
-                ensure_psd(symmetrize(with_spectrum(values), symmetry_tol=1e-8 * scale))
+                ensure_psd(symmetrize(with_spectrum(values)))
 
     def test_zero_matrix_passes_without_arpack(self, monkeypatch, spies):
         import scipy.sparse.linalg

@@ -71,7 +71,7 @@ def _admm_inputs(n, k, iters, seed):
     psd_inputs, l1_inputs = [], []
     psd, l1 = sdp_mod.project_psd_trace_ball, sdp_mod.project_l1_ball_matrix
 
-    def record_psd(M, rank=None):
+    def record_psd(M, rank):
         psd_inputs.append((M.copy(), rank))
         return psd(M, rank)
 
@@ -105,28 +105,28 @@ _symmetric_inputs = st.builds(
 class TestPsdTraceBallProjection:
     def test_interior_point_unchanged(self):
         M = np.diag([0.3, 0.2])
-        np.testing.assert_allclose(project_psd_trace_ball(M), M, atol=1e-12)
+        np.testing.assert_allclose(project_psd_trace_ball(M)[0], M, atol=1e-12)
 
     def test_clip_then_rescale(self):
         np.testing.assert_allclose(
-            project_psd_trace_ball(np.diag([2.0, -1.0])), np.diag([1.0, 0.0]), atol=1e-12
+            project_psd_trace_ball(np.diag([2.0, -1.0]))[0], np.diag([1.0, 0.0]), atol=1e-12
         )
 
     def test_matches_independent_convex_solver(self):
         M = _seeded_symmetric(5, 999)
         np.testing.assert_allclose(
-            project_psd_trace_ball(M), _PSD_PROJECTION_EXPECTED, atol=1e-6, rtol=0
+            project_psd_trace_ball(M)[0], _PSD_PROJECTION_EXPECTED, atol=1e-6, rtol=0
         )
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_output_always_feasible_and_idempotent(self, seed):
         M = _seeded_symmetric(4, seed)
-        P = project_psd_trace_ball(M)
+        P, _ = project_psd_trace_ball(M)
         w = np.linalg.eigvalsh(P)
         assert w[0] >= -1e-12
         assert np.trace(P) <= 1.0 + 1e-12
-        np.testing.assert_allclose(project_psd_trace_ball(P), P, atol=1e-10)
+        np.testing.assert_allclose(project_psd_trace_ball(P)[0], P, atol=1e-10)
 
     @given(_symmetric_inputs, st.integers(0, 40))
     @settings(max_examples=150, deadline=None)
@@ -134,7 +134,7 @@ class TestPsdTraceBallProjection:
         expected = psd_trace_ball_projection_full(M)
         got, _ = project_psd_trace_ball(M, rank)
         np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(project_psd_trace_ball(M), expected, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(project_psd_trace_ball(M)[0], expected, atol=1e-12, rtol=0)
 
     def test_matches_reference_on_admm_states(self):
         psd_inputs, _ = _admm_inputs(128, 8, 40, seed=61)
@@ -568,11 +568,13 @@ class TestThresholdCertificate:
         x = spca_svd(A, 8, sparsity=8).to_dense()
         objective = float(x @ A.entries @ x)
         calls = count_calls(monkeypatch, sdp_mod, "_top_eigenpair")
-        t = sdp_mod._clip_threshold(A.entries, 8, objective, 1e-4)
+        t, bound = sdp_mod._clip_threshold(A.entries, 8, objective, 1e-4)
         assert 0 < len(calls) < sdp_mod._CLIP_SEARCH_STEPS
         W = np.clip(A.entries, -t, t)
-        _, _, bound = sdp_mod._certificate(A.entries, np.outer(x, x), 1.0, W, 8)
-        assert bound - objective <= 1e-4 * bound
+        _, _, full_bound = sdp_mod._certificate(A.entries, np.outer(x, x), 1.0, W, 8)
+        assert full_bound - objective <= 1e-4 * full_bound
+        # the bound the search found on the nonzero rows is the full matrix's
+        assert bound == pytest.approx(full_bound, rel=1e-14, abs=0)
 
 
 class TestRounding:
@@ -581,7 +583,7 @@ class TestRounding:
         A[0, 0] = 1.0
         sol = solve_sdp_relaxation(symmetrize(A), 1)
         diag = rank_one_diagnostics(sol)
-        z = round_sdp_solution(sol, 1)
+        z = round_sdp_solution(sol, 1, diag)
         np.testing.assert_allclose(z.to_dense(), [1.0, 0.0, 0.0, 0.0], atol=1e-4)
         assert diag.alpha == pytest.approx(1.0, abs=1e-6)
         assert diag.beta == pytest.approx(1.0, abs=1e-4)
@@ -597,7 +599,7 @@ class TestRounding:
             dual_bound=1.0,
         )
         diag = rank_one_diagnostics(sol)
-        z = round_sdp_solution(sol, 1)
+        z = round_sdp_solution(sol, 1, diag)
         np.testing.assert_allclose(z.to_dense(), [np.sqrt(0.6), 0.0], atol=1e-12)
         assert diag.beta == pytest.approx(0.6)
         assert z.norm_le_one and z.norm == pytest.approx(np.sqrt(0.6))
@@ -613,7 +615,7 @@ class TestRounding:
             dual_bound=0.0,
         )
         with pytest.raises(DegenerateSolution):
-            round_sdp_solution(sol, 1)
+            round_sdp_solution(sol, 1, rank_one_diagnostics(sol))
 
     def test_hand_built_solution_gives_identical_diagnostics(self):
         # Diagnostics depend on Z alone: a solution rebuilt from the solver's
@@ -647,7 +649,7 @@ class TestRounding:
         u = diag.top_eigenvector
         prev = np.inf
         for s in range(1, 10):
-            z = round_sdp_solution(sol, s)
+            z = round_sdp_solution(sol, s, diag)
             dist = np.linalg.norm(u - z.to_dense())
             assert dist <= prev + 1e-12
             prev = dist
@@ -656,7 +658,7 @@ class TestRounding:
         A = random_psd(8, 91)
         sol = solve_sdp_relaxation(A, 3)
         diag = rank_one_diagnostics(sol)
-        z = round_sdp_solution(sol, 4)
+        z = round_sdp_solution(sol, 4, diag)
         order = np.argsort(-np.abs(diag.top_eigenvector), kind="stable")[:4]
         assert sorted(order.tolist()) == list(z.support)
 
