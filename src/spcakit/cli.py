@@ -327,7 +327,7 @@ def _add_admm_arguments(sub):
                      help="starting ADMM penalty, absolute; default: the top eigenvalue of the input")
     sub.add_argument("--max-iters", type=int, default=50_000)
     sub.add_argument("--gap-tol", type=float, default=1e-4,
-                     help="stop once the certified duality gap is at most this share of the bound")
+                     help="stop once the certified duality gap is at most this share of the bound, in (0, 1)")
 
 
 def _add_svd_arguments(sub):

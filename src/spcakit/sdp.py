@@ -11,10 +11,12 @@ instead of a full sort. The solver stops on a certified duality gap: the
 scaled dual variable gives an upper bound on the relaxation's optimum
 (d'Aspremont, El Ghaoui, Jordan & Lanckriet, SIAM Review 2007), and a
 rescaled Z iterate is a feasible point whose objective is within a relative
-``gap_tol`` of it. Before the first iteration the same test is applied to
-the thresholding solution x, as the feasible point ``x x^T``, and the
-structured dual ``clip(A, -t, t)``; when they already close the gap, no
-iteration runs. Rounding takes the best rank-1 factor u of the solution
+``gap_tol`` of it; the gap is checked on a cadence that widens as the
+iterations grow. Before the first iteration the same test is applied to the
+thresholding solution x, as the feasible point ``x x^T``, and the structured
+dual ``clip(A, -t, t)``; when they already close the gap, no iteration runs.
+One Rayleigh step from x skips that search when it proves that no dual bound
+can close the gap. Rounding takes the best rank-1 factor u of the solution
 and keeps its ``s`` largest-magnitude coordinates, giving a vector with norm
 at most one and a certified objective floor
 ``(1/alpha) * trace(A Z) - epsilon``.
@@ -43,9 +45,6 @@ _RHO_ADAPT_BUDGET = 30
 # Statistical Learning via ADMM*, 2011, section 3.4.3): the l1 step and the
 # dual update see 1.6 Z + (1 - 1.6) Y_prev in place of Z.
 _OVER_RELAXATION = 1.6
-# The duality gap costs a top-eigenvalue solve, so it is checked on a cadence
-# (and at max_iters), not every iteration.
-_GAP_CHECK_EVERY = 25
 # Bisection steps of the threshold search for the structured dual
 # clip(A, -t, t) (_clip_threshold), each one top eigenpair of the rows the
 # threshold leaves nonzero. On 210 sdp-spiked-style inputs (n = 128, gen seeds
@@ -53,9 +52,14 @@ _GAP_CHECK_EVERY = 25
 # of 12 left one of the 27 inputs of seeds 0-8 uncertified. Medians with one
 # BLAS thread at n = 128, search plus final certificate: 1.7-2.0 ms; a golden
 # section on the same rows, stopped once certified, 2.3-3.4 ms; a 20-step
-# golden section on the full matrix, 11.6 ms. On 20 x 20 Wishart inputs,
-# which do not certify, the 16 steps cost 0.6-1.1 ms per solve.
+# golden section on the full matrix, 11.6 ms. Inputs whose search cannot
+# certify skip it (_clip_cannot_certify); on the 20 x 20 Wishart inputs of
+# oracle-small, every one of them.
 _CLIP_SEARCH_STEPS = 16
+# The skip rule compares a Rayleigh quotient with the thresholding objective.
+# Both, and every dual bound, carry rounding errors of a few ulps of
+# lambda_max(A) times n; the rule asks for a margin far above that.
+_SKIP_MARGIN = 1e-9
 
 # The PSD projection computes only the top r + 1 eigenpairs while
 # r + 1 <= max(2, n // _PARTIAL_EIG_DIVISOR), and all n otherwise. Measured
@@ -84,8 +88,9 @@ class AdmmConfig:
     the other, within a factor ``_RHO_RANGE`` of the start. The dual residual
     is measured in units of the starting penalty, so scaling A by a power of
     two (and an explicit ``rho`` with it) scales the objective and the bound
-    by it and leaves every iterate unchanged. ``gap_tol`` must be finite and
-    positive, and ``max_iters`` an integer of at least 1.
+    by it and leaves every iterate unchanged. ``gap_tol`` must be finite,
+    positive and below 1: a relative gap of 1 or more would certify any
+    nonnegative objective. ``max_iters`` must be an integer of at least 1.
     """
 
     rho: float | None = None
@@ -97,6 +102,8 @@ class AdmmConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not self.gap_tol < 1.0:
+            raise ValueError(f"gap_tol must be below 1, got {self.gap_tol}")
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
 
@@ -170,9 +177,23 @@ def _simplex_threshold(values, radius, total):
 
 
 def _trace_ball_threshold(w):
-    """Eigenvalue shift of the PSD trace-ball projection: 0 inside the ball."""
-    positive = np.maximum(w, 0.0).sum()
-    return _simplex_threshold(w, 1.0, w.sum()) if positive > 1.0 else 0.0
+    """Eigenvalue shift of the PSD trace-ball projection: 0 inside the ball.
+
+    ``w`` is ascending, as LAPACK returns it, so one pass from the top finds
+    the simplex threshold of the sorted values: a value is kept while it
+    exceeds the threshold of the values above it, and the first one that
+    does not ends the pass. The threshold is held at zero or above, which
+    stops the pass at the first nonpositive value when the positive ones sum
+    to at most one.
+    """
+    theta, total, count = 0.0, 0.0, 0
+    for value in reversed(w.tolist()):
+        if value <= theta:
+            break
+        total += value
+        count += 1
+        theta = max((total - 1.0) / count, 0.0)
+    return theta
 
 
 def _check_lapack(info, routine):
@@ -311,7 +332,8 @@ def _clip_threshold(C, k, objective, gap_tol):
     bisects ``[0, max |C_ij|]`` on the sign of ``g'`` for
     ``_CLIP_SEARCH_STEPS`` steps, stops early once ``g(t)`` is within a
     relative ``gap_tol`` of ``objective``, and returns the best t it saw
-    with its bound ``g(t)``.
+    with its bound ``g(t)``. :func:`solve_sdp_relaxation` calls it only when
+    :func:`_clip_cannot_certify` does not rule every t out.
     """
     lo, hi = 0.0, float(np.abs(C).max())
     best_t, best = hi, k * hi
@@ -333,6 +355,39 @@ def _clip_threshold(C, k, objective, gap_tol):
     return best_t, best
 
 
+def _clip_cannot_certify(C, x, keep, objective, lam, gap_tol):
+    """True when no dual bound can certify ``objective`` within ``gap_tol``.
+
+    One Rayleigh step on x's support S gives ``y = C[S, S] x_S / ||C[S, S]
+    x_S||``, a unit k-sparse vector, so ``||y||_1^2 <= k`` and ``y y^T`` is
+    feasible. Every dual bound is then at least ``y'Cy``, and the gap test
+    ``bound * (1 - gap_tol) <= objective`` fails for every bound once
+    ``y'Cy * (1 - gap_tol)`` exceeds ``objective`` by more than
+    ``_SKIP_MARGIN * lam``, a margin for rounding, with ``lam =
+    lambda_max(C)``. It costs two k x k products and no eigensolve.
+    """
+    block = C[np.ix_(keep, keep)]
+    step = block @ x[keep]
+    norm_sq = float(step @ step)
+    if norm_sq == 0.0:
+        return False
+    lower = float(step @ block @ step) / norm_sq
+    return lower * (1.0 - gap_tol) - objective > _SKIP_MARGIN * lam
+
+
+def _gap_check_every(iteration):
+    """Iterations between duality-gap checks around ``iteration``: 5 up to
+    iteration 199, then 5 more per hundred iterations, up to 25 from 500 on.
+
+    A check costs about 0.2-0.3 of an iteration (37 us against 160 us at
+    n = 20, 464 us against 1.3-2.1 ms at n = 128), so the interval that
+    balances checks against overshoot, about sqrt(2 * ratio * iterations),
+    grows with the iteration count rather than with n. It is an integer rule,
+    so the check points, and the reports, stay deterministic.
+    """
+    return 5 * min(5, max(1, iteration // 100))
+
+
 def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = None) -> SdpSolution:
     """ADMM solve of max trace(A Z) s.t. Z PSD, trace(Z) <= 1, ||Z||_1 <= k.
 
@@ -347,7 +402,10 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     When they already meet the gap test below, the solve returns the scaled
     ``x x^T`` with ``iterations_used=0`` and ``converged=True``. Otherwise
     ADMM starts from zero, as if the check had not run; continuing from that
-    point was measured slower on the inputs that do not certify.
+    point was measured slower on the inputs that do not certify. The search
+    is skipped when one Rayleigh step from x proves that no t can certify
+    (:func:`_clip_cannot_certify`); the skip never drops a certificate, so it
+    changes no result.
 
     The loop starts at ``rho = cfg.rho``, or at ``lambda_max(A)`` when that
     is None (1.0 for the zero matrix, which certifies before the loop). That
@@ -355,9 +413,10 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     costs no eigensolve and makes the loop scale-free: scaling A by a power
     of two changes no iterate.
 
-    Every ``_GAP_CHECK_EVERY`` iterations, and at ``max_iters``, the PSD
-    iterate is scaled to a feasible point and the scaled dual ``rho * U``
-    gives an upper bound on the optimum (:func:`_certificate`). The solve
+    At every multiple of :func:`_gap_check_every` (5 early on, widening to
+    25 from iteration 500), and at ``max_iters``, the PSD iterate is scaled
+    to a feasible point and the scaled dual ``rho * U`` gives an upper bound
+    on the optimum (:func:`_certificate`). The solve
     stops with ``converged=True`` once ``dual_bound - objective <= gap_tol *
     dual_bound``, or at ``max_iters`` with ``converged=False`` (not an
     error). Either way the reported ``Z`` is the last feasible point and
@@ -383,9 +442,10 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     x[keep] = v[keep] / math.sqrt(v[keep] @ v[keep])
     scale = min(1.0, k / float(np.abs(x).sum()) ** 2)
     objective = scale * float(x @ C @ x)
-    _, dual_bound = _clip_threshold(C, k, objective, cfg.gap_tol)
-    if dual_bound - objective <= cfg.gap_tol * dual_bound:
-        return SdpSolution(A, scale * np.outer(x, x), objective, 0, True, dual_bound)
+    if not _clip_cannot_certify(C, x, keep, objective, lam, cfg.gap_tol):
+        _, dual_bound = _clip_threshold(C, k, objective, cfg.gap_tol)
+        if dual_bound - objective <= cfg.gap_tol * dual_bound:
+            return SdpSolution(A, scale * np.outer(x, x), objective, 0, True, dual_bound)
 
     rho0 = cfg.rho if cfg.rho is not None else (lam if lam > 0.0 else 1.0)
     rho = rho0
@@ -403,7 +463,7 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
         Y_prev = Y
         Y = project_l1_ball_matrix(U, float(k))
         U -= Y
-        if iterations % _GAP_CHECK_EVERY == 0 or iterations == cfg.max_iters:
+        if iterations % _gap_check_every(iterations) == 0 or iterations == cfg.max_iters:
             scale, objective, dual_bound = _certificate(C, Z, rho, U, k)
             if dual_bound - objective <= cfg.gap_tol * dual_bound:
                 converged = True

@@ -116,6 +116,18 @@ class TestSolveCommand:
         assert err["code"] == "ValueError"
         assert flag[2:].replace("-", "_") in err["message"]
 
+    @pytest.mark.parametrize("value", ["1", "2.5"])
+    def test_gap_tol_of_one_or_more_exits_2(self, capsys, value):
+        # A relative gap of 1 or more would certify any nonnegative objective.
+        code = _run([
+            "solve", *PITPROPS, "--algo", "sdp", "--k", "7", "--sparsity", "7",
+            "--gap-tol", value,
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "ValueError"
+        assert err["message"] == f"gap_tol must be below 1, got {float(value)}"
+
     def test_no_adaptive_rho_flag_is_rejected(self, capsys):
         # Residual balancing always runs; the switch is gone.
         code = _run(["solve", *PITPROPS, "--algo", "sdp", "--k", "7", "--sparsity", "7",

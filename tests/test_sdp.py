@@ -185,6 +185,28 @@ class TestPsdTraceBallProjection:
             assert kept == 0
             np.testing.assert_array_equal(got, np.zeros((n, n)))
 
+    @given(st.integers(1, 40), st.integers(0, 2**31 - 1), st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_threshold_matches_filter_iteration(self, n, seed, scale):
+        # The one-pass threshold on an ascending spectrum against the filter
+        # iteration on the same values; inside the ball both are 0.
+        rng = np.random.Generator(np.random.Philox(seed))
+        w = np.sort(scale * rng.standard_normal(n) + rng.uniform(-scale, scale))
+        got = sdp_mod._trace_ball_threshold(w)
+        positive = np.maximum(w, 0.0).sum()
+        if positive <= 1.0:
+            assert got == 0.0
+        else:
+            want = sdp_mod._simplex_threshold(w, 1.0, w.sum())
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+            assert np.maximum(w - got, 0.0).sum() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "w", [[], [-1.0], [0.0, 0.0], [0.3, 0.2], [-2.0, 0.5, 0.5], [0.0, 1.0], [-1.0, 0.25, 0.25, 0.5]]
+    )
+    def test_threshold_is_zero_inside_the_ball(self, w):
+        assert sdp_mod._trace_ball_threshold(np.array(w, dtype=float)) == 0.0
+
 
 class TestL1BallProjection:
     def test_inside_ball_unchanged(self):
@@ -297,7 +319,9 @@ class TestSolveRelaxation:
         counts = []
         for iters in (5, 50):
             before = {name: len(calls) for name, calls in spies.items()}
-            cfg = AdmmConfig(rho=1.0, max_iters=iters)
+            # A tiny gap_tol keeps both solves unconverged, so the longer one
+            # runs all of its iterations and gap checks.
+            cfg = AdmmConfig(rho=1.0, max_iters=iters, gap_tol=1e-12)
             sol = solve_sdp_relaxation(random_psd(20, 44), 3, cfg)
             assert sol.iterations_used == iters
             counts.append({name: len(calls) - before[name] for name, calls in spies.items()})
@@ -407,7 +431,13 @@ class TestDualityGap:
         assert sol.converged
         assert 0.0 <= sol.solver_gap <= gap_tol * sol.dual_bound
         assert sol.iterations_used > 0
-        assert sol.iterations_used % sdp_mod._GAP_CHECK_EVERY == 0
+        assert sol.iterations_used % sdp_mod._gap_check_every(sol.iterations_used) == 0
+
+    def test_gap_check_interval_widens_from_5_to_25(self):
+        intervals = [sdp_mod._gap_check_every(i) for i in range(1, 2001)]
+        assert all(isinstance(every, int) and 5 <= every <= 25 for every in intervals)
+        assert all(a <= b for a, b in zip(intervals, intervals[1:]))
+        assert intervals[0] == 5 and intervals[-1] == 25
 
     def test_tighter_tolerance_costs_iterations(self):
         loose = solve_sdp_relaxation(pit_props(), 7, AdmmConfig(gap_tol=1e-2))
@@ -427,6 +457,13 @@ class TestDualityGap:
         # non-finite rho fails inside LAPACK.
         with pytest.raises(ValueError, match=field):
             AdmmConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, 1e300])
+    def test_config_rejects_gap_tol_of_one_or_more(self, value):
+        # A relative gap of 1 certifies any nonnegative objective, and it
+        # makes the skip rule's factor (1 - gap_tol) nonpositive.
+        with pytest.raises(ValueError, match="gap_tol must be below 1"):
+            AdmmConfig(gap_tol=value)
 
     @pytest.mark.parametrize("max_iters", [2.5, 3.0, 0, -1, "3"])
     def test_config_rejects_non_integer_max_iters(self, max_iters):
@@ -513,9 +550,9 @@ class TestThresholdCertificate:
         # objective are those of the loop without the check, started at the
         # absolute rho = 1.
         sol = solve_sdp_relaxation(pit_props(), 7, AdmmConfig(rho=1.0))
-        assert sol.iterations_used == 75
-        assert sol.objective == 4.031470911063948
-        assert sol.dual_bound == 4.031614079142497
+        assert sol.iterations_used == 70
+        assert sol.objective == 4.0313944484480935
+        assert sol.dual_bound == 4.031614624759552
 
     def test_tiny_one_by_one_certifies(self):
         # With rho = 1 this input ran all 50 000 iterations uncertified.
@@ -575,6 +612,53 @@ class TestThresholdCertificate:
         assert full_bound - objective <= 1e-4 * full_bound
         # the bound the search found on the nonzero rows is the full matrix's
         assert bound == pytest.approx(full_bound, rel=1e-14, abs=0)
+
+    @given(st.integers(1, 12), st.integers(0, 2**31 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(max_examples=40, deadline=None)
+    def test_skipped_search_could_not_certify(self, n, seed, scale):
+        # Whenever the Rayleigh step skips the clip search, the search run
+        # anyway returns a bound that fails the gap test. Scaling A by a
+        # power of two changes no skip decision.
+        A = random_psd(n, seed, scale=scale)
+        gap_tol = AdmmConfig().gap_tol
+        decisions = []
+        rule = sdp_mod._clip_cannot_certify
+
+        def record(C, x, keep, objective, lam, tol):
+            skip = rule(C, x, keep, objective, lam, tol)
+            decisions.append((skip, objective))
+            return skip
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdp_mod, "_clip_cannot_certify", record)
+            for entries in (A.entries, A.entries * 2.0**-7):
+                for k in range(1, n + 1):
+                    solve_sdp_relaxation(symmetrize(entries), k, AdmmConfig(max_iters=1))
+        assert [skip for skip, _ in decisions[:n]] == [skip for skip, _ in decisions[n:]]
+        for k, (skip, objective) in enumerate(decisions[:n], start=1):
+            if skip:
+                _, bound = sdp_mod._clip_threshold(A.entries, k, objective, gap_tol)
+                assert bound - objective > gap_tol * bound, k
+
+    def test_spiked_inputs_still_certify(self):
+        # The skip never fires where the search certifies: 30 gen-synthetic
+        # datasets at the sdp-spiked sizes all certify with no iteration.
+        for seed in range(30):
+            A = _spiked_second_moment(seed)
+            for k in (8, 16, 32):
+                assert solve_sdp_relaxation(A, k).iterations_used == 0, (seed, k)
+
+    def test_wishart_family_skips_every_search(self, monkeypatch):
+        # The 20 x 20 Wishart inputs of the oracle-small benchmark, before its
+        # relabelling: the thresholding objective is too far below a
+        # Rayleigh step from it for any dual bound to certify it.
+        calls = count_calls(monkeypatch, sdp_mod, "_clip_threshold")
+        for index in range(8):
+            g = np.random.default_rng([0, index]).standard_normal((20, 20))
+            A = symmetrize(g @ g.T / 20)
+            for k in (3, 4, 5, 6):
+                assert solve_sdp_relaxation(A, k, AdmmConfig(max_iters=1)).iterations_used == 1
+        assert calls == []
 
 
 class TestRounding:
