@@ -6,12 +6,14 @@ The conventions fixed here keep all downstream output deterministic:
 * every eigenvector is scaled so that its largest-magnitude coordinate is
   positive, ties resolved toward the lowest index;
 * randomized paths draw from a counter-based Philox generator, so identical
-  seeds give bit-identical results.
+  seeds give bit-identical results;
+* every dense symmetric eigensolve but the oracle's batched ``eigvalsh`` goes
+  through :func:`_symmetric_eigh`, SciPy's LAPACK on the lower triangle.
 
 PSD validation and the spectral norm read the full decomposition only for
 small matrices or when it is already cached; larger matrices are checked by a
 Lanczos norm and one shifted Cholesky factorization, so the block Krylov
-solver never pays for a dense ``eigh``.
+solver never pays for a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -52,6 +54,18 @@ _DENSE_CHECK_MAX_N = 256
 # the whole-array expressions 0.13 s.
 _TILE = 128
 
+# _symmetric_eigh computes only the top m eigenpairs asked for while m < n and
+# m <= max(2, n // _PARTIAL_EIG_DIVISOR), and all n otherwise. Measured with
+# one BLAS thread, microseconds per call, top-m dsyevr against a full dsyevd
+# (np.linalg.eigh in parentheses):
+#   n =  20, m = 1/2/4/8:         19 / 24 / 36 / 69 against 45 (56)
+#   n =  64, m = 1/2/4/8/16:      137 / 178 / 254 / 383 / 637 against 461 (431)
+#   n = 128, m = 1/2/4/8/16/32:   464 / 531 / 601 / 1015 / 1720 / 2872 against 1554 (1635)
+#   n = 256, m = 1/2/4/8/16/32:   2619 / 2802 / 3021 / 3513 / 4154 / 6548 against 7792 (8726)
+# At n // 16 a partial call costs at most about two thirds of a full one, which
+# leaves room for the PSD projection's failed certificates that pay for both.
+_PARTIAL_EIG_DIVISOR = 16
+
 
 def _fix_signs(vectors):
     """Flip column signs so the largest-|entry| coordinate is positive.
@@ -63,6 +77,34 @@ def _fix_signs(vectors):
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     return vectors * signs
+
+
+def _symmetric_eigh(M, top=None, vectors=True):
+    """Ascending eigenvalues of symmetric ``M`` and, if ``vectors``, their
+    eigenvectors (else None), from SciPy's LAPACK on the lower triangle.
+
+    The full ``dsyevd`` call reads the triangle ``np.linalg.eigh`` reads and,
+    on the builds tested, matches it bit for bit. With ``top``, the ``top``
+    largest pairs come from ``dsyevr``'s index range when ``top < n`` and
+    ``top <= max(2, n // _PARTIAL_EIG_DIVISOR)``; otherwise, or when
+    ``dsyevr`` fails or finds fewer pairs (m = 0 on an exactly repeated or a
+    tightly clustered top eigenvalue), all n are returned. Raises
+    :class:`ConvergenceFailure` when ``dsyevd`` fails.
+    """
+    # Imported on first use, like dpotrf below.
+    from scipy.linalg import lapack
+
+    n = M.shape[0]
+    if top is not None and top < n and top <= max(2, n // _PARTIAL_EIG_DIVISOR):
+        w, v, m, _, info = lapack.dsyevr(
+            M, compute_v=int(vectors), range="I", il=n - top + 1, iu=n, lower=1
+        )
+        if info == 0 and m == top:
+            return w[:m], v if vectors else None
+    w, v, info = lapack.dsyevd(M, compute_v=int(vectors), lower=1)
+    if info != 0:
+        raise ConvergenceFailure(f"LAPACK dsyevd failed with info={info}")
+    return w, v if vectors else None
 
 
 def _symmetrize_tiles(arr):
@@ -144,10 +186,10 @@ class EigenPairs:
     ``values`` is sorted descending and ``vectors`` holds the matching
     orthonormal columns. Pairs built by a caller, and by the block Krylov
     path, are checked for both. Pairs that :func:`eigendecompose` takes from
-    LAPACK's ``eigh``, and their truncations, skip the orthonormality check:
-    LAPACK returns columns orthonormal to working precision, and the check's
-    l x l Gram product cost about 0.2 s on top of a 1.8 s ``eigh`` at n = 2048
-    with one BLAS thread.
+    LAPACK, and their truncations, skip the orthonormality check: LAPACK
+    returns columns orthonormal to working precision, and the check's l x l
+    Gram product cost about 0.2 s on top of a 1.8 s ``eigh`` at n = 2048 with
+    one BLAS thread.
     """
 
     values: np.ndarray
@@ -204,10 +246,7 @@ def eigendecompose(A: SymmetricMatrix) -> EigenPairs:
     """
     if A._eig is not None:
         return A._eig
-    try:
-        w, v = np.linalg.eigh(A.entries)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
+    w, v = _symmetric_eigh(A.entries)
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = _fix_signs(v[:, order])
@@ -259,10 +298,7 @@ def top_l_eigenpairs(
     basis, _ = np.linalg.qr(np.hstack(blocks))
     small = basis.T @ A.entries @ basis
     small = (small + small.T) / 2.0
-    try:
-        w, s = np.linalg.eigh(small)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"Rayleigh-Ritz eigensolver failed: {exc}") from exc
+    w, s = _symmetric_eigh(small)
     order = np.argsort(-w, kind="stable")[:l]
     values = np.maximum(w[order], 0.0)
     vectors = _fix_signs(basis @ s[:, order])
@@ -342,7 +378,7 @@ def ensure_psd(A: SymmetricMatrix) -> None:
         if norm == 0.0 or _shifted_cholesky_succeeds(A.entries, PSD_SLACK * norm):
             A._psd = True
             return
-        values = np.linalg.eigvalsh(A.entries)
+        values, _ = _symmetric_eigh(A.entries, vectors=False)
     lam_min = float(values.min())
     norm = float(np.abs(values).max())
     if lam_min < -PSD_SLACK * max(norm, 1e-300):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationBudgetExceeded, InvalidSupport
-from .matrix import SymmetricMatrix, _fix_signs, ensure_psd
+from .matrix import SymmetricMatrix, _fix_signs, _symmetric_eigh, ensure_psd
 from .svd_threshold import SparseUnitVector, _check_count
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
@@ -81,7 +81,7 @@ def restricted_top_eigenpair(A: SymmetricMatrix, support):
     if idx[0] < 0 or idx[-1] >= A.n:
         raise InvalidSupport(f"support indices outside [0, {A.n})")
     sub = A.entries[np.ix_(idx, idx)]
-    w, v = np.linalg.eigh(sub)
+    w, v = _symmetric_eigh(sub)
     vec = _fix_signs(v[:, -1:])[:, 0]
     return float(w[-1]), vec
 

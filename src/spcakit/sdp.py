@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateSolution, InvariantViolation
-from .matrix import SymmetricMatrix, _fix_signs, ensure_psd
+from .errors import DegenerateSolution, InvariantViolation
+from .matrix import SymmetricMatrix, _fix_signs, _symmetric_eigh, ensure_psd
 from .oracle import restricted_top_eigenpair
 from .svd_threshold import SparseUnitVector, _check_count, _check_sizing, _top_indices
 
@@ -60,18 +60,6 @@ _CLIP_SEARCH_STEPS = 16
 # Both, and every dual bound, carry rounding errors of a few ulps of
 # lambda_max(A) times n; the rule asks for a margin far above that.
 _SKIP_MARGIN = 1e-9
-
-# The PSD projection computes only the top r + 1 eigenpairs while
-# r + 1 <= max(2, n // _PARTIAL_EIG_DIVISOR), and all n otherwise. Measured
-# with one BLAS thread, microseconds per call, top-m dsyevr against a full
-# dsyevd (np.linalg.eigh in parentheses):
-#   n =  20, m = 1/2/4/8:         19 / 24 / 36 / 69 against 45 (56)
-#   n =  64, m = 1/2/4/8/16:      137 / 178 / 254 / 383 / 637 against 461 (431)
-#   n = 128, m = 1/2/4/8/16/32:   464 / 531 / 601 / 1015 / 1720 / 2872 against 1554 (1635)
-#   n = 256, m = 1/2/4/8/16/32:   2619 / 2802 / 3021 / 3513 / 4154 / 6548 against 7792 (8726)
-# At n // 16 a partial call costs at most about two thirds of a full one, which
-# leaves room for the failed certificates that pay for both.
-_PARTIAL_EIG_DIVISOR = 16
 
 
 @dataclass(frozen=True)
@@ -185,6 +173,11 @@ def _trace_ball_threshold(w):
     does not ends the pass. The threshold is held at zero or above, which
     stops the pass at the first nonpositive value when the positive ones sum
     to at most one.
+
+    The pass's running sum only picks the kept values; theta is then taken
+    from NumPy's sum of them, the sum :func:`_simplex_threshold` takes, so
+    the two agree bit for bit rather than to a rounding error that, after
+    the cancellation in ``total - 1``, can be large relative to theta.
     """
     theta, total, count = 0.0, 0.0, 0
     for value in reversed(w.tolist()):
@@ -193,12 +186,9 @@ def _trace_ball_threshold(w):
         total += value
         count += 1
         theta = max((total - 1.0) / count, 0.0)
+    if theta > 0.0:
+        theta = max((float(w[w.size - count :].sum()) - 1.0) / count, 0.0)
     return theta
-
-
-def _check_lapack(info, routine):
-    if info != 0:
-        raise ConvergenceFailure(f"LAPACK {routine} failed with info={info}")
 
 
 def project_psd_trace_ball(M, rank=1):
@@ -208,12 +198,12 @@ def project_psd_trace_ball(M, rank=1):
     and clipped at zero: theta is 0 when the positive eigenvalues sum to at
     most one, and otherwise their simplex threshold.
 
-    Only the top r + 1 eigenpairs are computed (LAPACK ``dsyevr``), with
-    r = ``rank``, the number the previous call kept. Theta is taken from those
-    values; when the smallest of them is at most theta, every lower eigenvalue
-    also maps to zero, so the result is the exact projection. Otherwise, or
-    when r + 1 exceeds ``max(2, n // _PARTIAL_EIG_DIVISOR)``, one full
-    decomposition (``dsyevd``) is used instead.
+    Only the top r + 1 eigenpairs are asked of
+    :func:`~spcakit.matrix._symmetric_eigh` (lower triangle), with r =
+    ``rank``, the number the previous call kept. Theta is taken from those
+    values; when the smallest of them is at most theta, every lower
+    eigenvalue also maps to zero, so the result is the exact projection.
+    Otherwise one full decomposition is used instead.
 
     Returns ``(matrix, kept)`` with ``kept`` the number of nonzero
     eigenvalues, the ``rank`` for the next call.
@@ -221,7 +211,7 @@ def project_psd_trace_ball(M, rank=1):
     # Imported on first use, as in matrix.py: data.py imports scipy.linalg at
     # package load anyway, but importing it here, earlier in that load,
     # measured 1.2 MB more peak RSS.
-    from scipy.linalg import blas, lapack
+    from scipy.linalg import blas
 
     M = np.asarray(M, dtype=float)
     sym = M + M.T
@@ -230,21 +220,10 @@ def project_psd_trace_ball(M, rank=1):
     # Fortran order LAPACK reads without a transposing copy.
     sym = sym.T
     n = sym.shape[0]
-    r = max(rank, 1)
-    w = None
-    if r + 1 < n and r + 1 <= max(2, n // _PARTIAL_EIG_DIVISOR):
-        top, v, m, _, info = lapack.dsyevr(sym, range="I", il=n - r, iu=n)
-        _check_lapack(info, "dsyevr")
-        # On a tightly clustered spectrum dsyevr can return fewer pairs than
-        # asked for with info = 0 (m = 0 for -I - J / 2 at n = 40); the full
-        # decomposition takes over then, as it does when the check fails.
-        if m == r + 1:
-            theta = _trace_ball_threshold(top[:m])
-            if top[0] <= theta:
-                w = top[:m]
-    if w is None:
-        w, v, info = lapack.dsyevd(sym, overwrite_a=1)
-        _check_lapack(info, "dsyevd")
+    w, v = _symmetric_eigh(sym, top=max(rank, 1) + 1)
+    theta = _trace_ball_threshold(w)
+    if w.size < n and w[0] > theta:
+        w, v = _symmetric_eigh(sym)
         theta = _trace_ball_threshold(w)
     shifted = w - theta
     kept = int(np.count_nonzero(shifted > 0.0))
@@ -282,23 +261,6 @@ def _frobenius(D):
     return math.sqrt(np.einsum("ij,ij->", D, D))
 
 
-def _top_eigenpair(M, compute_v):
-    """Largest eigenvalue of the symmetric matrix ``M`` from SciPy's LAPACK,
-    with its eigenvector if ``compute_v`` (else None)."""
-    from scipy.linalg import lapack
-
-    n = M.shape[0]
-    w, v, m, _, info = lapack.dsyevr(M, compute_v=compute_v, range="I", il=n, iu=n)
-    if info == 0 and m == 1:
-        return float(w[0]), v[:, 0] if compute_v else None
-    # When the top eigenvalue is repeated exactly, the bisection behind
-    # dsyevr's index range can find no value (m = 0, info = 2 for a random
-    # rotation of diag(1, 1, 1, 0, ...)); all eigenvalues are computed then.
-    w, v, info = lapack.dsyevd(M, compute_v=compute_v)
-    _check_lapack(info, "dsyevd")
-    return float(w[-1]), v[:, -1] if compute_v else None
-
-
 def _certificate(C, Z, rho, U, k):
     """Feasibility scale for ``Z``, the feasible objective, and a dual bound.
 
@@ -316,7 +278,8 @@ def _certificate(C, Z, rho, U, k):
     M *= -0.5 * rho
     l1_term = k * float(np.abs(M).max())
     M += C
-    return scale, objective, max(0.0, _top_eigenpair(M, 0)[0]) + l1_term
+    lam = float(_symmetric_eigh(M, top=1, vectors=False)[0][-1])
+    return scale, objective, max(0.0, lam) + l1_term
 
 
 def _clip_threshold(C, k, objective, gap_tol):
@@ -342,7 +305,10 @@ def _clip_threshold(C, k, objective, gap_tol):
         excess = C - np.clip(C, -t, t)
         rows = np.flatnonzero(excess.any(axis=1))
         excess = excess[np.ix_(rows, rows)]
-        lam, v = _top_eigenpair(excess, 1) if rows.size else (0.0, None)
+        lam, v = 0.0, None
+        if rows.size:
+            w, v = _symmetric_eigh(excess, top=1)
+            lam, v = float(w[-1]), v[:, -1]
         bound = max(0.0, lam) + k * t
         if bound < best:
             best_t, best = t, bound
@@ -424,11 +390,11 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     (``_OVER_RELAXATION``).
 
     Each PSD projection starts from the rank the previous one kept. Every
-    BLAS and LAPACK call inside the loop goes to SciPy's library: NumPy
-    bundles a second one, and alternating the two makes their thread pools
-    contend. With two BLAS threads at n = 128, a top-2 ``dsyevr`` followed by
-    ``np.linalg.norm`` measured 10.3 ms, against 0.67 ms with the norm
-    computed without BLAS.
+    eigensolve goes to :func:`~spcakit.matrix._symmetric_eigh` and every BLAS
+    call inside the loop to SciPy's library: NumPy bundles a second one, and
+    alternating the two makes their thread pools contend. With two BLAS
+    threads at n = 128, a top-2 ``dsyevr`` followed by ``np.linalg.norm``
+    measured 10.3 ms, against 0.67 ms with the norm computed without BLAS.
     """
     cfg = cfg or AdmmConfig()
     _check_count("k", k, A.n)
@@ -436,7 +402,8 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
 
     n = A.n
     C = A.entries
-    lam, v = _top_eigenpair(C, 1)
+    w, v = _symmetric_eigh(C, top=1)
+    lam, v = float(w[-1]), v[:, -1]
     keep = _top_indices(v * v, k)
     x = np.zeros(n)
     x[keep] = v[keep] / math.sqrt(v[keep] @ v[keep])
@@ -486,12 +453,14 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
 def rank_one_diagnostics(sol: SdpSolution) -> SdpDiagnostics:
     """Best rank-1 factor of the solved Z together with alpha and beta.
 
-    One ``np.linalg.eigh(Z)`` gives the factor and ``min_eigenvalue``.
+    One full decomposition of Z (:func:`~spcakit.matrix._symmetric_eigh`,
+    lower triangle: Z is symmetric only up to rounding) gives the factor and
+    ``min_eigenvalue``.
     Raises :class:`DegenerateSolution` when Z has no positive leading
     eigenvalue, or when its rank-1 factor has no objective (for instance
     when A is the zero matrix).
     """
-    w, v = np.linalg.eigh(sol.Z)
+    w, v = _symmetric_eigh(sol.Z)
     lam1 = float(w[-1])
     if lam1 <= 1e-12:
         raise DegenerateSolution(f"leading eigenvalue of Z is {lam1:.3e}")

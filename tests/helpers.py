@@ -159,6 +159,12 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def failing_dsyevd(M, **kwargs):
+    """Stand-in for LAPACK ``dsyevd`` that reports a convergence failure (info = 1)."""
+    n = M.shape[0]
+    return np.zeros(n), np.zeros((n, n)), 1
+
+
 def forged_truncation(m=36, t=0.5):
     """``(A, u, z)`` for which z.T A z breaks the SDP truncation-chain bound.
 

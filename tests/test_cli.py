@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from spcakit import (
     AdmmConfig,
@@ -18,7 +19,7 @@ from spcakit import (
 )
 from spcakit.cli import build_parser, main, reproduce_pitprops
 
-from helpers import random_psd, run_python
+from helpers import failing_dsyevd, random_psd, run_python
 
 
 def _run(args):
@@ -27,6 +28,15 @@ def _run(args):
 
 def _read_json(path):
     return json.loads(path.read_text())
+
+
+def _float_leaves(entry, prefix=""):
+    """``(dotted key, value)`` for every float in a JSON report entry."""
+    for key, value in entry.items():
+        if isinstance(value, dict):
+            yield from _float_leaves(value, f"{prefix}{key}.")
+        elif isinstance(value, float):
+            yield f"{prefix}{key}", value
 
 
 class TestSolveCommand:
@@ -52,6 +62,14 @@ class TestSolveCommand:
         assert code == 0
         report = _read_json(out)
         assert report["result"]["metrics"]["objective"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_eigensolver_failure_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(lapack, "dsyevd", failing_dsyevd)
+        code = _run([
+            "solve", "--input", "builtin:pitprops", "--algo", "sdp", "--k", "7", "--sparsity", "7",
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["code"] == "ConvergenceFailure"
 
     def test_theory_mode_requires_epsilon(self, capsys):
         code = _run(["solve", "--input", "builtin:identity4", "--algo", "svd", "--k", "2"])
@@ -264,20 +282,23 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_csv_and_json_carry_identical_values(self, tmp_path):
-        base = [
-            "sweep", "--input", "builtin:pitprops", "--algo", "svd", "--grid", "3,5",
-        ]
-        j, c = tmp_path / "r.json", tmp_path / "r.csv"
-        assert _run(base + ["--output", str(j), "--format", "json"]) == 0
-        assert _run(base + ["--output", str(c), "--format", "csv"]) == 0
-        report = _read_json(j)
-        lines = c.read_text().splitlines()
-        header = lines[0].split(",")
-        for row_line, entry in zip(lines[1:], report["results"]):
-            row = dict(zip(header, row_line.split(",")))
-            assert float(row["objective"]) == entry["objective"]
-            assert float(row["f_value"]) == entry["f_value"]
-            assert float(row["pve"]) == entry["pve"]
+        # Every float cell is the repr of a Python float: a NumPy scalar that
+        # reached the report would print as np.float64(...) and fail float().
+        for algo in (["--algo", "svd"], ["--algo", "sdp", "--oracle-ref"]):
+            base = ["sweep", "--input", "builtin:pitprops", "--grid", "3,5", *algo]
+            j, c = tmp_path / "r.json", tmp_path / "r.csv"
+            assert _run(base + ["--output", str(j), "--format", "json"]) == 0
+            assert _run(base + ["--output", str(c), "--format", "csv"]) == 0
+            report = _read_json(j)
+            lines = c.read_text().splitlines()
+            header = lines[0].split(",")
+            compared = 0
+            for row_line, entry in zip(lines[1:], report["results"], strict=True):
+                row = dict(zip(header, row_line.split(","), strict=True))
+                for key, value in _float_leaves(entry):
+                    assert float(row[key]) == value, (algo, key)
+                    compared += 1
+            assert compared >= 2 * 4
 
 
 class TestSweepCommand:

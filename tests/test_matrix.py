@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from spcakit import (
     AsymmetryExceedsTolerance,
+    ConvergenceFailure,
     EigenPairs,
     InvalidRank,
     NotPSD,
@@ -18,7 +20,7 @@ from spcakit import (
 from spcakit import matrix as matrix_mod
 from spcakit.matrix import PSD_SLACK
 
-from helpers import charpoly_eigenvalues, count_calls, random_psd
+from helpers import charpoly_eigenvalues, count_calls, failing_dsyevd, random_psd
 
 # Frozen output of the characteristic-polynomial oracle (helpers.charpoly_
 # eigenvalues) on the Philox(414243) Gram matrix below, computed at build
@@ -169,6 +171,74 @@ class TestEigenPairs:
         np.testing.assert_allclose(full.vectors.T @ full.vectors, np.eye(40), atol=1e-12)
         np.testing.assert_array_equal(top.vectors, full.vectors[:, :3])
         assert not full.values.flags.writeable and not top.vectors.flags.writeable
+
+
+def _gaussian(n, seed, scale=1.0):
+    return scale * np.random.Generator(np.random.Philox(seed)).standard_normal((n, n))
+
+
+class TestSymmetricEigh:
+    """The one owner of dense symmetric eigensolves."""
+
+    @given(st.integers(1, 40), st.integers(0, 2**31 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(max_examples=40, deadline=None)
+    def test_top_pairs_match_full_reference(self, n, seed, scale):
+        g = _gaussian(n, seed, scale)
+        M = g + g.T
+        ref_w, ref_v = np.linalg.eigh(M)
+        tol = 1e-12 * n * scale
+        for top in range(1, n + 2):
+            w, v = matrix_mod._symmetric_eigh(M, top=top)
+            m = w.size
+            assert min(top, n) <= m <= n and v.shape == (n, m)
+            assert np.all(np.diff(w) >= 0)
+            np.testing.assert_allclose(w, ref_w[n - m:], atol=tol, rtol=0)
+            ref = ref_v[:, n - m:]
+            signs = np.sign(np.sum(v * ref, axis=0))
+            np.testing.assert_allclose(v * signs, ref, atol=1e-8, rtol=0)
+            values, none = matrix_mod._symmetric_eigh(M, top=top, vectors=False)
+            assert none is None and values.size >= min(top, n)
+            np.testing.assert_allclose(values, ref_w[n - values.size:], atol=tol, rtol=0)
+
+    def test_partial_solve_within_the_divisor_rule(self, monkeypatch):
+        partial = count_calls(monkeypatch, lapack, "dsyevr")
+        full = count_calls(monkeypatch, lapack, "dsyevd")
+        M = random_psd(64, 3).entries
+        cap = 64 // matrix_mod._PARTIAL_EIG_DIVISOR
+        for top in (1, cap, cap + 1, 64):
+            matrix_mod._symmetric_eigh(M, top=top)
+        assert (len(partial), len(full)) == (2, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 64, 128, 300])
+    def test_full_path_is_bitwise_numpy(self, n):
+        # What keeps svd, oracle and polish output byte-identical to NumPy's
+        # eigh: the same lower triangle, and on nonsymmetric input too.
+        g = _gaussian(n, n)
+        for M in (g, g + g.T, g @ g.T):
+            w, v = matrix_mod._symmetric_eigh(M)
+            ref_w, ref_v = np.linalg.eigh(M)
+            assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
+
+    @pytest.mark.parametrize("m, info", [(0, 2), (1, 1)], ids=["finds-nothing", "fails"])
+    def test_falls_back_when_dsyevr_finds_nothing_or_fails(self, monkeypatch, m, info):
+        # dsyevr's index-range bisection can return no value (m = 0,
+        # info = 2) when the top eigenvalue is repeated exactly; a failure
+        # (info != 0) falls back the same way.
+        def failing(M, **kwargs):
+            return np.zeros(M.shape[0]), np.zeros((M.shape[0], m)), m, None, info
+
+        monkeypatch.setattr(lapack, "dsyevr", failing)
+        full = count_calls(monkeypatch, lapack, "dsyevd")
+        M = with_spectrum([1.0, 1.0, 1.0, 0.0, -2.0], seed=3)
+        w, v = matrix_mod._symmetric_eigh(M, top=1)
+        assert len(full) == 1 and w.size == 5
+        assert w[-1] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(M @ v[:, -1], v[:, -1], atol=1e-12)
+
+    def test_dsyevd_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(lapack, "dsyevd", failing_dsyevd)
+        with pytest.raises(ConvergenceFailure, match="dsyevd failed with info=1"):
+            eigendecompose(random_psd(6, 1))
 
 
 class TestEigendecompose:

@@ -6,9 +6,11 @@ from scipy.linalg import lapack
 
 from spcakit import (
     AdmmConfig,
+    ConvergenceFailure,
     DegenerateSolution,
     InvariantViolation,
     SdpSolution,
+    SvdParams,
     SyntheticConfig,
     covariance_from_data,
     exact_spca,
@@ -17,6 +19,7 @@ from spcakit import (
     project_psd_trace_ball,
     rank_one_diagnostics,
     round_sdp_solution,
+    solve,
     solve_sdp_relaxation,
     spca_sdp,
     spca_svd,
@@ -31,6 +34,7 @@ from spcakit.sdp import _check_truncation_chain
 
 from helpers import (
     count_calls,
+    failing_dsyevd,
     forged_truncation,
     l1_ball_projection_bisection,
     l1_ball_projection_sort,
@@ -178,6 +182,25 @@ class TestPsdTraceBallProjection:
         np.testing.assert_allclose(got, psd_trace_ball_projection_full(M), atol=1e-12, rtol=0)
         np.testing.assert_allclose(np.linalg.eigvalsh(got)[-5:], values[:5][::-1] - 0.2, atol=1e-12)
 
+    def test_dsyevr_failure_falls_back_to_full_decomposition(self, monkeypatch):
+        # A failed partial solve is not an error: the full decomposition
+        # gives the exact projection.
+        def failing(M, **kwargs):
+            return np.zeros(M.shape[0]), np.zeros((M.shape[0], 2)), 2, None, 1
+
+        monkeypatch.setattr(lapack, "dsyevr", failing)
+        full = count_calls(monkeypatch, lapack, "dsyevd")
+        values = np.concatenate([[0.5, 0.45, 0.4], -np.linspace(0.1, 1.0, 37)])
+        M = _with_spectrum(values, seed=8)
+        got, kept = project_psd_trace_ball(M, 1)
+        assert kept == 3 and len(full) == 1
+        np.testing.assert_allclose(got, psd_trace_ball_projection_full(M), atol=1e-12, rtol=0)
+
+    def test_dsyevd_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(lapack, "dsyevd", failing_dsyevd)
+        with pytest.raises(ConvergenceFailure, match="info=1"):
+            project_psd_trace_ball(np.diag([2.0, -1.0]))
+
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
     def test_all_negative_and_zero_input_project_to_zero(self, n):
         for M in (-np.eye(n) - 0.5 * np.ones((n, n)), np.zeros((n, n))):
@@ -316,6 +339,13 @@ class TestSolveRelaxation:
         spies = {
             name: count_calls(monkeypatch, np.linalg, name) for name in ("eigh", "eigvalsh", "norm")
         }
+        # Every dense eigensolve of a whole solve, not only the loop's, goes
+        # through the one SciPy helper in matrix.py.
+        krylov = SvdParams(method="block_krylov", svd_eps=0.1, seed=3)
+        solve(random_psd(64, 44), "svd", 4, sparsity=4)
+        solve(random_psd(64, 44), "svd", 4, sparsity=4, svd=krylov)
+        solve(random_psd(20, 44), "sdp", 3, sparsity=3)
+        assert spies["eigh"] == [] and spies["eigvalsh"] == []
         counts = []
         for iters in (5, 50):
             before = {name: len(calls) for name, calls in spies.items()}
@@ -482,18 +512,6 @@ class TestDualityGap:
         with pytest.raises(ValueError):
             AdmmConfig(rho=-np.inf)
 
-    def test_lambda_max_falls_back_when_dsyevr_finds_nothing(self, monkeypatch):
-        # dsyevr's index-range bisection can return no value (m = 0,
-        # info = 2) when the top eigenvalue is repeated exactly.
-        def empty(M, **kwargs):
-            return np.zeros(M.shape[0]), None, 0, None, 2
-
-        monkeypatch.setattr(lapack, "dsyevr", empty)
-        full = count_calls(monkeypatch, lapack, "dsyevd")
-        M = _with_spectrum([1.0, 1.0, 1.0, 0.0, -2.0], seed=3)
-        assert sdp_mod._top_eigenpair(M, 0)[0] == pytest.approx(1.0, abs=1e-12)
-        assert len(full) == 1
-
 
 def _spiked_second_moment(seed):
     X = synthetic_spiked(SyntheticConfig(m=32, n=128, seed=seed))
@@ -551,8 +569,8 @@ class TestThresholdCertificate:
         # absolute rho = 1.
         sol = solve_sdp_relaxation(pit_props(), 7, AdmmConfig(rho=1.0))
         assert sol.iterations_used == 70
-        assert sol.objective == 4.0313944484480935
-        assert sol.dual_bound == 4.031614624759552
+        assert sol.objective == 4.031394448448093
+        assert sol.dual_bound == 4.031614624759551
 
     def test_tiny_one_by_one_certifies(self):
         # With rho = 1 this input ran all 50 000 iterations uncertified.
@@ -604,7 +622,7 @@ class TestThresholdCertificate:
         A = _spiked_second_moment(3)
         x = spca_svd(A, 8, sparsity=8).to_dense()
         objective = float(x @ A.entries @ x)
-        calls = count_calls(monkeypatch, sdp_mod, "_top_eigenpair")
+        calls = count_calls(monkeypatch, sdp_mod, "_symmetric_eigh")
         t, bound = sdp_mod._clip_threshold(A.entries, 8, objective, 1e-4)
         assert 0 < len(calls) < sdp_mod._CLIP_SEARCH_STEPS
         W = np.clip(A.entries, -t, t)
@@ -700,6 +718,12 @@ class TestRounding:
         )
         with pytest.raises(DegenerateSolution):
             round_sdp_solution(sol, 1, rank_one_diagnostics(sol))
+
+    def test_dsyevd_failure_raises(self, monkeypatch):
+        sol = SdpSolution(symmetrize(np.eye(2)), np.diag([0.6, 0.4]), 1.0, 0, True, 1.0)
+        monkeypatch.setattr(lapack, "dsyevd", failing_dsyevd)
+        with pytest.raises(ConvergenceFailure, match="info=1"):
+            rank_one_diagnostics(sol)
 
     def test_hand_built_solution_gives_identical_diagnostics(self):
         # Diagnostics depend on Z alone: a solution rebuilt from the solver's
