@@ -6,12 +6,17 @@ can be reproduced byte-for-byte from its own config block. All randomness
 derives from --seed. Exit codes: 0 success, 2 usage or validation error (one
 JSON diagnostic line on stderr), 3 relaxation duality gap not certified
 within --max-iters under --strict.
+
+``main(argv)`` also runs a command in-process and returns its exit code. The
+argument parser is built once per process: parsing leaves it unchanged, so
+every call after the first pays only for its own parse.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -400,9 +405,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser ``main`` uses; ``build_parser`` stays fresh for callers that edit theirs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SpcaError as exc:
         _diagnostic(type(exc).__name__, str(exc))

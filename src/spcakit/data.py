@@ -84,24 +84,42 @@ def _parse_int(token, lineno, column):
         raise ParseError(f"expected an integer, got {token!r}", lineno, column) from None
 
 
+# The line breaks of str.splitlines, once read_text has turned "\r" and "\r\n"
+# into "\n". Every line number a ParseError reports counts these breaks.
+_LINE_BREAK = re.compile("[\n\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+
 # A comment line in text whose lines are joined by "\n": optional blanks, then "%".
 _COMMENT_LINE = re.compile(r"^[^\S\n]*%.*$", re.MULTILINE)
 
 
-def _content_lines(lines, start):
-    """(1-based line number, line) for each non-blank, non-comment line from ``start``."""
-    for i in range(start, len(lines)):
-        line = lines[i]
-        if line.strip() and not line.lstrip().startswith("%"):
-            yield i + 1, line
+def _is_content(line):
+    return line.strip() and not line.lstrip().startswith("%")
 
 
-def _read_matrix_market(path):
-    """Dense array from a MatrixMarket file (symmetric storage expanded to full)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
+def _content_lines(text, lineno):
+    """(line number, line) for each non-blank, non-comment line; ``text`` starts at ``lineno``."""
+    for lineno, line in enumerate(text.splitlines(), start=lineno):
+        if _is_content(line):
+            yield lineno, line
+
+
+def _line_at(text, start):
+    """The line of ``text`` that begins at offset ``start``, and the offset after its break."""
+    brk = _LINE_BREAK.search(text, start)
+    end = brk.start() if brk else len(text)
+    return text[start:end], end + 1
+
+
+def _read_preamble(text):
+    """(layout, symmetry, size line number, size tokens, text after the size line).
+
+    Only the lines up to the size line are scanned, one at a time, so the
+    body is never split into lines here.
+    """
+    if not text:
         raise ParseError("empty file", 1)
-    header = lines[0].split()
+    header_line, start = _line_at(text, 0)
+    header = header_line.split()
     if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1] != "matrix":
         raise ParseError("missing '%%MatrixMarket matrix' header", 1)
     layout, dtype, shape = header[2].lower(), header[3].lower(), header[4].lower()
@@ -112,10 +130,19 @@ def _read_matrix_market(path):
     if shape not in ("general", "symmetric"):
         raise ParseError(f"unsupported symmetry {shape!r}", 1, 5)
 
-    size_lineno, size_line = next(_content_lines(lines, 1), (None, None))
-    if size_line is None:
-        raise ParseError("missing size line", len(lines))
-    size_tokens = size_line.split()
+    lineno = 1
+    while start < len(text):
+        size_line, start = _line_at(text, start)
+        lineno += 1
+        if _is_content(size_line):
+            return layout, shape, lineno, size_line.split(), text[start:]
+    raise ParseError("missing size line", lineno)
+
+
+def _read_matrix_market(path):
+    """Dense array from a MatrixMarket file (symmetric storage expanded to full)."""
+    # the whole text is dropped once the preamble returns; only the body is kept
+    layout, shape, size_lineno, size_tokens, body = _read_preamble(Path(path).read_text())
 
     if layout == "coordinate":
         if len(size_tokens) != 3:
@@ -123,7 +150,7 @@ def _read_matrix_market(path):
         rows = _parse_int(size_tokens[0], size_lineno, 1)
         cols = _parse_int(size_tokens[1], size_lineno, 2)
         nnz = _parse_int(size_tokens[2], size_lineno, 3)
-        entries = list(_content_lines(lines, size_lineno))
+        entries = list(_content_lines(body, size_lineno + 1))
         if len(entries) != nnz:
             raise ParseError(f"expected {nnz} entries, found {len(entries)}", size_lineno)
         arr = np.zeros((rows, cols))
@@ -145,17 +172,18 @@ def _read_matrix_market(path):
         raise ParseError("array size line needs 'rows cols'", size_lineno)
     rows = _parse_int(size_tokens[0], size_lineno, 1)
     cols = _parse_int(size_tokens[1], size_lineno, 2)
-    # One split and one float() over the whole body. splitlines() leaves no
-    # line break inside a line, so joined by "\n" every line keeps its tokens
-    # and one regex finds exactly the comment lines _content_lines skips.
-    body = "\n".join(lines[size_lineno:])
+    # One str.split() and one float() over the text after the size line.
+    # str.split() breaks at every line break str.splitlines knows, so the body
+    # is cut into lines only when a "%" occurs: rejoined by "\n", the one break
+    # _COMMENT_LINE knows, its comment lines are blanked, which keeps the line
+    # numbers for the error pass below.
     if "%" in body:
-        body = _COMMENT_LINE.sub("", body)
+        body = _COMMENT_LINE.sub("", "\n".join(body.splitlines()))
     try:
         values = list(map(float, body.split()))
     except ValueError:
         # the same float() token by token, to report the failing position
-        for lineno, line in _content_lines(lines, size_lineno):
+        for lineno, line in _content_lines(body, size_lineno + 1):
             for column, token in enumerate(line.split(), start=1):
                 _parse_float(token, lineno, column)
         raise

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,78 @@ class TestDeterminism:
                     assert float(row[key]) == value, (algo, key)
                     compared += 1
             assert compared >= 2 * 4
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process; reusing it changes no result."""
+
+    VALID = {
+        "solve": ["solve", *PITPROPS, "--algo", "sdp", "--k", "7", "--sparsity", "7", "--seed", "3"],
+        "sweep": ["sweep", *PITPROPS, "--algo", "svd", "--grid", "2:4", "--format", "csv"],
+        "oracle": ["oracle", *PITPROPS, "--k", "4"],
+        "gen-synthetic": ["gen-synthetic", "--m", "4", "--n", "8", "--seed", "2"],
+        "reproduce-pitprops": ["reproduce-pitprops"],
+    }
+    # each usage error runs right after the valid call named with it
+    USAGE_ERRORS = {
+        "solve": (["oracle", *PITPROPS, "--k", "3", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        "sweep": (["sweep", *PITPROPS, "--algo", "svd", "--grid", "2:4", "--bogus"],
+                  "unrecognized arguments: --bogus"),
+        "oracle": (["solve", *PITPROPS, "--algo", "svd", "--sparsity", "3"], "required: --k"),
+    }
+
+    def _report(self, tmp_path, capsys, name, call):
+        out = tmp_path / f"{name}{call}.mtx"  # gen-synthetic infers its format from the suffix
+        assert _run(self.VALID[name] + ["--output", str(out)]) == 0
+        written = [out.read_bytes()]
+        if name == "gen-synthetic":
+            written.append((tmp_path / f"{out.name}.meta.json").read_bytes())
+        return written, capsys.readouterr()
+
+    def test_interleaved_calls_repeat_their_first_reports(self, tmp_path, capsys):
+        first = {name: self._report(tmp_path, capsys, name, 0) for name in self.VALID}
+        call = 1
+        for order in (list(self.VALID), list(reversed(self.VALID))):
+            for name in order:
+                assert self._report(tmp_path, capsys, name, call) == first[name], name
+                call += 1
+                if name in self.USAGE_ERRORS:
+                    argv, fragment = self.USAGE_ERRORS[name]
+                    assert _run(argv) == 2
+                    captured = capsys.readouterr()
+                    assert captured.out == ""
+                    [line] = captured.err.splitlines()
+                    err = json.loads(line)
+                    assert err["code"] == "ValueError" and fragment in err["message"]
+
+    def test_main_builds_its_parser_once_per_process(self):
+        script = textwrap.dedent("""
+            import json, os
+            from spcakit import cli
+            calls = []
+            build = cli.build_parser
+            cli.build_parser = lambda: calls.append(1) or build()
+            argvs = [["oracle", "--input", "builtin:pitprops", "--k", "2", "--output", os.devnull],
+                     ["oracle", "--input", "builtin:pitprops"],
+                     ["solve", "--input", "builtin:identity4", "--algo", "svd", "--k", "1",
+                      "--sparsity", "1", "--output", os.devnull]] * 2
+            codes = [cli.main(argv) for argv in argvs]
+            print(json.dumps([codes, len(calls), build() is not build()]))
+        """)
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 2, 0, 0, 2, 0], 1, True]
+
+    def test_fresh_process_writes_the_in_process_report(self, tmp_path, capsys):
+        argv = ["solve", *PITPROPS, "--algo", "sdp", "--k", "7", "--sparsity", "7"]
+        proc = run_python("-m", "spcakit.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+        # in this process the parser has already served other commands
+        assert _run(["oracle", *PITPROPS, "--k", "3"]) == 0
+        assert _run(["sweep", *PITPROPS, "--algo", "sdp", "--grid", "2,7", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert _run(argv) == 0
+        assert capsys.readouterr().out == proc.stdout
 
 
 class TestSweepCommand:

@@ -32,6 +32,12 @@ from spcakit import matrix as matrix_mod
 from helpers import count_calls, random_psd, two_pass_covariance
 
 
+# The line breaks of str.splitlines other than "\n": read_text has already
+# turned "\r" and "\r\n" into "\n". Lines are numbered and comment lines
+# recognised with all of these.
+SPLITLINES_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
 class TestLoadSave:
     def test_matrix_market_coordinate_symmetric(self, tmp_path):
         path = tmp_path / "ident.mtx"
@@ -75,6 +81,17 @@ class TestLoadSave:
         np.testing.assert_array_equal(
             A.entries, [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]]
         )
+
+    @pytest.mark.parametrize("brk", SPLITLINES_BREAKS)
+    def test_coordinate_lines_end_at_every_splitlines_break(self, tmp_path, brk):
+        path = tmp_path / "c.mtx"
+        head = "%%MatrixMarket matrix coordinate real general\n% c" + brk + "2 2 2\n"
+        path.write_bytes((head + "1 1 1.0" + brk + "% c" + brk + "2 2 4.0\n").encode())
+        np.testing.assert_array_equal(load_matrix(path, kind="data").entries, [[1.0, 0.0], [0.0, 4.0]])
+        path.write_bytes((head + "1 1 1.0" + brk + "2 2 oops\n").encode())
+        with pytest.raises(ParseError) as info:
+            load_matrix(path, kind="data")
+        assert (info.value.line, info.value.column) == (5, 3)
 
     def test_csv_data(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -187,6 +204,29 @@ class TestArrayReader:
     def test_comment_and_blank_lines_in_body_skipped(self, tmp_path):
         text = ARRAY_HEADER + "% before size\n2 2\n1.0\n\n% c\n  \t% indented\n2.0 3.0\n   \n4.0\n%"
         np.testing.assert_array_equal(self._load(tmp_path, text), [[1.0, 3.0], [2.0, 4.0]])
+
+    @pytest.mark.parametrize("brk", SPLITLINES_BREAKS)
+    def test_every_splitlines_break_ends_a_line(self, tmp_path, brk):
+        # a comment ends at the break, and the text after it is a line of its own
+        for body in ("2 2\n1.0" + brk + "% c\n2.0 3.0\n4.0\n",
+                     "% c" + brk + "2 2\n1.0\n% c" + brk + "2.0 3.0 4.0\n"):
+            np.testing.assert_array_equal(self._load(tmp_path, ARRAY_HEADER + body),
+                                          [[1.0, 3.0], [2.0, 4.0]])
+        for body, position in (("2 2\n1.0" + brk + "oops\n3.0 4.0\n", (4, 1)),
+                               ("2 2\n% c" + brk + "1.0 x\n3.0 4.0\n", (4, 2)),
+                               ("% c" + brk + "2 2\n1.0" + brk + "% c" + brk + "2.0 3.0 ?\n", (6, 3))):
+            with pytest.raises(ParseError) as info:
+                self._load(tmp_path, ARRAY_HEADER + body)
+            assert (info.value.line, info.value.column) == position
+        with pytest.raises(ParseError) as info:
+            self._load(tmp_path, ARRAY_HEADER + "% c" + brk + "2 2\n1.0\n")
+        assert str(info.value) == "expected 4 values, found 1 (line 3)"
+
+    def test_unit_separator_is_blank_but_no_line_break(self, tmp_path):
+        # "\x1f" separates tokens, so a "%" after it is a token on the same line
+        with pytest.raises(ParseError) as info:
+            self._load(tmp_path, ARRAY_HEADER + "2 2\n1.0\x1f% c\n2.0 3.0 4.0\n")
+        assert (info.value.line, info.value.column) == (3, 2)
 
     def test_short_body(self, tmp_path):
         with pytest.raises(ParseError) as info:
