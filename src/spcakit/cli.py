@@ -64,22 +64,41 @@ PITPROPS_REFERENCE = {
 }
 
 
-def _load_input(args):
-    name = args.input
+def _builtin_input(name):
     builtin = re.fullmatch(r"builtin:identity(\d+)", name)
     if builtin:
         n = int(builtin.group(1))
         if n < 1:
             raise ValueError(f"identity size must be positive, got {n}")
-        return symmetrize(np.eye(n)), name
+        return symmetrize(np.eye(n))
     if name == "builtin:pitprops":
-        return pit_props(), name
-    if name.startswith("builtin:"):
-        raise ValueError(f"unknown builtin dataset {name!r}")
+        return pit_props()
+    raise ValueError(f"unknown builtin dataset {name!r}")
 
-    loaded = load_matrix(name, format=args.input_format, kind=args.input_kind)
-    if isinstance(loaded, DataMatrix):
-        loaded = covariance_from_data(loaded, center=args.center, to_correlation=args.to_correlation)
+
+def _load_input(args):
+    """The input matrix, after every input flag; a flag that cannot apply is an error.
+
+    The report's config block records each flag, so a flag that would be
+    ignored is rejected instead.
+    """
+    name = args.input
+    if args.input_kind != "data":
+        for flag, given in (("--no-center", not args.center),
+                            ("--to-correlation", args.to_correlation)):
+            if given:
+                raise ValueError(f"{flag} applies only with --input-kind data")
+    if name.startswith("builtin:"):
+        for flag, given in (("--input-kind data", args.input_kind == "data"),
+                            ("--input-format", args.input_format is not None)):
+            if given:
+                raise ValueError(f"{flag} does not apply to builtin inputs")
+        loaded = _builtin_input(name)
+    else:
+        loaded = load_matrix(name, format=args.input_format, kind=args.input_kind)
+        if isinstance(loaded, DataMatrix):
+            loaded = covariance_from_data(loaded, center=args.center,
+                                          to_correlation=args.to_correlation)
     if args.unit_row_norm:
         loaded = unit_row_normalize(loaded)
     return loaded, name
@@ -320,9 +339,11 @@ def _add_io_arguments(sub, needs_input=True):
         sub.add_argument("--input-format", choices=["matrix_market", "dense_csv"], default=None)
         sub.add_argument("--input-kind", choices=["symmetric", "data"], default="symmetric")
         sub.add_argument("--no-center", dest="center", action="store_false",
-                         help="skip mean-centering when building covariance from data")
-        sub.add_argument("--to-correlation", action="store_true")
-        sub.add_argument("--unit-row-norm", action="store_true")
+                         help="with --input-kind data: skip mean-centering")
+        sub.add_argument("--to-correlation", action="store_true",
+                         help="with --input-kind data: use the correlation matrix")
+        sub.add_argument("--unit-row-norm", action="store_true",
+                         help="rescale the input toward unit row norms")
     sub.add_argument("--output", default=None, help="write the report here instead of stdout")
     sub.add_argument("--format", choices=["json", "csv"], default="json")
 

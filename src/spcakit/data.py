@@ -327,6 +327,12 @@ def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> Sy
 
     ``to_correlation`` divides rows and columns by the standard deviations
     (unit diagonal exactly).
+
+    When ``2 m < n`` the result also carries the scaled data factor
+    ``F = X_c / sqrt(m - 1)``, its columns divided by the standard deviations
+    under ``to_correlation``, so that ``A = F.T F`` up to rounding. The block
+    Krylov solver and the large matrix spectral norm then multiply by the thin
+    ``F`` instead of the n x n entries (see :mod:`spcakit.matrix`).
     """
     entries = X.entries
     if center:
@@ -335,6 +341,7 @@ def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> Sy
         entries = entries - X.column_means
     denom = max(X.m - 1, 1)
     cov = entries.T @ entries / denom
+    factor = entries / math.sqrt(denom) if 2 * X.m < X.n else None
     if to_correlation:
         diag = np.diag(cov).copy()
         if np.any(diag <= 0):
@@ -344,7 +351,13 @@ def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> Sy
         scale = 1.0 / np.sqrt(diag)
         cov = cov * scale[:, None] * scale[None, :]
         np.fill_diagonal(cov, 1.0)
-    return symmetrize(cov)
+        if factor is not None:
+            factor = factor * scale
+    out = symmetrize(cov)
+    if factor is not None:
+        factor.flags.writeable = False
+        out._factor = factor
+    return out
 
 
 def kernel_matrix(

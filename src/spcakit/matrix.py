@@ -12,8 +12,17 @@ The conventions fixed here keep all downstream output deterministic:
 
 PSD validation and the spectral norm read the full decomposition only for
 small matrices or when it is already cached; larger matrices are checked by a
-Lanczos norm and one shifted Cholesky factorization, so the block Krylov
-solver never pays for a dense eigensolve.
+spectral norm and one shifted Cholesky factorization, so the block Krylov
+solver never pays for a dense eigensolve of ``A``.
+
+A sample covariance built from fewer than ``n / 2`` samples carries its
+scaled data factor ``F`` (m x n, ``A = F.T F``, see
+:func:`spcakit.data.covariance_from_data`). Where only products with ``A``
+are needed, the block Krylov iteration, its Rayleigh-Ritz step and the large
+matrix spectral norm go through ``F``: a product costs ``2 m n`` flops per
+column against ``n^2``, and the norm is the top eigenvalue of the m x m
+matrix ``F F.T``. Every other matrix uses its entries, and the entries stay
+the reference for every reported value.
 """
 
 from __future__ import annotations
@@ -40,12 +49,12 @@ _SYMMETRY_RTOL = 1e-8  # largest mirrored gap symmetrize accepts, as a share of 
 _KRYLOV_C = 2.0
 
 # Largest n at which ensure_psd and spectral_norm read the full decomposition;
-# above it they use a Lanczos norm plus one shifted Cholesky. Measured with one
-# BLAS thread on sample covariances (check plus norm, against the dense path):
-# equal cost near n = 96, 1.8x faster at 128, 4-5x at 256, 5-7x at 512 and
-# 12-14x at 2048. Its first use also imports scipy.sparse.linalg (about 27 ms
-# and 2.5 MB once per process), more than the under-5 ms it saves per matrix
-# up to n = 256.
+# above it they use a Lanczos (or data factor) norm plus one shifted Cholesky.
+# Measured with one BLAS thread on sample covariances (Lanczos check plus
+# norm, against the dense path): equal cost near n = 96, 1.8x faster at 128,
+# 4-5x at 256, 5-7x at 512 and 12-14x at 2048. Its first use also imports
+# scipy.sparse.linalg (about 27 ms and 2.5 MB once per process), more than the
+# under-5 ms it saves per matrix up to n = 256.
 _DENSE_CHECK_MAX_N = 256
 
 # Side of the square tiles SymmetricMatrix averages with their mirror images.
@@ -138,11 +147,13 @@ class SymmetricMatrix:
     Construct through :func:`symmetrize`; the constructor averages the input
     with its transpose after checking the asymmetry tolerance (relative, see
     :func:`symmetrize`), then freezes the storage. The full eigendecomposition,
-    the Lanczos spectral norm and a passing PSD verdict are computed lazily
-    and cached, so repeated solves on the same matrix pay for each once.
+    the spectral norm and a passing PSD verdict are computed lazily and
+    cached, so repeated solves on the same matrix pay for each once.
+    ``_factor`` holds the data factor ``F`` with ``A = F.T F`` when
+    :func:`spcakit.data.covariance_from_data` sets it, else None.
     """
 
-    __slots__ = ("entries", "n", "trace", "_eig", "_norm", "_psd")
+    __slots__ = ("entries", "n", "trace", "_eig", "_norm", "_psd", "_factor")
 
     def __init__(self, raw):
         arr = np.asarray(raw, dtype=float)
@@ -163,6 +174,7 @@ class SymmetricMatrix:
         self._eig = None
         self._norm = None
         self._psd = False
+        self._factor = None
 
     def __repr__(self):
         return f"SymmetricMatrix(n={self.n}, trace={self.trace:.6g})"
@@ -255,6 +267,19 @@ def eigendecompose(A: SymmetricMatrix) -> EigenPairs:
     return pairs
 
 
+def _product(A, block, gram=False):
+    """``A @ block``, or ``block.T @ A @ block`` with ``gram``.
+
+    With a data factor ``F`` on ``A`` these are ``F.T (F block)`` and
+    ``(F block).T (F block)``, and the n x n entries are never read.
+    """
+    F = A._factor
+    if F is None:
+        return block.T @ A.entries @ block if gram else A.entries @ block
+    low = F @ block
+    return low.T @ low if gram else F.T @ low
+
+
 def _krylov_iters(n, svd_eps):
     return int(math.ceil(_KRYLOV_C * math.log(max(n, 2)) / math.sqrt(svd_eps)))
 
@@ -274,7 +299,8 @@ def top_l_eigenpairs(
     multiplications; each returned value is within a relative ``svd_eps`` of
     the true eigenvalue for PSD input. When the Krylov subspace would reach
     the full dimension, the dense path is used instead (the iteration has
-    saturated); the output is still deterministic for a given seed.
+    saturated); the output is still deterministic for a given seed. Its
+    products with ``A`` go through the data factor when ``A`` carries one.
     """
     if not 1 <= l <= A.n:
         raise InvalidRank(f"l={l} outside [1, {A.n}]")
@@ -293,10 +319,10 @@ def top_l_eigenpairs(
     for _ in range(_krylov_iters(n, svd_eps)):
         # Per-block QR keeps the basis well conditioned without changing
         # the accumulated span.
-        block, _ = np.linalg.qr(A.entries @ block)
+        block, _ = np.linalg.qr(_product(A, block))
         blocks.append(block)
     basis, _ = np.linalg.qr(np.hstack(blocks))
-    small = basis.T @ A.entries @ basis
+    small = _product(A, basis, gram=True)
     small = (small + small.T) / 2.0
     w, s = _symmetric_eigh(small)
     order = np.argsort(-w, kind="stable")[:l]
@@ -333,16 +359,23 @@ def spectral_norm(A: SymmetricMatrix) -> float:
     """``max(|lambda_max|, |lambda_min|)`` of ``A``.
 
     Read from the full decomposition when it is cached or ``n`` is at most
-    ``_DENSE_CHECK_MAX_N``. Otherwise Lanczos (ARPACK ``eigsh``, largest
-    magnitude, full precision) from a fixed-seed Philox start vector, cached
-    on ``A``, so equal matrices give bit-identical norms. The zero matrix has
-    norm 0.
+    ``_DENSE_CHECK_MAX_N``. Otherwise, when ``A`` carries a data factor
+    ``F``, it is the top eigenvalue of the m x m matrix ``F F.T`` (a dense
+    LAPACK eigensolve); without one, Lanczos (ARPACK ``eigsh``, largest
+    magnitude, full precision) from a fixed-seed Philox start vector. Either
+    is cached on ``A``, and matrices built alike give bit-identical norms.
+    The zero matrix has norm 0.
     """
     if _dense_check(A):
         values = eigendecompose(A).values
         return max(abs(float(values[0])), abs(float(values[-1])))
     if A._norm is None:
-        A._norm = _lanczos_norm(A.entries)
+        if A._factor is None:
+            A._norm = _lanczos_norm(A.entries)
+        else:
+            F = A._factor
+            values, _ = _symmetric_eigh(F @ F.T, vectors=False)
+            A._norm = max(abs(float(values[0])), abs(float(values[-1])))
     return A._norm
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import spcakit
-from spcakit import SparseUnitVector, symmetrize
+from spcakit import DataMatrix, SparseUnitVector, symmetrize
 
 
 def random_psd(n, seed, scale=1.0):
@@ -23,6 +23,12 @@ def random_psd(n, seed, scale=1.0):
     rng = np.random.Generator(np.random.Philox(seed))
     g = rng.standard_normal((n, n))
     return symmetrize(scale * (g @ g.T) / n)
+
+
+def wide_data(m, n, seed):
+    """Seeded m x n Gaussian samples, column scales falling from 2 to 0.5."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    return DataMatrix(rng.standard_normal((m, n)) * np.linspace(2.0, 0.5, n))
 
 
 def random_unit_vector(n, seed):

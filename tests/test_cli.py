@@ -20,7 +20,7 @@ from spcakit import (
 )
 from spcakit.cli import build_parser, main, reproduce_pitprops
 
-from helpers import failing_dsyevd, random_psd, run_python
+from helpers import failing_dsyevd, random_psd, run_python, wide_data
 
 
 def _run(args):
@@ -263,6 +263,58 @@ def test_usage_error_is_a_json_diagnostic(capsys, argv, fragment):
     assert err["code"] == "ValueError" and fragment in err["message"]
 
 
+class TestInputFlags:
+    """An input flag that cannot apply is rejected, never recorded as applied."""
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--algo", "svd", "--k", "2", "--sparsity", "2"],
+        ["oracle", "--k", "2"],
+        ["sweep", "--algo", "svd", "--grid", "2:3"],
+    ])
+    @pytest.mark.parametrize("source, flags, fragment", [
+        ("builtin", ["--to-correlation"], "--to-correlation applies only with --input-kind data"),
+        ("file", ["--no-center"], "--no-center applies only with --input-kind data"),
+        ("file", ["--input-kind", "symmetric", "--to-correlation"],
+         "--to-correlation applies only with --input-kind data"),
+        ("builtin", ["--input-kind", "data"], "--input-kind data does not apply to builtin inputs"),
+        ("builtin", ["--input-kind", "data", "--unit-row-norm"],
+         "--input-kind data does not apply to builtin inputs"),
+        ("builtin", ["--input-format", "dense_csv"],
+         "--input-format does not apply to builtin inputs"),
+    ])
+    def test_flag_that_cannot_apply_exits_2(self, tmp_path, capsys, command, source, flags,
+                                            fragment):
+        name = "builtin:pitprops"
+        if source == "file":
+            name = str(tmp_path / "cov.mtx")
+            save_matrix(name, pit_props())
+        out = tmp_path / "r.json"
+        assert _run([*command, "--input", name, *flags, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        [line] = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["code"] == "ValueError" and err["message"] == fragment
+
+    def test_unit_row_norm_applies_to_builtin_inputs(self, tmp_path):
+        path = tmp_path / "pitprops.mtx"
+        save_matrix(path, pit_props())
+        base = ["solve", "--algo", "svd", "--k", "4", "--sparsity", "4", "--unit-row-norm"]
+        results = {}
+        for name in ("builtin:pitprops", str(path)):
+            out = tmp_path / "r.json"
+            assert _run([*base, "--input", name, "--output", str(out)]) == 0
+            report = _read_json(out)
+            assert report["config"]["unit_row_norm"] is True
+            result = report["result"]
+            result.pop("support_names", None)  # only builtin:pitprops names its variables
+            results[name] = result
+        assert results["builtin:pitprops"] == results[str(path)]
+        plain = tmp_path / "plain.json"
+        assert _run([*base[:-1], *PITPROPS, "--output", str(plain)]) == 0
+        assert _read_json(plain)["result"]["metrics"] != results[str(path)]["metrics"]
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["solve", "--help"]])
 def test_help_and_version_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -281,6 +333,18 @@ class TestDeterminism:
         assert _run(args + ["--output", str(a)]) == 0
         assert _run(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_fresh_process_writes_the_in_process_data_factor_report(self, tmp_path, capsys):
+        # 40 samples of 600 features: the covariance carries its data factor,
+        # and the block Krylov solve and the norm run through it
+        path = tmp_path / "x.mtx"
+        save_matrix(path, wide_data(40, 600, 9))
+        argv = ["solve", "--input", str(path), "--input-kind", "data", "--algo", "svd",
+                "--svd-method", "block_krylov", "--k", "4", "--sparsity", "4", "--seed", "2"]
+        proc = run_python("-m", "spcakit.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert _run(argv) == 0
+        assert capsys.readouterr().out == proc.stdout
 
     def test_csv_and_json_carry_identical_values(self, tmp_path):
         # Every float cell is the repr of a Python float: a NumPy scalar that

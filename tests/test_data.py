@@ -29,7 +29,7 @@ from spcakit import (
 
 from spcakit import matrix as matrix_mod
 
-from helpers import count_calls, random_psd, two_pass_covariance
+from helpers import count_calls, random_psd, two_pass_covariance, wide_data
 
 
 # The line breaks of str.splitlines other than "\n": read_text has already
@@ -282,6 +282,32 @@ class TestCovariance:
         X = DataMatrix(np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]))
         with pytest.raises(ZeroVarianceColumn):
             covariance_from_data(X, to_correlation=True)
+
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("to_correlation", [False, True])
+    def test_data_factor_below_half_the_features(self, center, to_correlation):
+        X = wide_data(40, 600, 5)
+        A = covariance_from_data(X, center=center, to_correlation=to_correlation)
+        F = A._factor
+        assert F.shape == (40, 600) and not F.flags.writeable
+        np.testing.assert_allclose(F.T @ F, A.entries, rtol=0, atol=1e-12 * A.entries.max())
+        if center:
+            np.testing.assert_allclose(F.sum(axis=0), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [300, 301])
+    def test_no_data_factor_from_half_the_features_or_more(self, m):
+        assert covariance_from_data(wide_data(m, 600, 5))._factor is None
+        assert covariance_from_data(wide_data(299, 600, 5))._factor is not None
+
+    def test_other_constructors_carry_no_data_factor(self, tmp_path):
+        X = wide_data(8, 20, 5)
+        A = covariance_from_data(X)
+        assert A._factor is not None
+        path = tmp_path / "cov.mtx"
+        save_matrix(path, A)
+        for built in (unit_row_normalize(A, max_iters=200), load_matrix(path), pit_props(),
+                      kernel_matrix(DataMatrix(X.entries.T[:, :8])), random_psd(5, 1)):
+            assert built._factor is None
 
     def test_unit_row_normalization_postcondition(self):
         for seed in (1, 2, 3):

@@ -11,6 +11,7 @@ from spcakit import (
     InvalidRank,
     NotPSD,
     NotSquare,
+    covariance_from_data,
     eigendecompose,
     ensure_psd,
     spectral_norm,
@@ -20,7 +21,7 @@ from spcakit import (
 from spcakit import matrix as matrix_mod
 from spcakit.matrix import PSD_SLACK
 
-from helpers import charpoly_eigenvalues, count_calls, failing_dsyevd, random_psd
+from helpers import charpoly_eigenvalues, count_calls, failing_dsyevd, random_psd, wide_data
 
 # Frozen output of the characteristic-polynomial oracle (helpers.charpoly_
 # eigenvalues) on the Philox(414243) Gram matrix below, computed at build
@@ -487,3 +488,29 @@ class TestLargeMatrixPsdCheck:
         ensure_psd(A)
         with pytest.raises(NotPSD):
             ensure_psd(symmetrize(np.diag([1.0, -0.5])))
+
+
+class TestDataFactor:
+    """A sample covariance from m < n / 2 samples multiplies through its data factor."""
+
+    @pytest.mark.parametrize("to_correlation", [False, True])
+    def test_block_krylov_matches_the_entries(self, to_correlation):
+        A = covariance_from_data(wide_data(40, 600, 7), to_correlation=to_correlation)
+        assert A._factor is not None
+        plain = symmetrize(A.entries)
+        assert plain._factor is None
+        ours = top_l_eigenpairs(A, 4, method="block_krylov", svd_eps=0.1, seed=3)
+        ref = top_l_eigenpairs(plain, 4, method="block_krylov", svd_eps=0.1, seed=3)
+        np.testing.assert_allclose(ours.values, ref.values, rtol=1e-10, atol=0)
+        cosines = np.linalg.svd(ours.vectors.T @ ref.vectors, compute_uv=False)
+        assert cosines.min() >= 1.0 - 1e-8
+
+    @pytest.mark.parametrize("to_correlation", [False, True])
+    def test_spectral_norm_matches_the_dense_norm(self, monkeypatch, to_correlation):
+        import scipy.sparse.linalg
+
+        arpack = count_calls(monkeypatch, scipy.sparse.linalg, "eigsh")
+        A = covariance_from_data(wide_data(40, 600, 11), to_correlation=to_correlation)
+        w = np.linalg.eigvalsh(A.entries)
+        assert spectral_norm(A) == pytest.approx(max(abs(w[0]), abs(w[-1])), rel=1e-12)
+        assert arpack == []

@@ -7,6 +7,7 @@ from spcakit import (
     EigenPairs,
     SparseUnitVector,
     SvdParams,
+    covariance_from_data,
     eigendecompose,
     exact_spca,
     pit_props,
@@ -18,7 +19,7 @@ from spcakit import (
 )
 from spcakit import matrix as matrix_mod
 
-from helpers import count_calls, random_psd, random_unit_vector
+from helpers import count_calls, random_psd, random_unit_vector, wide_data
 
 
 def _orthonormal_columns(n, l, seed):
@@ -246,6 +247,45 @@ class TestEigensolverCalls:
             "_shifted_cholesky_succeeds": 1,
             "full_eigh": 0,
         }
+        assert report.f_value > 0
+
+    def test_data_factor_solve_never_multiplies_by_the_entries(self, monkeypatch, calls):
+        import scipy.sparse.linalg
+
+        n, counts = calls
+        arpack = count_calls(monkeypatch, scipy.sparse.linalg, "eigsh")
+        A = covariance_from_data(wide_data(40, n, 21))
+        products = []
+
+        class Entries(np.ndarray):
+            """The n x n entries, recording each matrix product with a block."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                def plain(x):
+                    return x.view(np.ndarray) if isinstance(x, Entries) else x
+
+                if ufunc is np.matmul and all(np.ndim(x) == 2 for x in inputs) and any(
+                    isinstance(x, Entries) and x.shape == (n, n) for x in inputs
+                ):
+                    products.append([np.shape(x) for x in inputs])
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(map(plain, kwargs["out"]))
+                return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
+        # a product the spy must record, so that the empty record below means something
+        A.entries.view(Entries) @ np.ones((n, 2))
+        assert products == [[(n, n), (n, 2)]]
+        products.clear()
+        A.entries = A.entries.view(Entries)
+        svd = SvdParams(method="block_krylov", svd_eps=0.1, seed=3)
+        _, report, _, _ = solve(A, "svd", 4, sparsity=4, svd=svd)
+        assert counts() == {
+            "eigendecompose": 0,
+            "_lanczos_norm": 0,
+            "_shifted_cholesky_succeeds": 1,
+            "full_eigh": 0,
+        }
+        assert arpack == [] and products == []
         assert report.f_value > 0
 
     @pytest.mark.parametrize(
