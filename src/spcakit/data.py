@@ -291,13 +291,14 @@ def save_matrix(path, matrix, format=None, metadata=None):
 # Covariance / correlation / kernels
 
 
-def unit_row_normalize(A: SymmetricMatrix, max_iters=25, tol=1e-8) -> SymmetricMatrix:
+def unit_row_normalize(A: SymmetricMatrix, max_iters=64, tol=1e-8) -> SymmetricMatrix:
     """Symmetric iterative scaling toward unit Euclidean row norms.
 
     Repeats ``A <- D^{-1/2} A D^{-1/2}`` with D the diagonal of row norms;
-    the congruence keeps the matrix PSD. Warns with
-    :class:`NonConvergenceWarning` if the deviation is still above ``tol``
-    after ``max_iters`` sweeps.
+    the congruence keeps the matrix PSD. Each sweep roughly halves the
+    deviation on low-rank sample covariances, which then need more than 25
+    sweeps. Warns with :class:`NonConvergenceWarning` if the deviation is
+    still above ``tol`` after ``max_iters`` sweeps.
     """
     entries = A.entries.copy()
     deviation = np.inf
@@ -322,6 +323,12 @@ def unit_row_normalize(A: SymmetricMatrix, max_iters=25, tol=1e-8) -> SymmetricM
     return symmetrize(entries)
 
 
+# Smallest nonzero |X_c| entry with which covariance_from_data keeps the data
+# factor: products of such entries stay above 2^-800, far from underflow, and
+# under to_correlation no column scale exceeds sqrt(m) * 2^400.
+_UNDERFLOW_FREE = 2.0**-400
+
+
 def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> SymmetricMatrix:
     """Sample covariance ``X_c.T X_c / (m - 1)`` with optional rescaling.
 
@@ -332,7 +339,11 @@ def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> Sy
     ``F = X_c / sqrt(m - 1)``, its columns divided by the standard deviations
     under ``to_correlation``, so that ``A = F.T F`` up to rounding. The block
     Krylov solver and the large matrix spectral norm then multiply by the thin
-    ``F`` instead of the n x n entries (see :mod:`spcakit.matrix`).
+    ``F`` instead of the n x n entries, and :func:`spcakit.matrix.ensure_psd`
+    certifies the result from a rounding bound on ``A - F.T F`` without a
+    factorization of the entries (see :mod:`spcakit.matrix`). That bound
+    assumes no product underflows, so the factor is left off when a nonzero
+    entry of ``X_c`` lies below ``2**-400`` (about 3.9e-121) in magnitude.
     """
     entries = X.entries
     if center:
@@ -341,7 +352,10 @@ def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> Sy
         entries = entries - X.column_means
     denom = max(X.m - 1, 1)
     cov = entries.T @ entries / denom
-    factor = entries / math.sqrt(denom) if 2 * X.m < X.n else None
+    keep_factor = 2 * X.m < X.n and _UNDERFLOW_FREE <= np.min(
+        np.abs(entries), where=entries != 0.0, initial=np.inf
+    )
+    factor = entries / math.sqrt(denom) if keep_factor else None
     if to_correlation:
         diag = np.diag(cov).copy()
         if np.any(diag <= 0):

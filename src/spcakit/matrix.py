@@ -13,7 +13,9 @@ The conventions fixed here keep all downstream output deterministic:
 PSD validation and the spectral norm read the full decomposition only for
 small matrices or when it is already cached; larger matrices are checked by a
 spectral norm and one shifted Cholesky factorization, so the block Krylov
-solver never pays for a dense eigensolve of ``A``.
+solver never pays for a dense eigensolve of ``A``. A wide sample covariance
+(see below) skips the factorization too when a rounding bound on how it was
+built already places its smallest eigenvalue within the slack.
 
 A sample covariance built from fewer than ``n / 2`` samples carries its
 scaled data factor ``F`` (m x n, ``A = F.T F``, see
@@ -45,6 +47,8 @@ from .errors import (
 # marginally indefinite, so eigenvalues down to -PSD_SLACK * ||A||_2 pass.
 PSD_SLACK = 1e-8
 _SYMMETRY_RTOL = 1e-8  # largest mirrored gap symmetrize accepts, as a share of max |A_ij|
+_FLOAT_MAX = float(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
 
 _KRYLOV_C = 2.0
 
@@ -57,10 +61,11 @@ _KRYLOV_C = 2.0
 # under-5 ms it saves per matrix up to n = 256.
 _DENSE_CHECK_MAX_N = 256
 
-# Side of the square tiles SymmetricMatrix averages with their mirror images.
-# Measured at n = 2048 on a machine with 2 MiB of L2 per core: 64 and 128
-# take 0.038-0.039 s, 32 takes 0.057 s, 256 and 512 take 0.068-0.075 s, and
-# the whole-array expressions 0.13 s.
+# Side of the square tiles SymmetricMatrix compares, and averages when they
+# differ, with their mirror images. Measured at n = 2048 on a machine with
+# 2 MiB of L2 per core: averaging with 64 and 128 takes 0.038-0.039 s, 32
+# takes 0.057 s, 256 and 512 take 0.068-0.075 s, and the whole-array
+# expressions 0.13 s; the bitwise compare at 128 takes about 0.007 s.
 _TILE = 128
 
 # _symmetric_eigh computes only the top m eigenpairs asked for while m < n and
@@ -116,13 +121,34 @@ def _symmetric_eigh(M, top=None, vectors=True):
     return w, v if vectors else None
 
 
-def _symmetrize_tiles(arr):
+def _bitwise_symmetric(arr):
+    """Whether every mirrored pair of ``arr`` has the same bit pattern.
+
+    Compares the int64 views of each pair of ``_TILE``-square tiles and stops
+    at the first pair that differs. Bits, not values: ``+0.0 == -0.0``, but
+    their average is ``+0.0``, so such a pair must still be averaged.
+    """
+    bits = arr.view(np.int64)
+    n = arr.shape[0]
+    for r in range(0, n, _TILE):
+        rows = slice(r, r + _TILE)
+        for c in range(r, n, _TILE):
+            cols = slice(c, c + _TILE)
+            if not np.array_equal(bits[rows, cols], bits[cols, rows].T):
+                return False
+    return True
+
+
+def _symmetrize_tiles(arr, halve):
     """``(arr + arr.T) / 2`` and ``max |arr - arr.T|`` in one pass over tile pairs.
 
     Reading ``arr.T`` whole is a strided pass over memory; a pair of
     ``_TILE``-square tiles fits in cache, and the mirrored tile of the average
     is the transpose of its partner, since ``(a + b) / 2 == (b + a) / 2``
     exactly. The entries are bitwise those of the whole-array expressions.
+    With ``halve`` both are computed from ``arr / 2`` and doubled after, so
+    that finite entries above half the largest float, whose sums overflow,
+    give finite output; the caller sets it only for such input.
     """
     n = arr.shape[0]
     out = np.empty((n, n))
@@ -132,13 +158,16 @@ def _symmetrize_tiles(arr):
         for c in range(r, n, _TILE):
             cols = slice(c, c + _TILE)
             upper, lower_t = arr[rows, cols], arr[cols, rows].T
+            if halve:
+                upper, lower_t = upper / 2.0, lower_t / 2.0
             max_gap = max(max_gap, float(np.abs(upper - lower_t).max()))
             block = out[rows, cols]
             np.add(upper, lower_t, out=block)
-            block /= 2.0
+            if not halve:
+                block /= 2.0
             if c != r:
                 out[cols, rows] = block.T
-    return out, max_gap
+    return out, 2.0 * max_gap if halve else max_gap
 
 
 class SymmetricMatrix:
@@ -146,7 +175,8 @@ class SymmetricMatrix:
 
     Construct through :func:`symmetrize`; the constructor averages the input
     with its transpose after checking the asymmetry tolerance (relative, see
-    :func:`symmetrize`), then freezes the storage. The full eigendecomposition,
+    :func:`symmetrize`), or copies it when it is bitwise symmetric, then
+    freezes the storage. The full eigendecomposition,
     the spectral norm and a passing PSD verdict are computed lazily and
     cached, so repeated solves on the same matrix pay for each once.
     ``_factor`` holds the data factor ``F`` with ``A = F.T F`` when
@@ -161,12 +191,22 @@ class SymmetricMatrix:
             raise NotSquare(f"expected a square 2-d array, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise NonFiniteEntries("matrix contains NaN or infinite entries")
-        entries, max_gap = _symmetrize_tiles(arr)
-        tol = _SYMMETRY_RTOL * float(np.abs(arr).max()) if max_gap > 0.0 else 0.0
-        if max_gap > tol:
-            gap = np.abs(arr - arr.T)
-            i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)  # first in row-major order
-            raise AsymmetryExceedsTolerance(int(i), int(j), float(gap[i, j]), tol)
+        if _bitwise_symmetric(arr):
+            # The average is the input itself: (a + a) / 2 == a bit for bit
+            # wherever a + a stays finite, and a is the exact average above
+            # that. The F-ordered memory of a symmetric array is its C-ordered
+            # memory, so either order copies straight.
+            entries = (arr.T if arr.flags.f_contiguous else arr).copy(order="C")
+        else:
+            largest = max(float(arr.max()), -float(arr.min()))
+            halve = largest > _FLOAT_MAX / 2.0
+            entries, max_gap = _symmetrize_tiles(arr, halve)
+            tol = _SYMMETRY_RTOL * largest
+            if max_gap > tol:
+                step = 2.0 if halve else 1.0  # dividing by 1 is exact
+                gap = np.abs(arr / step - arr.T / step)
+                i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)  # first in row-major order
+                raise AsymmetryExceedsTolerance(int(i), int(j), step * float(gap[i, j]), tol)
         entries.flags.writeable = False
         self.entries = entries
         self.n = int(arr.shape[0])
@@ -183,7 +223,9 @@ class SymmetricMatrix:
 def symmetrize(raw):
     """Build a :class:`SymmetricMatrix` from a square array.
 
-    Entries are replaced by (raw + raw.T) / 2. Raises
+    Entries are replaced by (raw + raw.T) / 2, computed as raw / 2 + raw.T / 2
+    when an entry exceeds half the largest float so that it cannot overflow;
+    bitwise symmetric input is copied as it is, which is the same average. Raises
     :class:`AsymmetryExceedsTolerance` if any mirrored pair differs by more
     than ``_SYMMETRY_RTOL * max |raw_ij|`` before averaging; scaling raw by
     a power of two changes no verdict.
@@ -392,11 +434,44 @@ def _shifted_cholesky_succeeds(entries, shift) -> bool:
     return info == 0
 
 
+def _rounding_certifies_psd(A: SymmetricMatrix, norm) -> bool:
+    """Whether rounding analysis alone puts a factor-backed ``A`` within the slack.
+
+    Let ``X`` be the stored (centered) data :func:`spcakit.data.covariance_from_data`
+    read, ``d = max(m - 1, 1)`` and ``S`` the stored column scales (``S = I``
+    without ``to_correlation``). ``P = S X.T X S / d`` is exactly PSD. Each
+    entry of ``A`` comes from an m-term dot product, the division by ``d``,
+    two scale multiplies, ``fill_diagonal(1.0)`` under ``to_correlation`` and
+    the symmetric average, so elementwise ``|A - P| <= gamma_(m+5) Q`` with
+    ``Q = S |X|.T |X| S / d`` and ``gamma_k = k u / (1 - k u)``, ``u = eps / 2``
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1 and
+    3.5). ``Q`` is PSD with the diagonal, and so the trace, of ``P``; hence
+    ``||A - P||_2 <= || |A - P| ||_2 <= gamma_(m+5) ||Q||_2 <= gamma_(m+5) tr P``,
+    and by Weyl's inequality ``lambda_min(A) >= -gamma_(m+5) tr P``.
+    ``(m + 8) eps tr A`` is at least twice that bound, the rounding of the
+    trace included. Requiring it below ``PSD_SLACK * norm / 2`` leaves
+    ``lambda_min(A) >= -PSD_SLACK * norm / 4``, which absorbs any error of
+    the m x m norm up to a factor 4. The cited bounds assume that no
+    intermediate result underflows; ``covariance_from_data`` keeps the factor
+    only when every nonzero entry of ``X`` is at least ``2**-400``, so
+    products stay normal and the absolute error of a quotient or scaled
+    entry that does underflow stays far below the slack.
+    """
+    F = A._factor
+    if F is None:
+        return False
+    return (F.shape[0] + 8) * _EPS * A.trace <= PSD_SLACK * norm / 2.0
+
+
 def ensure_psd(A: SymmetricMatrix) -> None:
     """Raise :class:`NotPSD` unless ``lambda_min >= -PSD_SLACK * ||A||_2``.
 
     Small matrices, and matrices whose full decomposition is cached, are
-    judged from that decomposition. Larger ones pass when
+    judged from that decomposition. A larger sample covariance that carries
+    its data factor passes without touching the entries when
+    ``(m + 8) * eps * trace(A) <= PSD_SLACK * ||A||_2 / 2``, a rounding bound
+    on how far it can sit below zero (see :func:`_rounding_certifies_psd`).
+    Other large matrices, and covariances the bound does not settle, pass when
     ``A + PSD_SLACK * ||A||_2 * I`` has a Cholesky factor, with the norm from
     :func:`spectral_norm`; only if that factorization fails are the
     eigenvalues computed, and the rule above decides from them. A pass is
@@ -408,7 +483,11 @@ def ensure_psd(A: SymmetricMatrix) -> None:
         values = eigendecompose(A).values
     else:
         norm = spectral_norm(A)
-        if norm == 0.0 or _shifted_cholesky_succeeds(A.entries, PSD_SLACK * norm):
+        if (
+            norm == 0.0
+            or _rounding_certifies_psd(A, norm)
+            or _shifted_cholesky_succeeds(A.entries, PSD_SLACK * norm)
+        ):
             A._psd = True
             return
         values, _ = _symmetric_eigh(A.entries, vectors=False)

@@ -299,6 +299,20 @@ class TestCovariance:
         assert covariance_from_data(wide_data(m, 600, 5))._factor is None
         assert covariance_from_data(wide_data(299, 600, 5))._factor is not None
 
+    @pytest.mark.parametrize("to_correlation", [False, True])
+    def test_no_data_factor_where_products_could_underflow(self, to_correlation):
+        # ensure_psd certifies a factor-backed covariance from a rounding
+        # bound that assumes no product underflows.
+        X = wide_data(8, 20, 5).entries
+        for tiny, kept in ((1e-100, True), (2.0**-400, True), (2.0**-401, False), (1e-160, False)):
+            low = X.copy()
+            low[:, 3] = tiny * np.array([1.0, -2.0, 3.0, 1.5, -1.0, 2.0, 4.0, 1.0])
+            A = covariance_from_data(DataMatrix(low), center=False, to_correlation=to_correlation)
+            assert (A._factor is not None) == kept, tiny
+        zero_column = X.copy()
+        zero_column[:, 3] = 0.0  # exact zeros cannot underflow
+        assert covariance_from_data(DataMatrix(zero_column))._factor is not None
+
     def test_other_constructors_carry_no_data_factor(self, tmp_path):
         X = wide_data(8, 20, 5)
         A = covariance_from_data(X)
@@ -315,6 +329,15 @@ class TestCovariance:
             norms = np.linalg.norm(A.entries, axis=1)
             np.testing.assert_allclose(norms, np.ones(8), atol=1e-6)
             assert np.linalg.eigvalsh(A.entries)[0] >= -1e-10
+
+    def test_unit_row_normalization_converges_on_wide_covariances(self):
+        # Each sweep about halves the deviation here; this input needs 26.
+        # The suite turns the NonConvergenceWarning into an error.
+        A = covariance_from_data(wide_data(40, 600, 5))
+        with pytest.warns(NonConvergenceWarning):
+            unit_row_normalize(A, max_iters=25)
+        B = unit_row_normalize(A)
+        np.testing.assert_allclose(np.linalg.norm(B.entries, axis=1), 1.0, rtol=0, atol=1e-8)
 
     def test_unit_row_normalization_warns_when_capped(self):
         A = random_psd(6, 77)

@@ -7,6 +7,7 @@ from scipy.linalg import lapack
 from spcakit import (
     AsymmetryExceedsTolerance,
     ConvergenceFailure,
+    DataMatrix,
     EigenPairs,
     InvalidRank,
     NotPSD,
@@ -151,6 +152,81 @@ class TestSymmetrize:
         with pytest.raises(AsymmetryExceedsTolerance) as info:
             symmetrize(raw)
         assert (info.value.i, info.value.j, info.value.delta) == (0, 1, 5e-9)
+
+    @staticmethod
+    def _inputs(n):
+        """The input kinds the bitwise fast path and the averaging pass split."""
+        rng = np.random.Generator(np.random.Philox(1000 + n))
+        g = rng.standard_normal((n, n))
+        symmetric = g + g.T
+        near = symmetric + 1e-9 * rng.standard_normal((n, n))
+        signed_zeros = symmetric.copy()
+        signed_zeros[0, -1], signed_zeros[-1, 0] = -0.0, 0.0  # equal values, different bits
+        signed_zeros[n // 2, n // 2] = -0.0
+        wide = rng.standard_normal((2 * n, 2 * n))
+        wide = wide + wide.T
+        return {
+            "symmetric": symmetric,
+            "near-symmetric": near,
+            "signed-zero pair": signed_zeros,
+            "F-ordered symmetric": np.asfortranarray(symmetric),
+            "F-ordered near-symmetric": np.asfortranarray(near),
+            "strided symmetric view": wide[::2, ::2],
+            "strided near-symmetric view": (wide + 1e-9 * rng.standard_normal(wide.shape))[1::2, 1::2],
+        }
+
+    @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
+    def test_both_paths_bitwise_equal_average(self, monkeypatch, n):
+        averaged = count_calls(monkeypatch, matrix_mod, "_symmetrize_tiles")
+        for kind, raw in self._inputs(n).items():
+            averaged.clear()
+            expected = (raw + raw.T) / 2.0
+            A = symmetrize(raw)
+            assert A.entries.tobytes() == expected.tobytes(), kind
+            assert A.entries.flags.c_contiguous and not A.entries.flags.writeable, kind
+            # only bitwise symmetric input skips the averaging pass
+            exact = np.array_equal(raw.view(np.int64), raw.T.view(np.int64))
+            assert len(averaged) == (0 if exact else 1), kind
+            assert exact == ("near" not in kind and "zero" not in kind), kind
+            raw[...] = 7.0  # the matrix owns its entries
+            assert A.entries.tobytes() == expected.tobytes(), kind
+
+    def test_difference_in_the_last_tile_pair_is_averaged(self):
+        n = 2 * matrix_mod._TILE + 3
+        raw = random_psd(n, 12).entries.copy()
+        raw[n - 1, n - 2] = np.nextafter(raw[n - 1, n - 2], np.inf)
+        expected = (raw + raw.T) / 2.0
+        assert symmetrize(raw).entries.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_entries_above_half_the_largest_float_stay_finite(self, sign):
+        big = sign * 1.7e308
+        symmetric = np.array([[big, 1e308], [1e308, 1.0]])
+        A = symmetrize(symmetric)
+        assert A.entries.tobytes() == symmetric.tobytes()
+        assert np.isfinite(A.trace)
+        # within tolerance, the mirrored pair differs in its last bit
+        near = np.array([[1.0, big], [np.nextafter(big, 0.0), 1.0]])
+        A = symmetrize(near)
+        assert np.isfinite(A.entries).all() and np.isfinite(A.trace)
+        expected = near / 2.0 + near.T / 2.0
+        assert A.entries.tobytes() == expected.tobytes()
+        assert abs(A.entries[0, 1]) >= abs(np.nextafter(big, 0.0))
+        # far apart: rejected with the pair's gap, and no overflow warning
+        # (the suite turns warnings into errors)
+        for partner, delta in ((big / 2.0, abs(big) / 2.0), (-big, np.inf)):
+            with pytest.raises(AsymmetryExceedsTolerance) as info:
+                symmetrize(np.array([[0.0, big], [partner, 0.0]]))
+            assert (info.value.i, info.value.j, info.value.delta) == (0, 1, delta)
+
+    def test_no_halving_at_half_the_largest_float(self):
+        # Up to max/2 the sum cannot overflow, and the average is the plain one.
+        half = np.finfo(float).max / 2.0
+        tiny = 5e-324  # the smallest subnormal
+        raw = np.array([[half, 5.0 * tiny], [tiny, 3.0]])
+        A = symmetrize(raw)
+        assert A.entries.tobytes() == ((raw + raw.T) / 2.0).tobytes()
+        assert A.entries[0, 1] == 3.0 * tiny  # halving first would give 2 * tiny
 
 
 class TestEigenPairs:
@@ -514,3 +590,49 @@ class TestDataFactor:
         w = np.linalg.eigvalsh(A.entries)
         assert spectral_norm(A) == pytest.approx(max(abs(w[0]), abs(w[-1])), rel=1e-12)
         assert arpack == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 12),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e6]),
+        st.sampled_from([1e-100, 1.0, 1e100]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_rounding_bound_on_the_smallest_eigenvalue(
+        self, m, rank, seed, mean, scale, center, to_correlation
+    ):
+        # The bound ensure_psd certifies factor-backed covariances with:
+        # lambda_min(A) >= -(m + 8) eps trace(A), on low-rank data, large
+        # column means and extreme scales.
+        rng = np.random.Generator(np.random.Philox(seed))
+        n = 2 * m + 1 + int(rng.integers(0, 40))
+        X = rng.standard_normal((m, min(rank, m))) @ rng.standard_normal((min(rank, m), n))
+        X = scale * (X + mean * (1.0 + rng.random(n)))
+        A = covariance_from_data(DataMatrix(X), center=center, to_correlation=to_correlation)
+        assert A._factor is not None
+        lam_min = np.linalg.eigvalsh(A.entries)[0]
+        assert lam_min >= -(m + 8) * np.finfo(float).eps * A.trace
+
+    @pytest.mark.parametrize("to_correlation", [False, True])
+    def test_psd_check_needs_no_factorization_at_any_scale(self, monkeypatch, to_correlation):
+        cholesky = count_calls(monkeypatch, matrix_mod, "_shifted_cholesky_succeeds")
+        X = wide_data(40, LARGE_N, 13).entries
+        for scale in (1e-100, 1e-20, 1.0, 1e20, 1e100):
+            A = covariance_from_data(DataMatrix(scale * X), to_correlation=to_correlation)
+            ensure_psd(A)
+            assert A._psd
+        assert cholesky == []
+
+    def test_bound_that_does_not_settle_falls_back_to_cholesky(self, monkeypatch):
+        # At a slack of 1e-20 the bound cannot certify; the shifted Cholesky
+        # runs once and fails on this rank-40 matrix, and the eigenvalues
+        # (lambda_min about -5e-16 ||A||) decide as before.
+        cholesky = count_calls(monkeypatch, matrix_mod, "_shifted_cholesky_succeeds")
+        A = covariance_from_data(wide_data(40, LARGE_N, 13))
+        monkeypatch.setattr(matrix_mod, "PSD_SLACK", 1e-20)
+        with pytest.raises(NotPSD):
+            ensure_psd(A)
+        assert len(cholesky) == 1 and not A._psd
