@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import hadamard
 
+from . import matrix as _matrix
 from .errors import (
     DimensionNotDivisibleBy4,
     InvalidKernelParams,
@@ -323,8 +324,8 @@ def unit_row_normalize(A: SymmetricMatrix, max_iters=64, tol=1e-8) -> SymmetricM
     return symmetrize(entries)
 
 
-# Smallest nonzero |X_c| entry with which covariance_from_data keeps the data
-# factor: products of such entries stay above 2^-800, far from underflow, and
+# Smallest nonzero |X_c| entry for which covariance_from_data's rounding bound
+# holds: products of such entries stay above 2^-800, far from underflow, and
 # under to_correlation no column scale exceeds sqrt(m) * 2^400.
 _UNDERFLOW_FREE = 2.0**-400
 
@@ -335,15 +336,36 @@ def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> Sy
     ``to_correlation`` divides rows and columns by the standard deviations
     (unit diagonal exactly).
 
-    When ``2 m < n`` the result also carries the scaled data factor
-    ``F = X_c / sqrt(m - 1)``, its columns divided by the standard deviations
-    under ``to_correlation``, so that ``A = F.T F`` up to rounding. The block
-    Krylov solver and the large matrix spectral norm then multiply by the thin
-    ``F`` instead of the n x n entries, and :func:`spcakit.matrix.ensure_psd`
-    certifies the result from a rounding bound on ``A - F.T F`` without a
-    factorization of the entries (see :mod:`spcakit.matrix`). That bound
-    assumes no product underflows, so the factor is left off when a nonzero
-    entry of ``X_c`` lies below ``2**-400`` (about 3.9e-121) in magnitude.
+    The result is certified PSD here, so :func:`spcakit.matrix.ensure_psd`
+    passes it at once, when ``m (m + 8) eps <= PSD_SLACK / 2`` (every
+    m <= 4741) and no nonzero entry of ``X_c`` lies below ``2**-400`` (about
+    3.9e-121) in magnitude. Let ``d = max(m - 1, 1)`` and ``S`` the stored
+    column scales (``S = I`` without ``to_correlation``). ``P = S X_c.T X_c S
+    / d`` is exactly PSD and of rank at most m. Each entry of ``A`` comes
+    from an m-term dot product, the division by ``d``, two scale multiplies,
+    ``fill_diagonal(1.0)`` under ``to_correlation`` and the symmetric
+    average, so elementwise ``|A - P| <= gamma_(m+5) Q`` with ``Q = S |X_c|.T
+    |X_c| S / d`` and ``gamma_k = k u / (1 - k u)``, ``u = eps / 2`` (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1 and 3.5).
+    ``Q`` is PSD with the diagonal, and so the trace, of ``P``; hence
+    ``||A - P||_2 <= || |A - P| ||_2 <= gamma_(m+5) ||Q||_2 <= gamma_(m+5)
+    tr P``, and by Weyl's inequality ``lambda_min(A) >= -gamma_(m+5) tr P``.
+    The rank of P gives
+    ``tr P <= m lambda_max(P) <= m (||A||_2 + gamma_(m+5) tr P)``, so
+    ``gamma_(m+5) tr P <= m gamma_(m+5) ||A||_2 / (1 - m gamma_(m+5))``, which
+    the rule keeps below ``m (m + 8) u ||A||_2 <= PSD_SLACK ||A||_2 / 4``. That
+    leaves ``lambda_min(A) >= -PSD_SLACK ||A||_2 / 4`` and absorbs any error
+    of the computed norm up to a factor 4. The cited bounds assume that no
+    intermediate result underflows; with every nonzero entry at least
+    ``2**-400``, products stay normal and the absolute error of a quotient or
+    scaled entry that does underflow stays far below the slack. Other
+    covariances are checked from their entries like any matrix.
+
+    When ``2 m < n`` and no entry underflows as above, the result also carries
+    the scaled data factor ``F = X_c / sqrt(m - 1)``, its columns divided by
+    the standard deviations under ``to_correlation``, so that ``A = F.T F`` up
+    to rounding. The block Krylov solver and the large matrix spectral norm
+    then multiply by the thin ``F`` instead of the n x n entries.
     """
     entries = X.entries
     if center:
@@ -352,10 +374,10 @@ def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> Sy
         entries = entries - X.column_means
     denom = max(X.m - 1, 1)
     cov = entries.T @ entries / denom
-    keep_factor = 2 * X.m < X.n and _UNDERFLOW_FREE <= np.min(
+    exact_products = _UNDERFLOW_FREE <= np.min(
         np.abs(entries), where=entries != 0.0, initial=np.inf
     )
-    factor = entries / math.sqrt(denom) if keep_factor else None
+    factor = entries / math.sqrt(denom) if 2 * X.m < X.n and exact_products else None
     if to_correlation:
         diag = np.diag(cov).copy()
         if np.any(diag <= 0):
@@ -371,6 +393,9 @@ def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> Sy
     if factor is not None:
         factor.flags.writeable = False
         out._factor = factor
+    # PSD_SLACK is read at call time, so a caller that lowers it is obeyed.
+    rounding = X.m * (X.m + 8) * float(np.finfo(float).eps)
+    out._psd = bool(exact_products) and rounding <= _matrix.PSD_SLACK / 2.0
     return out
 
 

@@ -13,9 +13,9 @@ The conventions fixed here keep all downstream output deterministic:
 PSD validation and the spectral norm read the full decomposition only for
 small matrices or when it is already cached; larger matrices are checked by a
 spectral norm and one shifted Cholesky factorization, so the block Krylov
-solver never pays for a dense eigensolve of ``A``. A wide sample covariance
-(see below) skips the factorization too when a rounding bound on how it was
-built already places its smallest eigenvalue within the slack.
+solver never pays for a dense eigensolve of ``A``. A sample covariance
+skips the check altogether: :func:`spcakit.data.covariance_from_data`
+certifies it PSD from a rounding bound on how it was built.
 
 A sample covariance built from fewer than ``n / 2`` samples carries its
 scaled data factor ``F`` (m x n, ``A = F.T F``, see
@@ -48,7 +48,6 @@ from .errors import (
 PSD_SLACK = 1e-8
 _SYMMETRY_RTOL = 1e-8  # largest mirrored gap symmetrize accepts, as a share of max |A_ij|
 _FLOAT_MAX = float(np.finfo(float).max)
-_EPS = float(np.finfo(float).eps)
 
 _KRYLOV_C = 2.0
 
@@ -179,8 +178,9 @@ class SymmetricMatrix:
     freezes the storage. The full eigendecomposition,
     the spectral norm and a passing PSD verdict are computed lazily and
     cached, so repeated solves on the same matrix pay for each once.
-    ``_factor`` holds the data factor ``F`` with ``A = F.T F`` when
-    :func:`spcakit.data.covariance_from_data` sets it, else None.
+    :func:`spcakit.data.covariance_from_data` sets the verdict of a sample
+    covariance it certifies, and ``_factor``, the data factor ``F`` with
+    ``A = F.T F``, of a wide one; else ``_factor`` is None.
     """
 
     __slots__ = ("entries", "n", "trace", "_eig", "_norm", "_psd", "_factor")
@@ -207,10 +207,15 @@ class SymmetricMatrix:
                 gap = np.abs(arr / step - arr.T / step)
                 i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)  # first in row-major order
                 raise AsymmetryExceedsTolerance(int(i), int(j), step * float(gap[i, j]), tol)
+        with np.errstate(over="ignore"):
+            trace = float(np.trace(entries))
+        if not math.isfinite(trace):
+            # the sums of every later step (norms, objectives, floors) overflow too
+            raise NonFiniteEntries("the diagonal entries sum past the largest float")
         entries.flags.writeable = False
         self.entries = entries
         self.n = int(arr.shape[0])
-        self.trace = float(np.trace(entries))
+        self.trace = trace
         self._eig = None
         self._norm = None
         self._psd = False
@@ -228,7 +233,8 @@ def symmetrize(raw):
     bitwise symmetric input is copied as it is, which is the same average. Raises
     :class:`AsymmetryExceedsTolerance` if any mirrored pair differs by more
     than ``_SYMMETRY_RTOL * max |raw_ij|`` before averaging; scaling raw by
-    a power of two changes no verdict.
+    a power of two changes no verdict. Raises :class:`NonFiniteEntries` on
+    NaN or infinite entries, and when the trace overflows.
     """
     return SymmetricMatrix(raw)
 
@@ -434,48 +440,16 @@ def _shifted_cholesky_succeeds(entries, shift) -> bool:
     return info == 0
 
 
-def _rounding_certifies_psd(A: SymmetricMatrix, norm) -> bool:
-    """Whether rounding analysis alone puts a factor-backed ``A`` within the slack.
-
-    Let ``X`` be the stored (centered) data :func:`spcakit.data.covariance_from_data`
-    read, ``d = max(m - 1, 1)`` and ``S`` the stored column scales (``S = I``
-    without ``to_correlation``). ``P = S X.T X S / d`` is exactly PSD. Each
-    entry of ``A`` comes from an m-term dot product, the division by ``d``,
-    two scale multiplies, ``fill_diagonal(1.0)`` under ``to_correlation`` and
-    the symmetric average, so elementwise ``|A - P| <= gamma_(m+5) Q`` with
-    ``Q = S |X|.T |X| S / d`` and ``gamma_k = k u / (1 - k u)``, ``u = eps / 2``
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1 and
-    3.5). ``Q`` is PSD with the diagonal, and so the trace, of ``P``; hence
-    ``||A - P||_2 <= || |A - P| ||_2 <= gamma_(m+5) ||Q||_2 <= gamma_(m+5) tr P``,
-    and by Weyl's inequality ``lambda_min(A) >= -gamma_(m+5) tr P``.
-    ``(m + 8) eps tr A`` is at least twice that bound, the rounding of the
-    trace included. Requiring it below ``PSD_SLACK * norm / 2`` leaves
-    ``lambda_min(A) >= -PSD_SLACK * norm / 4``, which absorbs any error of
-    the m x m norm up to a factor 4. The cited bounds assume that no
-    intermediate result underflows; ``covariance_from_data`` keeps the factor
-    only when every nonzero entry of ``X`` is at least ``2**-400``, so
-    products stay normal and the absolute error of a quotient or scaled
-    entry that does underflow stays far below the slack.
-    """
-    F = A._factor
-    if F is None:
-        return False
-    return (F.shape[0] + 8) * _EPS * A.trace <= PSD_SLACK * norm / 2.0
-
-
 def ensure_psd(A: SymmetricMatrix) -> None:
     """Raise :class:`NotPSD` unless ``lambda_min >= -PSD_SLACK * ||A||_2``.
 
-    Small matrices, and matrices whose full decomposition is cached, are
-    judged from that decomposition. A larger sample covariance that carries
-    its data factor passes without touching the entries when
-    ``(m + 8) * eps * trace(A) <= PSD_SLACK * ||A||_2 / 2``, a rounding bound
-    on how far it can sit below zero (see :func:`_rounding_certifies_psd`).
-    Other large matrices, and covariances the bound does not settle, pass when
-    ``A + PSD_SLACK * ||A||_2 * I`` has a Cholesky factor, with the norm from
-    :func:`spectral_norm`; only if that factorization fails are the
-    eigenvalues computed, and the rule above decides from them. A pass is
-    cached on ``A``, so repeated checks are free.
+    A pass is cached on ``A``, so repeated checks are free; a sample
+    covariance that :func:`spcakit.data.covariance_from_data` certified at
+    construction starts out passed. Small matrices, and matrices whose full
+    decomposition is cached, are judged from that decomposition. Larger
+    matrices pass when ``A + PSD_SLACK * ||A||_2 * I`` has a Cholesky factor,
+    with the norm from :func:`spectral_norm`; only if that factorization
+    fails are the eigenvalues computed, and the rule above decides from them.
     """
     if A._psd:
         return
@@ -483,11 +457,7 @@ def ensure_psd(A: SymmetricMatrix) -> None:
         values = eigendecompose(A).values
     else:
         norm = spectral_norm(A)
-        if (
-            norm == 0.0
-            or _rounding_certifies_psd(A, norm)
-            or _shifted_cholesky_succeeds(A.entries, PSD_SLACK * norm)
-        ):
+        if norm == 0.0 or _shifted_cholesky_succeeds(A.entries, PSD_SLACK * norm):
             A._psd = True
             return
         values, _ = _symmetric_eigh(A.entries, vectors=False)

@@ -74,11 +74,13 @@ class AdmmConfig:
     of A. The penalty then follows residual balancing: it is doubled or halved
     (with the matching dual rescaling) whenever one residual exceeds ten times
     the other, within a factor ``_RHO_RANGE`` of the start. The dual residual
-    is measured in units of the starting penalty, so scaling A by a power of
-    two (and an explicit ``rho`` with it) scales the objective and the bound
-    by it and leaves every iterate unchanged. ``gap_tol`` must be finite,
-    positive and below 1: a relative gap of 1 or more would certify any
-    nonnegative objective. ``max_iters`` must be an integer of at least 1.
+    is measured in units of ``lambda_max(A)`` (1.0 when that is not
+    positive), the default start, so an explicit start far from it is still
+    corrected, and scaling A by a power of two (and an explicit ``rho`` with
+    it) scales the objective and the bound by it and leaves every iterate
+    unchanged. ``gap_tol`` must be finite, positive and below 1: a relative
+    gap of 1 or more would certify any nonnegative objective. ``max_iters``
+    must be an integer of at least 1.
     """
 
     rho: float | None = None
@@ -414,7 +416,8 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
         if dual_bound - objective <= cfg.gap_tol * dual_bound:
             return SdpSolution(A, scale * np.outer(x, x), objective, 0, True, dual_bound)
 
-    rho0 = cfg.rho if cfg.rho is not None else (lam if lam > 0.0 else 1.0)
+    rho_unit = lam if lam > 0.0 else 1.0
+    rho0 = cfg.rho if cfg.rho is not None else rho_unit
     rho = rho0
     Y = np.zeros((n, n))
     U = np.zeros((n, n))
@@ -437,7 +440,7 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
                 break
         if adaptations < _RHO_ADAPT_BUDGET and iterations % _RHO_ADAPT_EVERY == 0:
             primal = _frobenius(Z - Y)
-            dual = rho / rho0 * _frobenius(Y - Y_prev)
+            dual = rho / rho_unit * _frobenius(Y - Y_prev)
             if primal > 10.0 * dual and rho < _RHO_RANGE * rho0:
                 rho *= 2.0
                 U /= 2.0

@@ -204,6 +204,22 @@ class TestSolveCommand:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["code"] == "NotPSD"
 
+    def test_missing_input_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.mtx"
+        code = _run(["solve", "--input", str(missing), "--algo", "svd", "--k", "1",
+                     "--sparsity", "1"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "IOError" and str(missing) in err["message"]
+
+    def test_zero_matrix_sdp_exits_2(self, tmp_path, capsys):
+        mat = tmp_path / "zero.mtx"
+        save_matrix(mat, np.zeros((4, 4)))
+        code = _run(["solve", "--input", str(mat), "--algo", "sdp", "--k", "2",
+                     "--sparsity", "2"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["code"] == "DegenerateSolution"
+
     def test_data_kind_goes_through_covariance(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(3))
         csv = tmp_path / "x.csv"
@@ -295,6 +311,16 @@ class TestInputFlags:
         [line] = captured.err.splitlines()
         err = json.loads(line)
         assert err["code"] == "ValueError" and err["message"] == fragment
+
+    def test_input_format_applies_to_files(self, tmp_path, capsys):
+        path = tmp_path / "x.txt"  # a suffix that names no format
+        save_matrix(path, wide_data(12, 5, 3), format="dense_csv")
+        argv = ["solve", "--input", str(path), "--input-kind", "data", "--algo", "svd",
+                "--k", "2", "--sparsity", "2"]
+        assert _run(argv) == 2
+        assert "cannot infer format" in json.loads(capsys.readouterr().err)["message"]
+        assert _run([*argv, "--input-format", "dense_csv"]) == 0
+        assert json.loads(capsys.readouterr().out)["input"]["n"] == 5
 
     def test_unit_row_norm_applies_to_builtin_inputs(self, tmp_path):
         path = tmp_path / "pitprops.mtx"

@@ -22,6 +22,7 @@ from spcakit import (
     load_matrix,
     pit_props,
     save_matrix,
+    symmetrize,
     synthetic_spiked,
     unit_row_normalize,
     ZeroVarianceColumn,
@@ -35,6 +36,9 @@ from helpers import count_calls, random_psd, two_pass_covariance, wide_data
 # The line breaks of str.splitlines other than "\n": read_text has already
 # turned "\r" and "\r\n" into "\n". Lines are numbered and comment lines
 # recognised with all of these.
+ARRAY_HEADER = "%%MatrixMarket matrix array real general\n"
+COORDINATE_HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
 SPLITLINES_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
@@ -143,6 +147,44 @@ class TestLoadSave:
             load_matrix(path, kind="data")
         assert info.value.line == 3
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("", "empty file", 1, None),
+        ("%%MatrixMarket matrix dense real general\n1 1\n1.0\n",
+         "unsupported layout 'dense'", 1, 3),
+        ("%%MatrixMarket matrix array complex general\n1 1\n1.0\n",
+         "unsupported field type 'complex'", 1, 4),
+        ("%%MatrixMarket matrix array real hermitian\n1 1\n1.0\n",
+         "unsupported symmetry 'hermitian'", 1, 5),
+        (COORDINATE_HEADER + "2 2\n", "coordinate size line needs 'rows cols nnz'", 2, None),
+        (ARRAY_HEADER + "% c\n2 2 4\n", "array size line needs 'rows cols'", 3, None),
+        (COORDINATE_HEADER + "2 2 2\n1 1 1.0\n", "expected 2 entries, found 1", 2, None),
+        (COORDINATE_HEADER + "2 2 1\n1 1\n", "coordinate entry needs 'i j value'", 3, None),
+        (COORDINATE_HEADER + "2 2 1\n\n3 1 1.0\n", "index (3, 1) out of range", 4, None),
+        (COORDINATE_HEADER + "2 2 1\n1 0 1.0\n", "index (1, 0) out of range", 3, None),
+        (COORDINATE_HEADER + "2 2 1\n1 x 1.0\n", "expected an integer, got 'x'", 3, 2),
+        (COORDINATE_HEADER + "2 2 1.5\n", "expected an integer, got '1.5'", 2, 3),
+        ("%%MatrixMarket matrix array real symmetric\n2 3\n1 2 3 4 5 6\n",
+         "symmetric array must be square", 2, None),
+        ("%%MatrixMarket matrix array real symmetric\n2 2\n1 2\n",
+         "expected 3 lower-triangle values, found 2", 2, None),
+    ])
+    def test_reader_errors_report_their_position(self, tmp_path, text, message, line, column):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_matrix(path)
+        assert (info.value.line, info.value.column) == (line, column)
+        position = f"line {line}" if column is None else f"line {line}, column {column}"
+        assert str(info.value) == f"{message} ({position})"
+
+    def test_explicit_format_overrides_the_suffix(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(ValueError, match="cannot infer format"):
+            load_matrix(path, kind="data")
+        entries = load_matrix(path, format="dense_csv", kind="data").entries
+        np.testing.assert_array_equal(entries, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_header_parse_error(self, tmp_path):
         path = tmp_path / "bad2.mtx"
         path.write_text("not a header\n")
@@ -165,7 +207,6 @@ class TestLoadSave:
         assert A.entries.tobytes() == ((raw + raw.T) / 2.0).tobytes()
 
 
-ARRAY_HEADER = "%%MatrixMarket matrix array real general\n"
 
 # Finite doubles whose text form is hardest to round-trip: signed zero, the
 # smallest subnormal, a mid-range subnormal and values near the largest double.
@@ -278,6 +319,12 @@ class TestCovariance:
         A = covariance_from_data(DataMatrix(data), center=True)
         np.testing.assert_allclose(A.entries, two_pass_covariance(data), atol=1e-10, rtol=0)
 
+    def test_centering_needs_two_samples(self):
+        with pytest.raises(ValueError, match="centering requires at least two samples"):
+            covariance_from_data(DataMatrix([[1.0, 2.0, 3.0]]))
+        A = covariance_from_data(DataMatrix([[1.0, 2.0, 3.0]]), center=False)
+        np.testing.assert_array_equal(A.entries, np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
+
     def test_zero_variance_column_raises(self):
         X = DataMatrix(np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]))
         with pytest.raises(ZeroVarianceColumn):
@@ -301,17 +348,18 @@ class TestCovariance:
 
     @pytest.mark.parametrize("to_correlation", [False, True])
     def test_no_data_factor_where_products_could_underflow(self, to_correlation):
-        # ensure_psd certifies a factor-backed covariance from a rounding
-        # bound that assumes no product underflows.
+        # The PSD certificate of covariance_from_data comes from a rounding
+        # bound that assumes no product underflows; so does the factor.
         X = wide_data(8, 20, 5).entries
         for tiny, kept in ((1e-100, True), (2.0**-400, True), (2.0**-401, False), (1e-160, False)):
             low = X.copy()
             low[:, 3] = tiny * np.array([1.0, -2.0, 3.0, 1.5, -1.0, 2.0, 4.0, 1.0])
             A = covariance_from_data(DataMatrix(low), center=False, to_correlation=to_correlation)
-            assert (A._factor is not None) == kept, tiny
+            assert (A._factor is not None) == kept == A._psd, tiny
         zero_column = X.copy()
         zero_column[:, 3] = 0.0  # exact zeros cannot underflow
-        assert covariance_from_data(DataMatrix(zero_column))._factor is not None
+        A = covariance_from_data(DataMatrix(zero_column))
+        assert A._factor is not None and A._psd
 
     def test_other_constructors_carry_no_data_factor(self, tmp_path):
         X = wide_data(8, 20, 5)
@@ -322,6 +370,10 @@ class TestCovariance:
         for built in (unit_row_normalize(A, max_iters=200), load_matrix(path), pit_props(),
                       kernel_matrix(DataMatrix(X.entries.T[:, :8])), random_psd(5, 1)):
             assert built._factor is None
+
+    def test_unit_row_normalization_rejects_a_zero_row(self):
+        with pytest.raises(ZeroVarianceColumn, match="zero row"):
+            unit_row_normalize(symmetrize(np.diag([1.0, 0.0, 4.0])))
 
     def test_unit_row_normalization_postcondition(self):
         for seed in (1, 2, 3):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spcakit import (
+    DegenerateSolution,
     DimensionMismatch,
     SparseUnitVector,
     SvdParams,
@@ -190,6 +193,17 @@ class TestSolve:
         _, report, _, _ = solve(random_psd(5, 9), algo, 2, sparsity=2, epsilon=1.0)
         assert report.objective > 0
 
+    @pytest.mark.parametrize("algo", ["svd", "oracle"])
+    def test_zero_matrix_gives_a_unit_vector_without_objective(self, algo):
+        # svd's top right singular vector of a zero factor falls back to e_1
+        vec, report, _, _ = solve(symmetrize(np.zeros((4, 4))), algo, 2, sparsity=2)
+        assert vec.sparsity == 2 and report.norm == 1.0
+        assert report.objective == report.f_value == 0.0
+
+    def test_zero_matrix_sdp_is_degenerate(self):
+        with pytest.raises(DegenerateSolution):
+            solve(symmetrize(np.zeros((4, 4))), "sdp", 2, sparsity=2)
+
     @pytest.mark.parametrize("algo", ["svd", "sdp", "oracle"])
     def test_solution_and_diagnostics_only_for_sdp(self, algo):
         A = random_psd(6, 77)
@@ -250,3 +264,54 @@ def test_f_value_above_dense_crossover():
     assert rep.f_value == pytest.approx(expected, rel=1e-12, abs=0)
     assert rep.pve == rep.objective / A.trace
 
+
+
+def _relabel(A, perm, signs):
+    """``P^T D A D P``: coordinate i is coordinate ``perm[i]`` of A, times its sign."""
+    flipped = A.entries * np.outer(signs, signs)  # exact: the signs are +-1
+    return symmetrize(flipped[np.ix_(perm, perm)])
+
+
+def _relabel_vector(y, perm, signs):
+    """The vector on ``_relabel(A, perm, signs)`` with y's quadratic form on A."""
+    support = np.argsort(perm)[y.support]
+    order = np.argsort(support)
+    values = (signs[y.support] * y.values)[order]
+    return SparseUnitVector(y.n, support[order], values, norm_le_one=y.norm_le_one)
+
+
+class TestRelabelling:
+    """Every solver and evaluate commute with a permutation and sign flip of the coordinates.
+
+    Random Wishart inputs have no tied scores, so supports map exactly; the
+    lowest-index tie-break would not map under a tie.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 2**31 - 1), st.sampled_from([2.0**-20, 1.0, 1e3]))
+    def test_solvers_and_evaluate_are_equivariant(self, n, seed, scale):
+        A = random_psd(n, seed, scale=scale)
+        rng = np.random.Generator(np.random.Philox(seed + 1))
+        perm = rng.permutation(n)
+        signs = rng.choice([-1.0, 1.0], size=n)
+        k = int(rng.integers(1, min(n, 5) + 1))
+        B = _relabel(A, perm, signs)
+
+        def same(a, b):
+            assert b == pytest.approx(a, rel=1e-12, abs=0)
+
+        oracle_a, oracle_b = exact_spca(A, k), exact_spca(B, k)
+        same(oracle_a.optimal_value, oracle_b.optimal_value)
+        svd_a, svd_b = spca_svd(A, k, sparsity=k), spca_svd(B, k, sparsity=k)
+        same(svd_a.quadratic_form(A), svd_b.quadratic_form(B))
+        (sdp_a, sol_a, _), (sdp_b, sol_b, _) = spca_sdp(A, k, sparsity=k), spca_sdp(B, k, sparsity=k)
+        same(sdp_a.quadratic_form(A), sdp_b.quadratic_form(B))
+        same(sol_a.dual_bound, sol_b.dual_bound)
+        assert sol_b.dual_bound >= oracle_b.optimal_value * (1.0 - 1e-12)
+        for y_a, y_b in ((oracle_a.optimal_vector, oracle_b.optimal_vector),
+                         (svd_a, svd_b), (sdp_a, sdp_b)):
+            mapped = _relabel_vector(y_a, perm, signs)
+            np.testing.assert_array_equal(mapped.support, y_b.support)
+            report_a, report_b = evaluate(A, y_a), evaluate(B, mapped)
+            for field in ("objective", "f_value", "pve"):
+                same(getattr(report_a, field), getattr(report_b, field))

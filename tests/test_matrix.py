@@ -10,6 +10,7 @@ from spcakit import (
     DataMatrix,
     EigenPairs,
     InvalidRank,
+    NonFiniteEntries,
     NotPSD,
     NotSquare,
     covariance_from_data,
@@ -60,6 +61,20 @@ class TestSymmetrize:
             symmetrize(np.ones((2, 3)))
         with pytest.raises(NotSquare):
             symmetrize(np.ones(4))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, 2.0], [-np.inf, 1.0]],
+            # finite entries whose diagonal sums past the largest float
+            [[1.7e308, 0.0], [0.0, 1.7e308]],
+        ],
+    )
+    def test_non_finite_entries_or_trace_raise(self, raw):
+        with pytest.raises(NonFiniteEntries):
+            symmetrize(raw)
 
     def test_entries_are_read_only(self):
         A = symmetrize(np.eye(2))
@@ -441,6 +456,8 @@ class TestSpectralProperties:
             ensure_psd(symmetrize(np.diag([1.0, -0.5])))
 
 
+EPS = float(np.finfo(float).eps)
+
 # Smallest n that takes the Lanczos-plus-Cholesky path.
 LARGE_N = matrix_mod._DENSE_CHECK_MAX_N + 1
 
@@ -595,26 +612,44 @@ class TestDataFactor:
     @given(
         st.integers(2, 12),
         st.integers(1, 12),
+        st.sampled_from(["wide", "tall", "flat"]),
         st.integers(0, 2**32 - 1),
         st.sampled_from([0.0, 1e6]),
-        st.sampled_from([1e-100, 1.0, 1e100]),
+        st.sampled_from([1e-130, 1e-100, 1.0, 1e100]),
+        st.sampled_from([PSD_SLACK, 200 * EPS]),
         st.booleans(),
         st.booleans(),
     )
     def test_rounding_bound_on_the_smallest_eigenvalue(
-        self, m, rank, seed, mean, scale, center, to_correlation
+        self, m, rank, shape, seed, mean, scale, slack, center, to_correlation
     ):
-        # The bound ensure_psd certifies factor-backed covariances with:
-        # lambda_min(A) >= -(m + 8) eps trace(A), on low-rank data, large
-        # column means and extreme scales.
+        # covariance_from_data certifies A when m (m + 8) eps <= slack / 2 and
+        # no entry of X_c lies below 2**-400; a certified A then has
+        # lambda_min(A) >= -slack ||A||_2 / 4. Low-rank data, tall data, flat
+        # spectra (orthogonal rows), large column means and extreme scales;
+        # the smaller slack certifies m <= 6 only.
         rng = np.random.Generator(np.random.Philox(seed))
-        n = 2 * m + 1 + int(rng.integers(0, 40))
-        X = rng.standard_normal((m, min(rank, m))) @ rng.standard_normal((min(rank, m), n))
+        if shape == "flat":
+            n = m + int(rng.integers(0, 40))
+            X, _ = np.linalg.qr(rng.standard_normal((n, m)))
+            X = X.T
+        else:
+            n = 2 * m + 1 + int(rng.integers(0, 40)) if shape == "wide" else m // 2 + 1
+            r = min(rank, m, n)
+            X = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
         X = scale * (X + mean * (1.0 + rng.random(n)))
-        A = covariance_from_data(DataMatrix(X), center=center, to_correlation=to_correlation)
-        assert A._factor is not None
-        lam_min = np.linalg.eigvalsh(A.entries)[0]
-        assert lam_min >= -(m + 8) * np.finfo(float).eps * A.trace
+        X_c = X - X.mean(axis=0) if center else X
+        if to_correlation and np.any(np.linalg.norm(X_c, axis=0) == 0.0):
+            return  # zero variance, rejected before any certificate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrix_mod, "PSD_SLACK", slack)
+            A = covariance_from_data(DataMatrix(X), center=center, to_correlation=to_correlation)
+        exact = np.all((X_c == 0.0) | (np.abs(X_c) >= 2.0**-400))
+        assert A._psd == (exact and m * (m + 8) * EPS <= slack / 2)
+        assert (A._factor is not None) == (exact and 2 * m < n)
+        if A._psd:
+            w = np.linalg.eigvalsh(A.entries)
+            assert w[0] >= -slack * max(abs(w[0]), abs(w[-1])) / 4
 
     @pytest.mark.parametrize("to_correlation", [False, True])
     def test_psd_check_needs_no_factorization_at_any_scale(self, monkeypatch, to_correlation):
@@ -626,13 +661,22 @@ class TestDataFactor:
             assert A._psd
         assert cholesky == []
 
-    def test_bound_that_does_not_settle_falls_back_to_cholesky(self, monkeypatch):
-        # At a slack of 1e-20 the bound cannot certify; the shifted Cholesky
-        # runs once and fails on this rank-40 matrix, and the eigenvalues
-        # (lambda_min about -5e-16 ||A||) decide as before.
+    def test_tall_covariance_needs_no_factorization(self, monkeypatch):
+        # No data factor, yet certified when it is built.
         cholesky = count_calls(monkeypatch, matrix_mod, "_shifted_cholesky_succeeds")
-        A = covariance_from_data(wide_data(40, LARGE_N, 13))
+        A = covariance_from_data(wide_data(600, LARGE_N, 13))
+        assert A._factor is None and A._psd
+        ensure_psd(A)
+        assert cholesky == []
+
+    def test_bound_that_does_not_settle_falls_back_to_cholesky(self, monkeypatch):
+        # At a slack of 1e-20 the rule cannot certify; the shifted Cholesky
+        # runs once and fails on this rank-40 matrix, and the eigenvalues
+        # (lambda_min about -5e-16 ||A||) decide as for any matrix.
+        cholesky = count_calls(monkeypatch, matrix_mod, "_shifted_cholesky_succeeds")
         monkeypatch.setattr(matrix_mod, "PSD_SLACK", 1e-20)
+        A = covariance_from_data(wide_data(40, LARGE_N, 13))
+        assert not A._psd
         with pytest.raises(NotPSD):
             ensure_psd(A)
         assert len(cholesky) == 1 and not A._psd

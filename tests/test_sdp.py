@@ -395,6 +395,31 @@ class TestDualityGap:
         assert adaptive.iterations_used > sdp_mod._RHO_ADAPT_EVERY
         assert adaptive.iterations_used != fixed.iterations_used
 
+    def test_explicit_rho_far_above_lambda_max_is_halved(self, monkeypatch):
+        # Measured in units of the start, the dual residual looked small and
+        # rho was never halved: 19 825 iterations from 1000 lambda_max(A).
+        A = pit_props()
+        rho = 1000.0 * float(np.linalg.eigvalsh(A.entries)[-1])
+        sol = solve_sdp_relaxation(A, 3, AdmmConfig(rho=rho))
+        assert sol.converged and sol.iterations_used <= 1000
+        monkeypatch.setattr(sdp_mod, "_RHO_ADAPT_BUDGET", 0)
+        assert not solve_sdp_relaxation(A, 3, AdmmConfig(rho=rho, max_iters=1000)).converged
+
+    def test_explicit_rho_scale_invariance_covers_halving(self):
+        # The run above halves rho; scaling A and the explicit start by a
+        # power of two still repeats every iterate.
+        A = pit_props()
+        rho = 1000.0 * float(np.linalg.eigvalsh(A.entries)[-1])
+        ref = solve_sdp_relaxation(A, 3, AdmmConfig(rho=rho))
+        assert ref.iterations_used > sdp_mod._RHO_ADAPT_EVERY
+        for j in (-30, -7, -1, 1, 7, 30):
+            sol = solve_sdp_relaxation(symmetrize(A.entries * 2.0**j), 3,
+                                       AdmmConfig(rho=rho * 2.0**j))
+            assert sol.iterations_used == ref.iterations_used, j
+            assert np.array_equal(sol.Z, ref.Z), j
+            assert sol.objective == ref.objective * 2.0**j, j
+            assert sol.dual_bound == ref.dual_bound * 2.0**j, j
+
     @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e3, 1e8])
     def test_default_rho_converges_at_every_scale(self, scale):
         # Started at the absolute rho = 1, this input ran all 50 000
