@@ -33,12 +33,12 @@ from spcakit import matrix as matrix_mod
 from helpers import count_calls, random_psd, two_pass_covariance, wide_data
 
 
-# The line breaks of str.splitlines other than "\n": read_text has already
-# turned "\r" and "\r\n" into "\n". Lines are numbered and comment lines
-# recognised with all of these.
 ARRAY_HEADER = "%%MatrixMarket matrix array real general\n"
 COORDINATE_HEADER = "%%MatrixMarket matrix coordinate real general\n"
 
+# The line breaks of str.splitlines other than "\n": read_text has already
+# turned "\r" and "\r\n" into "\n". Lines are numbered and comment lines
+# recognised with all of these.
 SPLITLINES_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
@@ -205,7 +205,6 @@ class TestLoadSave:
         save_matrix(path, raw)
         A = load_matrix(path)
         assert A.entries.tobytes() == ((raw + raw.T) / 2.0).tobytes()
-
 
 
 # Finite doubles whose text form is hardest to round-trip: signed zero, the

@@ -265,7 +265,6 @@ def test_f_value_above_dense_crossover():
     assert rep.pve == rep.objective / A.trace
 
 
-
 def _relabel(A, perm, signs):
     """``P^T D A D P``: coordinate i is coordinate ``perm[i]`` of A, times its sign."""
     flipped = A.entries * np.outer(signs, signs)  # exact: the signs are +-1

@@ -623,11 +623,12 @@ class TestDataFactor:
     def test_rounding_bound_on_the_smallest_eigenvalue(
         self, m, rank, shape, seed, mean, scale, slack, center, to_correlation
     ):
-        # covariance_from_data certifies A when m (m + 8) eps <= slack / 2 and
-        # no entry of X_c lies below 2**-400; a certified A then has
-        # lambda_min(A) >= -slack ||A||_2 / 4. Low-rank data, tall data, flat
-        # spectra (orthogonal rows), large column means and extreme scales;
-        # the smaller slack certifies m <= 6 only.
+        # The lemma the certificate rests on: with no entry of X_c below
+        # 2**-400, lambda_min(A) >= -(m + 8) eps trace(A). covariance_from_data
+        # then certifies A when m (m + 8) eps <= slack / 2, and a certified A
+        # has lambda_min(A) >= -slack ||A||_2 / 4. Low-rank data, tall data,
+        # flat spectra (orthogonal rows), large column means and extreme
+        # scales; the smaller slack certifies m <= 6 only.
         rng = np.random.Generator(np.random.Philox(seed))
         if shape == "flat":
             n = m + int(rng.integers(0, 40))
@@ -647,8 +648,10 @@ class TestDataFactor:
         exact = np.all((X_c == 0.0) | (np.abs(X_c) >= 2.0**-400))
         assert A._psd == (exact and m * (m + 8) * EPS <= slack / 2)
         assert (A._factor is not None) == (exact and 2 * m < n)
+        w = np.linalg.eigvalsh(A.entries)
+        if exact:
+            assert w[0] >= -(m + 8) * EPS * A.trace
         if A._psd:
-            w = np.linalg.eigvalsh(A.entries)
             assert w[0] >= -slack * max(abs(w[0]), abs(w[-1])) / 4
 
     @pytest.mark.parametrize("to_correlation", [False, True])
