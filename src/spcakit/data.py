@@ -310,8 +310,7 @@ def unit_row_normalize(A: SymmetricMatrix, max_iters=64, tol=1e-8) -> SymmetricM
             break
         if np.any(norms <= 0):
             raise ZeroVarianceColumn("cannot normalize a matrix with a zero row")
-        scale = 1.0 / np.sqrt(norms)
-        entries = entries * scale[:, None] * scale[None, :]
+        _scale_rows_and_columns(entries, 1.0 / np.sqrt(norms))
     else:
         norms = np.linalg.norm(entries, axis=1)
         deviation = float(np.abs(norms - 1.0).max())
@@ -328,6 +327,7 @@ def unit_row_normalize(A: SymmetricMatrix, max_iters=64, tol=1e-8) -> SymmetricM
 # holds: products of such entries stay above 2^-800, far from underflow, and
 # under to_correlation no column scale exceeds sqrt(m) * 2^400.
 _UNDERFLOW_FREE = 2.0**-400
+_SQRT_FLOAT_MAX = math.sqrt(_matrix._FLOAT_MAX)
 
 
 def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> SymmetricMatrix:
@@ -342,11 +342,12 @@ def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> Sy
     3.9e-121) in magnitude. Let ``d = max(m - 1, 1)`` and ``S`` the stored
     column scales (``S = I`` without ``to_correlation``). ``P = S X_c.T X_c S
     / d`` is exactly PSD and of rank at most m. Each entry of ``A`` comes
-    from an m-term dot product, the division by ``d``, two scale multiplies,
-    ``fill_diagonal(1.0)`` under ``to_correlation`` and the symmetric
-    average, so elementwise ``|A - P| <= gamma_(m+5) Q`` with ``Q = S |X_c|.T
-    |X_c| S / d`` and ``gamma_k = k u / (1 - k u)``, ``u = eps / 2`` (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1 and 3.5).
+    from an m-term dot product, the division by ``d``, two scale multiplies
+    (``s_i s_j``, then the entry), ``fill_diagonal(1.0)`` under
+    ``to_correlation`` and the symmetric average, so elementwise
+    ``|A - P| <= gamma_(m+5) Q`` with ``Q = S |X_c|.T |X_c| S / d`` and
+    ``gamma_k = k u / (1 - k u)``, ``u = eps / 2`` (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1 and 3.5).
     ``Q`` is PSD with the diagonal, and so the trace, of ``P``; hence
     ``||A - P||_2 <= || |A - P| ||_2 <= gamma_(m+5) ||Q||_2 <= gamma_(m+5)
     tr P``, and by Weyl's inequality ``lambda_min(A) >= -gamma_(m+5) tr P``.
@@ -364,8 +365,14 @@ def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> Sy
     When ``2 m < n`` and no entry underflows as above, the result also carries
     the scaled data factor ``F = X_c / sqrt(m - 1)``, its columns divided by
     the standard deviations under ``to_correlation``, so that ``A = F.T F`` up
-    to rounding. The block Krylov solver and the large matrix spectral norm
-    then multiply by the thin ``F`` instead of the n x n entries.
+    to rounding. When it is also certified, and the sum of squares of ``X_c``
+    is at most half the largest float (so that no entry nor the trace of
+    ``A`` can overflow), the result holds ``F`` alone: ``trace`` is
+    ``||F||_F^2`` (exactly n under ``to_correlation``), and the n x n
+    entries are built on their first read, bit for bit those of the dense
+    result. Every other covariance is built dense, and raises
+    :class:`~spcakit.errors.NonFiniteEntries` when its entries or trace
+    overflow.
     """
     entries = X.entries
     if center:
@@ -373,30 +380,66 @@ def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> Sy
             raise ValueError("centering requires at least two samples")
         entries = entries - X.column_means
     denom = max(X.m - 1, 1)
-    cov = entries.T @ entries / denom
     exact_products = _UNDERFLOW_FREE <= np.min(
         np.abs(entries), where=entries != 0.0, initial=np.inf
     )
-    factor = entries / math.sqrt(denom) if 2 * X.m < X.n and exact_products else None
+    squares = np.einsum("ij,ij->j", entries, entries)  # diagonal of X_c.T X_c
+    scale = None
     if to_correlation:
-        diag = np.diag(cov).copy()
+        diag = squares / denom
         if np.any(diag <= 0):
             raise ZeroVarianceColumn(
                 f"column {int(np.argmin(diag))} has zero variance"
             )
         scale = 1.0 / np.sqrt(diag)
-        cov = cov * scale[:, None] * scale[None, :]
-        np.fill_diagonal(cov, 1.0)
-        if factor is not None:
-            factor = factor * scale
-    out = symmetrize(cov)
-    if factor is not None:
+    factor = None
+    if 2 * X.m < X.n and exact_products:
+        factor = entries / math.sqrt(denom)
+        if scale is not None:
+            factor *= scale
         factor.flags.writeable = False
-        out._factor = factor
     # PSD_SLACK is read at call time, so a caller that lowers it is obeyed.
     rounding = X.m * (X.m + 8) * float(np.finfo(float).eps)
-    out._psd = bool(exact_products) and rounding <= _matrix.PSD_SLACK / 2.0
+    certified = bool(exact_products) and rounding <= _matrix.PSD_SLACK / 2.0
+    with np.errstate(over="ignore"):
+        total = float(squares.sum())
+    if factor is not None and certified and total <= _matrix._FLOAT_MAX / 2.0:
+        trace = float(X.n) if scale is not None else total / denom
+        out = SymmetricMatrix._from_factor(
+            factor, trace, lambda: _covariance_entries(entries, denom, scale)
+        )
+    else:
+        out = symmetrize(_covariance_entries(entries, denom, scale))
+        out._factor = factor
+    out._psd = certified
     return out
+
+
+def _covariance_entries(X_c, denom, scale):
+    """``X_c.T X_c / denom``, scaled to unit diagonal by the column ``scale``
+    when it is given. Bitwise symmetric: the product is a symmetric rank-k
+    update, and ``outer(scale, scale)`` is symmetric bit for bit."""
+    cov = X_c.T @ X_c / denom
+    if scale is not None:
+        _scale_rows_and_columns(cov, scale)
+        np.fill_diagonal(cov, 1.0)
+    return cov
+
+
+def _scale_rows_and_columns(arr, scale):
+    """Multiply row and column i of the square ``arr`` by ``scale[i]``, in place.
+
+    By ``outer(scale, scale)``: ``s_i s_j == s_j s_i`` bit for bit, so a
+    bitwise symmetric ``arr`` stays so, and :func:`symmetrize` copies it
+    without an averaging pass. A scale above ``sqrt`` of the largest float,
+    from a subnormal variance or row norm, could overflow that product; such
+    input is scaled as ``(a_ij s_i) s_j`` instead, which stays finite.
+    """
+    if scale.max() <= _SQRT_FLOAT_MAX:
+        arr *= np.outer(scale, scale)
+    else:
+        arr *= scale[:, None]
+        arr *= scale[None, :]
 
 
 def kernel_matrix(

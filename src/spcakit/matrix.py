@@ -19,12 +19,22 @@ certifies it PSD from a rounding bound on how it was built.
 
 A sample covariance built from fewer than ``n / 2`` samples carries its
 scaled data factor ``F`` (m x n, ``A = F.T F``, see
-:func:`spcakit.data.covariance_from_data`). Where only products with ``A``
-are needed, the block Krylov iteration, its Rayleigh-Ritz step and the large
-matrix spectral norm go through ``F``: a product costs ``2 m n`` flops per
-column against ``n^2``, and the norm is the top eigenvalue of the m x m
-matrix ``F F.T``. Every other matrix uses its entries, and the entries stay
-the reference for every reported value.
+:func:`spcakit.data.covariance_from_data`); a certified one holds nothing
+else, and builds its n x n entries only when they are first read. The
+eigenbasis-thresholding path never reads them:
+
+* products with ``A`` (block Krylov and its Rayleigh-Ritz step) cost
+  ``2 m n`` flops per column through ``F`` against ``n^2``;
+* :func:`top_l_eigenpairs` skips the iteration when its subspace would
+  already hold ``range(F.T)``, and runs one Rayleigh-Ritz step on that range;
+* the spectral norm, unless a full decomposition is cached, is the top
+  eigenvalue of the m x m matrix ``F F.T``;
+* a principal block ``A[S, S]`` is ``F_S.T F_S`` (:func:`_principal_block`).
+
+The relaxation, the oracle and the full decomposition read the entries, and
+so build them; from then on principal blocks are gathered from the entries,
+so those solvers see the bits a dense matrix gives. Values computed through
+``F`` agree with the entries to rounding.
 """
 
 from __future__ import annotations
@@ -169,8 +179,35 @@ def _symmetrize_tiles(arr, halve):
     return out, 2.0 * max_gap if halve else max_gap
 
 
+def _symmetric_entries(raw):
+    """The frozen, read-only average of ``raw`` and its transpose (see :func:`symmetrize`)."""
+    arr = np.asarray(raw, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        raise NotSquare(f"expected a square 2-d array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntries("matrix contains NaN or infinite entries")
+    if _bitwise_symmetric(arr):
+        # The average is the input itself: (a + a) / 2 == a bit for bit
+        # wherever a + a stays finite, and a is the exact average above
+        # that. The F-ordered memory of a symmetric array is its C-ordered
+        # memory, so either order copies straight.
+        entries = (arr.T if arr.flags.f_contiguous else arr).copy(order="C")
+    else:
+        largest = max(float(arr.max()), -float(arr.min()))
+        halve = largest > _FLOAT_MAX / 2.0
+        entries, max_gap = _symmetrize_tiles(arr, halve)
+        tol = _SYMMETRY_RTOL * largest
+        if max_gap > tol:
+            step = 2.0 if halve else 1.0  # dividing by 1 is exact
+            gap = np.abs(arr / step - arr.T / step)
+            i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)  # first in row-major order
+            raise AsymmetryExceedsTolerance(int(i), int(j), step * float(gap[i, j]), tol)
+    entries.flags.writeable = False
+    return entries
+
+
 class SymmetricMatrix:
-    """Immutable dense symmetric matrix with cached spectral data.
+    """Immutable symmetric matrix with cached spectral data.
 
     Construct through :func:`symmetrize`; the constructor averages the input
     with its transpose after checking the asymmetry tolerance (relative, see
@@ -180,46 +217,51 @@ class SymmetricMatrix:
     cached, so repeated solves on the same matrix pay for each once.
     :func:`spcakit.data.covariance_from_data` sets the verdict of a sample
     covariance it certifies, and ``_factor``, the data factor ``F`` with
-    ``A = F.T F``, of a wide one; else ``_factor`` is None.
+    ``A = F.T F``, of a wide one; else ``_factor`` is None. A certified wide
+    covariance holds ``F`` alone (:meth:`_from_factor`): its ``entries`` are
+    built on first read.
     """
 
-    __slots__ = ("entries", "n", "trace", "_eig", "_norm", "_psd", "_factor")
+    __slots__ = ("n", "trace", "_entries", "_build", "_eig", "_norm", "_psd", "_factor")
 
     def __init__(self, raw):
-        arr = np.asarray(raw, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise NotSquare(f"expected a square 2-d array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise NonFiniteEntries("matrix contains NaN or infinite entries")
-        if _bitwise_symmetric(arr):
-            # The average is the input itself: (a + a) / 2 == a bit for bit
-            # wherever a + a stays finite, and a is the exact average above
-            # that. The F-ordered memory of a symmetric array is its C-ordered
-            # memory, so either order copies straight.
-            entries = (arr.T if arr.flags.f_contiguous else arr).copy(order="C")
-        else:
-            largest = max(float(arr.max()), -float(arr.min()))
-            halve = largest > _FLOAT_MAX / 2.0
-            entries, max_gap = _symmetrize_tiles(arr, halve)
-            tol = _SYMMETRY_RTOL * largest
-            if max_gap > tol:
-                step = 2.0 if halve else 1.0  # dividing by 1 is exact
-                gap = np.abs(arr / step - arr.T / step)
-                i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)  # first in row-major order
-                raise AsymmetryExceedsTolerance(int(i), int(j), step * float(gap[i, j]), tol)
+        entries = _symmetric_entries(raw)
         with np.errstate(over="ignore"):
             trace = float(np.trace(entries))
         if not math.isfinite(trace):
             # the sums of every later step (norms, objectives, floors) overflow too
             raise NonFiniteEntries("the diagonal entries sum past the largest float")
-        entries.flags.writeable = False
-        self.entries = entries
-        self.n = int(arr.shape[0])
+        self._init(entries.shape[0], trace, entries, None, None)
+
+    @classmethod
+    def _from_factor(cls, factor, trace, build):
+        """The matrix ``F.T F`` of the read-only factor ``F``, holding no entries.
+
+        ``build()`` returns the raw entries, which go through :func:`symmetrize`'s
+        checks on the first read of ``entries``. The caller makes sure they are
+        finite and that ``trace`` is their trace, up to rounding.
+        """
+        A = cls.__new__(cls)
+        A._init(int(factor.shape[1]), trace, None, factor, build)
+        return A
+
+    def _init(self, n, trace, entries, factor, build):
+        self.n = int(n)
         self.trace = trace
+        self._entries = entries
+        self._build = build
         self._eig = None
         self._norm = None
         self._psd = False
-        self._factor = None
+        self._factor = factor
+
+    @property
+    def entries(self):
+        """The read-only n x n array, built on first read when ``A`` holds only a factor."""
+        if self._entries is None:
+            self._entries = _symmetric_entries(self._build())
+            self._build = None
+        return self._entries
 
     def __repr__(self):
         return f"SymmetricMatrix(n={self.n}, trace={self.trace:.6g})"
@@ -328,8 +370,33 @@ def _product(A, block, gram=False):
     return low.T @ low if gram else F.T @ low
 
 
+def _principal_block(A, idx):
+    """The principal block ``A[idx, idx]`` for an index array ``idx``.
+
+    Gathered from the entries when ``A`` holds them, else ``F_S.T F_S`` from
+    its data factor, so reading a block never builds the n x n entries.
+    """
+    if A._entries is None:
+        low = A._factor[:, idx]
+        return low.T @ low
+    return A._entries[np.ix_(idx, idx)]
+
+
 def _krylov_iters(n, svd_eps):
     return int(math.ceil(_KRYLOV_C * math.log(max(n, 2)) / math.sqrt(svd_eps)))
+
+
+def _rayleigh_ritz(A, basis, l):
+    """The top ``l`` Ritz pairs of ``A`` on the orthonormal columns of ``basis``."""
+    small = _product(A, basis, gram=True)
+    small = (small + small.T) / 2.0
+    w, s = _symmetric_eigh(small)
+    order = np.argsort(-w, kind="stable")[:l]
+    values = np.maximum(w[order], 0.0)
+    vectors = _fix_signs(basis @ s[:, order])
+    if not np.isfinite(values).all() or not np.isfinite(vectors).all():
+        raise ConvergenceFailure("Rayleigh-Ritz step produced non-finite output")
+    return EigenPairs(values, vectors)
 
 
 def top_l_eigenpairs(
@@ -349,6 +416,14 @@ def top_l_eigenpairs(
     the full dimension, the dense path is used instead (the iteration has
     saturated); the output is still deterministic for a given seed. Its
     products with ``A`` go through the data factor when ``A`` carries one.
+
+    A matrix with an m x n data factor ``F`` and ``l <= m`` skips both, for
+    ``method="exact"`` and for a Krylov iteration of at least ``m`` vectors
+    beyond its start block: every eigenvector of a nonzero eigenvalue lies in
+    ``range(F.T)``, which such an iteration would already span. One
+    Rayleigh-Ritz step on an orthonormal basis of ``range(F.T)`` then gives
+    the exact pairs, to rounding, without the seed, the n x n entries or a
+    full decomposition.
     """
     if not 1 <= l <= A.n:
         raise InvalidRank(f"l={l} outside [1, {A.n}]")
@@ -357,6 +432,16 @@ def top_l_eigenpairs(
     n = A.n
     if method == "block_krylov" and not 0.0 < svd_eps < 1.0:
         raise ValueError("svd_eps must lie in (0, 1) for block_krylov")
+    F = A._factor
+    if F is not None and l <= F.shape[0] and (
+        method == "exact" or l * _krylov_iters(n, svd_eps) >= F.shape[0]
+    ):
+        # SciPy's economic QR: at 2048 x 128 with one BLAS thread it took
+        # 12 ms against 16 ms for np.linalg.qr.
+        from scipy.linalg import qr
+
+        basis, _ = qr(F.T, mode="economic", check_finite=False)
+        return _rayleigh_ritz(A, basis, l)
     if method == "exact" or l * (_krylov_iters(n, svd_eps) + 1) >= n:
         full = eigendecompose(A)
         return EigenPairs._from_lapack(full.values[:l].copy(), full.vectors[:, :l].copy())
@@ -370,15 +455,7 @@ def top_l_eigenpairs(
         block, _ = np.linalg.qr(_product(A, block))
         blocks.append(block)
     basis, _ = np.linalg.qr(np.hstack(blocks))
-    small = _product(A, basis, gram=True)
-    small = (small + small.T) / 2.0
-    w, s = _symmetric_eigh(small)
-    order = np.argsort(-w, kind="stable")[:l]
-    values = np.maximum(w[order], 0.0)
-    vectors = _fix_signs(basis @ s[:, order])
-    if not np.isfinite(values).all() or not np.isfinite(vectors).all():
-        raise ConvergenceFailure("block Krylov iteration produced non-finite output")
-    return EigenPairs(values, vectors)
+    return _rayleigh_ritz(A, basis, l)
 
 
 def _dense_check(A: SymmetricMatrix) -> bool:
@@ -406,15 +483,17 @@ def _lanczos_norm(entries) -> float:
 def spectral_norm(A: SymmetricMatrix) -> float:
     """``max(|lambda_max|, |lambda_min|)`` of ``A``.
 
-    Read from the full decomposition when it is cached or ``n`` is at most
-    ``_DENSE_CHECK_MAX_N``. Otherwise, when ``A`` carries a data factor
-    ``F``, it is the top eigenvalue of the m x m matrix ``F F.T`` (a dense
-    LAPACK eigensolve); without one, Lanczos (ARPACK ``eigsh``, largest
-    magnitude, full precision) from a fixed-seed Philox start vector. Either
-    is cached on ``A``, and matrices built alike give bit-identical norms.
-    The zero matrix has norm 0.
+    Read from the full decomposition when it is cached. Otherwise, when ``A``
+    carries a data factor ``F``, it is the top eigenvalue of the m x m matrix
+    ``F F.T`` (a dense LAPACK eigensolve), so a factor-only matrix builds no
+    entries for it at any n. Without a factor it is read from the full
+    decomposition when ``n`` is at most ``_DENSE_CHECK_MAX_N``, and above
+    that from Lanczos (ARPACK ``eigsh``, largest magnitude, full precision)
+    from a fixed-seed Philox start vector. The factor and Lanczos norms are
+    cached on ``A``, and matrices built alike give bit-identical norms. The
+    zero matrix has norm 0.
     """
-    if _dense_check(A):
+    if A._eig is not None or (A._factor is None and A.n <= _DENSE_CHECK_MAX_N):
         values = eigendecompose(A).values
         return max(abs(float(values[0])), abs(float(values[-1])))
     if A._norm is None:

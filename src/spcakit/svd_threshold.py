@@ -21,6 +21,7 @@ from .matrix import (
     SvdParams,
     SymmetricMatrix,
     _fix_signs,
+    _principal_block,
     ensure_psd,
     top_l_eigenpairs,
 )
@@ -112,8 +113,7 @@ class SparseUnitVector:
         """The value x.T A x, computed on the support only."""
         if A.n != self.n:
             raise DimensionMismatch(f"vector dim {self.n} vs matrix dim {A.n}")
-        sub = A.entries[np.ix_(self.support, self.support)]
-        return float(self.values @ sub @ self.values)
+        return float(self.values @ _principal_block(A, self.support) @ self.values)
 
 
 def threshold_row_indices(pairs: EigenPairs, k, sparsity=None, epsilon=None):

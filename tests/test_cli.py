@@ -220,6 +220,15 @@ class TestSolveCommand:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["code"] == "DegenerateSolution"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_covariance_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.mtx"
+        save_matrix(path, 1e200 * wide_data(8, 40, 5).entries)
+        code = _run(["solve", "--input", str(path), "--input-kind", "data", "--algo", "svd",
+                     "--k", "2", "--sparsity", "2"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["code"] == "NonFiniteEntries"
+
     def test_data_kind_goes_through_covariance(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(3))
         csv = tmp_path / "x.csv"

@@ -11,6 +11,7 @@ from spcakit import (
     DimensionNotDivisibleBy4,
     InvalidKernelParams,
     NonConvergenceWarning,
+    NonFiniteEntries,
     NotPowerOfTwo,
     ParseError,
     SymmetricMatrix,
@@ -340,6 +341,36 @@ class TestCovariance:
         if center:
             np.testing.assert_allclose(F.sum(axis=0), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("to_correlation", [False, True])
+    def test_lazily_built_entries_are_the_dense_entries(self, monkeypatch, center, to_correlation):
+        X = wide_data(40, 600, 5)
+        A = covariance_from_data(X, center=center, to_correlation=to_correlation)
+        assert A._entries is None and A._psd
+        with monkeypatch.context() as mp:
+            # too small a slack certifies nothing, so the covariance is built dense
+            mp.setattr(matrix_mod, "PSD_SLACK", 1e-20)
+            dense = covariance_from_data(X, center=center, to_correlation=to_correlation)
+        assert dense._entries is not None and not dense._psd
+        assert A.entries.tobytes() == dense.entries.tobytes()
+        assert not A.entries.flags.writeable
+        X_c = X.entries - X.column_means if center else X.entries
+        if to_correlation:
+            assert A.trace == 600.0 == dense.trace
+        else:
+            # the product and division of the covariance before this change
+            plain = symmetrize(X_c.T @ X_c / 39)
+            assert A.entries.tobytes() == plain.entries.tobytes()
+            assert A.trace == pytest.approx(dense.trace, rel=1e-14, abs=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("to_correlation", [False, True])
+    def test_overflowing_wide_covariance_raises(self, to_correlation):
+        X = DataMatrix(1e200 * wide_data(8, 40, 5).entries)
+        with pytest.raises(NonFiniteEntries):
+            covariance_from_data(X, to_correlation=to_correlation)
+
     @pytest.mark.parametrize("m", [300, 301])
     def test_no_data_factor_from_half_the_features_or_more(self, m):
         assert covariance_from_data(wide_data(m, 600, 5))._factor is None
@@ -389,6 +420,26 @@ class TestCovariance:
             unit_row_normalize(A, max_iters=25)
         B = unit_row_normalize(A)
         np.testing.assert_allclose(np.linalg.norm(B.entries, axis=1), 1.0, rtol=0, atol=1e-8)
+
+    def test_scaling_needs_no_averaging_pass(self, monkeypatch):
+        # Rows and columns are scaled by outer(s, s), which keeps the bitwise
+        # symmetric product so: symmetrize copies it, with no averaging pass.
+        tiles = count_calls(monkeypatch, matrix_mod, "_symmetrize_tiles")
+        wide = covariance_from_data(wide_data(40, 600, 5), to_correlation=True)
+        tall = covariance_from_data(wide_data(300, 600, 5), to_correlation=True)
+        for A in (wide, tall, unit_row_normalize(wide), unit_row_normalize(random_psd(8, 9001))):
+            np.testing.assert_array_equal(A.entries, A.entries.T)
+        assert tiles == []
+
+    def test_scales_whose_product_overflows_stay_finite(self):
+        # Columns of subnormal variance have scales near 1e160, whose products
+        # overflow; those are scaled one factor at a time.
+        X = wide_data(8, 20, 5).entries.copy()
+        X[:, 3] = 1e-160 * np.array([1.0, -2.0, 3.0, 1.5, -1.0, 2.0, 4.0, 1.0])
+        X[:, 4] = 1e-160 * np.array([2.0, 1.0, -1.0, 1.0, 3.0, -2.0, 1.0, 2.0])
+        A = covariance_from_data(DataMatrix(X), center=False, to_correlation=True)
+        assert np.isfinite(A.entries).all() and abs(A.entries[3, 4]) < 1.0
+        np.testing.assert_array_equal(np.diag(A.entries), 1.0)
 
     def test_unit_row_normalization_warns_when_capped(self):
         A = random_psd(6, 77)

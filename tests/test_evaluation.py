@@ -8,6 +8,7 @@ from spcakit import (
     DimensionMismatch,
     SparseUnitVector,
     SvdParams,
+    covariance_from_data,
     evaluate,
     exact_spca,
     pit_props,
@@ -25,7 +26,7 @@ from spcakit import (
 from spcakit import evaluation as evaluation_mod
 from spcakit import matrix as matrix_mod
 
-from helpers import count_calls, random_psd
+from helpers import count_calls, random_psd, wide_data
 
 
 class TestEvaluate:
@@ -216,6 +217,21 @@ class TestSolve:
         else:
             assert sol is None and diag is None
             assert report.thm2_floor is None
+
+    @pytest.mark.parametrize("algo", ["sdp", "oracle"])
+    def test_wide_covariance_gives_the_dense_vectors(self, algo):
+        # Both solvers read the entries, which a certified wide covariance
+        # builds on first read: whether a caller read them first, or the
+        # matrix was dense from the start, changes no bit of the vector.
+        X = wide_data(6, 14, 31)
+        lazy, read_first = covariance_from_data(X), covariance_from_data(X)
+        dense = symmetrize(read_first.entries)
+        assert lazy._entries is None and dense._factor is None
+        outputs = [solve(A, algo, 3, sparsity=3) for A in (lazy, read_first, dense)]
+        for vec, report, _, _ in outputs[1:]:
+            assert vec.support.tobytes() == outputs[0][0].support.tobytes()
+            assert vec.values.tobytes() == outputs[0][0].values.tobytes()
+            assert report.objective == outputs[0][1].objective
 
 
 def _round_relaxation(A, s):

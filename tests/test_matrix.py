@@ -599,6 +599,42 @@ class TestDataFactor:
         assert cosines.min() >= 1.0 - 1e-8
 
     @pytest.mark.parametrize("to_correlation", [False, True])
+    def test_rayleigh_ritz_on_the_factor_matches_the_dense_pairs(self, monkeypatch, to_correlation):
+        # l = 4 times 41 Krylov steps would exceed the 40 samples, so block
+        # Krylov runs the exact step as well: one product, through F.
+        products = count_calls(monkeypatch, matrix_mod, "_product")
+        A = covariance_from_data(wide_data(40, 600, 17), to_correlation=to_correlation)
+        exact = top_l_eigenpairs(A, 4)
+        krylov = top_l_eigenpairs(A, 4, method="block_krylov", svd_eps=0.1, seed=3)
+        assert len(products) == 2 and A._entries is None and A._eig is None
+        assert exact.values.tobytes() == krylov.values.tobytes()
+        assert exact.vectors.tobytes() == krylov.vectors.tobytes()
+        w, v = np.linalg.eigh(A.entries)
+        np.testing.assert_allclose(exact.values, w[::-1][:4], rtol=1e-10, atol=0)
+        cosines = np.abs(np.sum(exact.vectors * v[:, ::-1][:, :4], axis=0))
+        assert cosines.min() >= 1.0 - 1e-8
+
+    @pytest.mark.parametrize("to_correlation", [False, True])
+    def test_unsaturated_block_krylov_multiplies_through_the_factor(self, monkeypatch, to_correlation):
+        # 1 x 41 Krylov vectors cannot span the 279-dimensional range of F.T,
+        # so the iteration runs, with every product through F.
+        products = count_calls(monkeypatch, matrix_mod, "_product")
+        A = covariance_from_data(wide_data(280, 600, 7), to_correlation=to_correlation)
+        ours = top_l_eigenpairs(A, 1, method="block_krylov", svd_eps=0.1, seed=3)
+        assert len(products) == matrix_mod._krylov_iters(600, 0.1) + 1 and A._entries is None
+        ref = top_l_eigenpairs(symmetrize(A.entries), 1, method="block_krylov", svd_eps=0.1, seed=3)
+        np.testing.assert_allclose(ours.values, ref.values, rtol=1e-10, atol=0)
+        assert abs(float(ours.vectors[:, 0] @ ref.vectors[:, 0])) >= 1.0 - 1e-8
+
+    def test_more_pairs_than_samples_take_the_dense_path(self):
+        A = covariance_from_data(wide_data(8, 40, 3))
+        pairs = top_l_eigenpairs(A, 9)
+        full = A._eig
+        assert full is not None
+        assert pairs.values.tobytes() == full.values[:9].tobytes()
+        assert pairs.vectors.tobytes() == full.vectors[:, :9].tobytes()
+
+    @pytest.mark.parametrize("to_correlation", [False, True])
     def test_spectral_norm_matches_the_dense_norm(self, monkeypatch, to_correlation):
         import scipy.sparse.linalg
 

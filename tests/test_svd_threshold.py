@@ -17,6 +17,7 @@ from spcakit import (
     threshold_row_indices,
     top_l_eigenpairs,
 )
+from spcakit import data as data_mod
 from spcakit import matrix as matrix_mod
 
 from helpers import count_calls, random_psd, random_unit_vector, wide_data
@@ -249,35 +250,18 @@ class TestEigensolverCalls:
         }
         assert report.f_value > 0
 
-    def test_data_factor_solve_never_multiplies_by_the_entries(self, monkeypatch, calls):
+    @pytest.mark.parametrize(
+        "svd",
+        [SvdParams(method="block_krylov", svd_eps=0.1, seed=3), SvdParams(method="exact")],
+        ids=["block_krylov", "exact"],
+    )
+    def test_data_factor_solve_never_builds_the_entries(self, monkeypatch, calls, svd):
         import scipy.sparse.linalg
 
         n, counts = calls
         arpack = count_calls(monkeypatch, scipy.sparse.linalg, "eigsh")
+        builds = count_calls(monkeypatch, data_mod, "_covariance_entries")
         A = covariance_from_data(wide_data(40, n, 21))
-        products = []
-
-        class Entries(np.ndarray):
-            """The n x n entries, recording each matrix product with a block."""
-
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                def plain(x):
-                    return x.view(np.ndarray) if isinstance(x, Entries) else x
-
-                if ufunc is np.matmul and all(np.ndim(x) == 2 for x in inputs) and any(
-                    isinstance(x, Entries) and x.shape == (n, n) for x in inputs
-                ):
-                    products.append([np.shape(x) for x in inputs])
-                if "out" in kwargs:
-                    kwargs["out"] = tuple(map(plain, kwargs["out"]))
-                return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
-
-        # a product the spy must record, so that the empty record below means something
-        A.entries.view(Entries) @ np.ones((n, 2))
-        assert products == [[(n, n), (n, 2)]]
-        products.clear()
-        A.entries = A.entries.view(Entries)
-        svd = SvdParams(method="block_krylov", svd_eps=0.1, seed=3)
         _, report, _, _ = solve(A, "svd", 4, sparsity=4, svd=svd)
         assert counts() == {
             "eigendecompose": 0,
@@ -285,8 +269,10 @@ class TestEigensolverCalls:
             "_shifted_cholesky_succeeds": 0,  # the rounding bound certifies PSD
             "full_eigh": 0,
         }
-        assert arpack == [] and products == []
+        assert arpack == [] and builds == []
         assert report.f_value > 0
+        # a build the spy must record, so that the empty record above means something
+        assert A.entries.shape == (n, n) and len(builds) == 1
 
     @pytest.mark.parametrize(
         "svd, epsilon",
