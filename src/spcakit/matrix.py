@@ -10,12 +10,16 @@ The conventions fixed here keep all downstream output deterministic:
 * every dense symmetric eigensolve but the oracle's batched ``eigvalsh`` goes
   through :func:`_symmetric_eigh`, SciPy's LAPACK on the lower triangle.
 
-PSD validation and the spectral norm read the full decomposition only for
-small matrices or when it is already cached; larger matrices are checked by a
-spectral norm and one shifted Cholesky factorization, so the block Krylov
-solver never pays for a dense eigensolve of ``A``. A sample covariance
-skips the check altogether: :func:`spcakit.data.covariance_from_data`
-certifies it PSD from a rounding bound on how it was built.
+PSD validation reads the full decomposition only when it is already cached.
+Otherwise it takes a norm and runs one shifted Cholesky factorization,
+computing eigenvalues only when that fails, so no path pays for a full
+eigensolve of ``A`` to validate it. Up to ``_DENSE_CHECK_MAX_N`` the norm is
+the top eigenvalue of the one top eigenpair cached on the matrix
+(:func:`_top_eigenpair`), which also gives the spectral norm of a checked
+matrix and the relaxation solver's start; above it, Lanczos. A sample
+covariance skips the check altogether:
+:func:`spcakit.data.covariance_from_data` certifies it PSD from a rounding
+bound on how it was built.
 
 A sample covariance built from fewer than ``n / 2`` samples carries its
 scaled data factor ``F`` (m x n, ``A = F.T F``, see
@@ -61,13 +65,18 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 _KRYLOV_C = 2.0
 
-# Largest n at which ensure_psd and spectral_norm read the full decomposition;
-# above it they use a Lanczos (or data factor) norm plus one shifted Cholesky.
-# Measured with one BLAS thread on sample covariances (Lanczos check plus
-# norm, against the dense path): equal cost near n = 96, 1.8x faster at 128,
-# 4-5x at 256, 5-7x at 512 and 12-14x at 2048. Its first use also imports
-# scipy.sparse.linalg (about 27 ms and 2.5 MB once per process), more than the
-# under-5 ms it saves per matrix up to n = 256.
+# Largest n at which ensure_psd and spectral_norm of a matrix without a data
+# factor take their norm from the top eigenpair (one dsyevr); above it they
+# use Lanczos. Measured with one BLAS thread on sample covariances of rank
+# n / 4, microseconds per check (norm plus one shifted dpotrf), against one
+# full dsyevd:
+#   n =  20 /  64 / 128 /  256 / 512
+#   top pair   16 /  81 / 300 / 1370 / 7600
+#   Lanczos   233 / 257 / 570 / 1100 / 4760
+#   dsyevd     22 / 143 / 546 / 2440 / 14000
+# Lanczos overtakes the top pair between n = 128 and 256, but the relaxation
+# solver needs the top pair for its start anyway, and the first Lanczos call
+# imports scipy.sparse.linalg (about 27 ms and 2.5 MB once per process).
 _DENSE_CHECK_MAX_N = 256
 
 # Side of the square tiles SymmetricMatrix compares, and averages when they
@@ -212,7 +221,7 @@ class SymmetricMatrix:
     Construct through :func:`symmetrize`; the constructor averages the input
     with its transpose after checking the asymmetry tolerance (relative, see
     :func:`symmetrize`), or copies it when it is bitwise symmetric, then
-    freezes the storage. The full eigendecomposition,
+    freezes the storage. The full eigendecomposition, the top eigenpair,
     the spectral norm and a passing PSD verdict are computed lazily and
     cached, so repeated solves on the same matrix pay for each once.
     :func:`spcakit.data.covariance_from_data` sets the verdict of a sample
@@ -222,7 +231,7 @@ class SymmetricMatrix:
     built on first read.
     """
 
-    __slots__ = ("n", "trace", "_entries", "_build", "_eig", "_norm", "_psd", "_factor")
+    __slots__ = ("n", "trace", "_entries", "_build", "_eig", "_top", "_norm", "_psd", "_factor")
 
     def __init__(self, raw):
         entries = _symmetric_entries(raw)
@@ -251,6 +260,7 @@ class SymmetricMatrix:
         self._entries = entries
         self._build = build
         self._eig = None
+        self._top = None
         self._norm = None
         self._psd = False
         self._factor = factor
@@ -338,6 +348,19 @@ class SvdParams:
     method: str = "exact"  # "exact" or "block_krylov"
     svd_eps: float = 0.1
     seed: int = 0
+
+
+def _top_eigenpair(A: SymmetricMatrix):
+    """``(lambda_max, v)`` of ``A``: ``_symmetric_eigh(A.entries, top=1)``, cached on ``A``.
+
+    ``v`` is a read-only unit vector, signs as LAPACK returns them.
+    """
+    if A._top is None:
+        w, v = _symmetric_eigh(A.entries, top=1)
+        v = v[:, -1].copy()
+        v.flags.writeable = False
+        A._top = (float(w[-1]), v)
+    return A._top
 
 
 def eigendecompose(A: SymmetricMatrix) -> EigenPairs:
@@ -446,21 +469,25 @@ def top_l_eigenpairs(
         full = eigendecompose(A)
         return EigenPairs._from_lapack(full.values[:l].copy(), full.vectors[:, :l].copy())
 
+    iters = _krylov_iters(n, svd_eps)
     rng = np.random.Generator(np.random.Philox(seed))
-    block, _ = np.linalg.qr(rng.standard_normal((n, l)))
-    blocks = [block]
-    for _ in range(_krylov_iters(n, svd_eps)):
-        # Per-block QR keeps the basis well conditioned without changing
-        # the accumulated span.
-        block, _ = np.linalg.qr(_product(A, block))
-        blocks.append(block)
-    basis, _ = np.linalg.qr(np.hstack(blocks))
+    basis = np.empty((n, l * (iters + 1)), order="F")
+    basis[:, :l], _ = np.linalg.qr(rng.standard_normal((n, l)))
+    for i in range(1, iters + 1):
+        # Block Gram-Schmidt against the blocks before, twice, then QR: the
+        # later blocks are nearly parallel power iterates, and what sets them
+        # apart is lost when they are orthonormalized only as a final stack.
+        # The basis still spans the block Krylov space.
+        done = basis[:, : l * i]
+        block = _product(A, basis[:, l * (i - 1) : l * i])
+        for _ in range(2):
+            block -= done @ (done.T @ block)
+        basis[:, l * i : l * (i + 1)], _ = np.linalg.qr(block)
+    # Orthonormal already, unless a block was rank-deficient (an exactly
+    # invariant subspace, such as the zero matrix gives): its QR columns
+    # then need not be orthogonal to the blocks before.
+    basis, _ = np.linalg.qr(basis)
     return _rayleigh_ritz(A, basis, l)
-
-
-def _dense_check(A: SymmetricMatrix) -> bool:
-    """Whether ensure_psd and spectral_norm read the full decomposition."""
-    return A._eig is not None or A.n <= _DENSE_CHECK_MAX_N
 
 
 def _lanczos_norm(entries) -> float:
@@ -480,29 +507,38 @@ def _lanczos_norm(entries) -> float:
     return abs(float(w[0]))
 
 
+def _norm_of(values) -> float:
+    return max(abs(float(values[0])), abs(float(values[-1])))
+
+
 def spectral_norm(A: SymmetricMatrix) -> float:
     """``max(|lambda_max|, |lambda_min|)`` of ``A``.
 
     Read from the full decomposition when it is cached. Otherwise, when ``A``
     carries a data factor ``F``, it is the top eigenvalue of the m x m matrix
     ``F F.T`` (a dense LAPACK eigensolve), so a factor-only matrix builds no
-    entries for it at any n. Without a factor it is read from the full
-    decomposition when ``n`` is at most ``_DENSE_CHECK_MAX_N``, and above
-    that from Lanczos (ARPACK ``eigsh``, largest magnitude, full precision)
-    from a fixed-seed Philox start vector. The factor and Lanczos norms are
-    cached on ``A``, and matrices built alike give bit-identical norms. The
-    zero matrix has norm 0.
+    entries for it at any n. Without a factor and with ``n`` above
+    ``_DENSE_CHECK_MAX_N`` it comes from Lanczos (ARPACK ``eigsh``, largest
+    magnitude, full precision) from a fixed-seed Philox start vector. Up to
+    that n, a matrix that has passed :func:`ensure_psd` with a positive
+    ``lambda_max`` has that top eigenvalue, from the cached top eigenpair, as
+    its norm: no eigenvalue of it lies below ``-PSD_SLACK * ||A||_2`` (or
+    ``-1e-308``). Any other is read from the full decomposition.
+    These norms are cached on ``A``, and matrices built alike give
+    bit-identical norms. The zero matrix has norm 0.
     """
-    if A._eig is not None or (A._factor is None and A.n <= _DENSE_CHECK_MAX_N):
-        values = eigendecompose(A).values
-        return max(abs(float(values[0])), abs(float(values[-1])))
+    if A._eig is not None:
+        return _norm_of(A._eig.values)
     if A._norm is None:
-        if A._factor is None:
-            A._norm = _lanczos_norm(A.entries)
-        else:
+        if A._factor is not None:
             F = A._factor
-            values, _ = _symmetric_eigh(F @ F.T, vectors=False)
-            A._norm = max(abs(float(values[0])), abs(float(values[-1])))
+            A._norm = _norm_of(_symmetric_eigh(F @ F.T, vectors=False)[0])
+        elif A.n > _DENSE_CHECK_MAX_N:
+            A._norm = _lanczos_norm(A.entries)
+        elif A._psd and _top_eigenpair(A)[0] > 0.0:
+            A._norm = _top_eigenpair(A)[0]
+        else:
+            return _norm_of(eigendecompose(A).values)
     return A._norm
 
 
@@ -524,19 +560,25 @@ def ensure_psd(A: SymmetricMatrix) -> None:
 
     A pass is cached on ``A``, so repeated checks are free; a sample
     covariance that :func:`spcakit.data.covariance_from_data` certified at
-    construction starts out passed. Small matrices, and matrices whose full
-    decomposition is cached, are judged from that decomposition. Larger
-    matrices pass when ``A + PSD_SLACK * ||A||_2 * I`` has a Cholesky factor,
-    with the norm from :func:`spectral_norm`; only if that factorization
-    fails are the eigenvalues computed, and the rule above decides from them.
+    construction starts out passed. A cached full decomposition decides.
+    Otherwise ``A`` passes when ``A + PSD_SLACK * s * I`` has a Cholesky
+    factor, where ``s`` is ``max(lambda_max, 0)`` from the cached top
+    eigenpair when ``n <= _DENSE_CHECK_MAX_N`` and ``A`` has no data factor,
+    and :func:`spectral_norm` (Lanczos or the factor) otherwise. Both are at
+    most ``||A||_2``, so a pass meets the rule. Only if that factorization
+    fails are the eigenvalues computed, and the rule decides from them and
+    words the error.
     """
     if A._psd:
         return
-    if _dense_check(A):
-        values = eigendecompose(A).values
+    if A._eig is not None:
+        values = A._eig.values
     else:
-        norm = spectral_norm(A)
-        if norm == 0.0 or _shifted_cholesky_succeeds(A.entries, PSD_SLACK * norm):
+        if A._factor is None and A.n <= _DENSE_CHECK_MAX_N:
+            scale = max(_top_eigenpair(A)[0], 0.0)
+        else:
+            scale = spectral_norm(A)
+        if _shifted_cholesky_succeeds(A.entries, PSD_SLACK * scale):
             A._psd = True
             return
         values, _ = _symmetric_eigh(A.entries, vectors=False)

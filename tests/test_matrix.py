@@ -13,11 +13,13 @@ from spcakit import (
     NonFiniteEntries,
     NotPSD,
     NotSquare,
+    SyntheticConfig,
     covariance_from_data,
     eigendecompose,
     ensure_psd,
     spectral_norm,
     symmetrize,
+    synthetic_spiked,
     top_l_eigenpairs,
 )
 from spcakit import matrix as matrix_mod
@@ -415,6 +417,25 @@ class TestTopL:
         with pytest.raises(InvalidRank):
             top_l_eigenpairs(A, 0)
 
+    def test_block_krylov_top_value_to_rounding(self):
+        # The svd-pipeline data shape with 2 m = n, so the correlation is
+        # built dense. Orthonormalizing the blocks only as a final stack
+        # gives the top value to 8.1e-10 here.
+        X = synthetic_spiked(SyntheticConfig(m=256, n=512, sigma=0.1, seed=1))
+        A = covariance_from_data(X, to_correlation=True)
+        assert A._factor is None
+        top = np.linalg.eigvalsh(A.entries)[-1]
+        value = top_l_eigenpairs(A, 1, method="block_krylov").values[0]
+        assert value == pytest.approx(top, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("l", [1, 3])
+    def test_block_krylov_on_an_invariant_start(self, l):
+        # Every product after the first is exactly zero, so each new block's
+        # QR columns are arbitrary; the returned vectors stay orthonormal.
+        for diagonal in (np.zeros(300), np.r_[1.0, 1.0, np.zeros(298)]):
+            pairs = top_l_eigenpairs(symmetrize(np.diag(diagonal)), l, method="block_krylov")
+            np.testing.assert_allclose(pairs.values, np.sort(diagonal)[::-1][:l], atol=1e-15)
+
     def test_deterministic_bit_identical(self):
         A = random_psd(40, 3)
         a = top_l_eigenpairs(A, 3, method="block_krylov", svd_eps=0.3, seed=12)
@@ -581,6 +602,89 @@ class TestLargeMatrixPsdCheck:
         ensure_psd(A)
         with pytest.raises(NotPSD):
             ensure_psd(symmetrize(np.diag([1.0, -0.5])))
+
+
+@pytest.mark.parametrize("n", [20, 128])
+class TestDenseRangePsdCheck:
+    """ensure_psd and spectral_norm up to the crossover: the top eigenpair and one shifted Cholesky."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        names = ("eigendecompose", "_lanczos_norm", "_shifted_cholesky_succeeds", "_symmetric_eigh")
+        return {name: count_calls(monkeypatch, matrix_mod, name) for name in names}
+
+    def test_slack_boundary(self, n, spies):
+        ensure_psd(symmetrize(with_spectrum(spectrum_with_min(-0.5 * PSD_SLACK, n))))
+        with pytest.raises(NotPSD):
+            ensure_psd(symmetrize(with_spectrum(spectrum_with_min(-2.0 * PSD_SLACK, n))))
+        assert len(spies["_shifted_cholesky_succeeds"]) == 2
+        # one top pair per matrix, and the eigenvalues of the one that fails
+        assert len(spies["_symmetric_eigh"]) == 3
+        assert spies["eigendecompose"] == [] and spies["_lanczos_norm"] == []
+
+    def test_slack_scales_with_norm(self, n):
+        for scale in (1e-6, 1e6):
+            values = scale * spectrum_with_min(-0.5 * PSD_SLACK, n)
+            ensure_psd(symmetrize(with_spectrum(values)))
+            with pytest.raises(NotPSD):
+                values = scale * spectrum_with_min(-2.0 * PSD_SLACK, n)
+                ensure_psd(symmetrize(with_spectrum(values)))
+
+    def test_repeat_calls_do_no_new_work(self, n, spies):
+        A = symmetrize(with_spectrum(spectrum_with_min(0.0, n, lam_max=2.5)))
+        for _ in range(3):
+            ensure_psd(A)
+            assert spectral_norm(A) == matrix_mod._top_eigenpair(A)[0]
+        assert len(spies["_shifted_cholesky_succeeds"]) == 1
+        assert len(spies["_symmetric_eigh"]) == 1
+        assert spies["eigendecompose"] == [] and spies["_lanczos_norm"] == []
+        assert spectral_norm(A) == pytest.approx(2.5, rel=1e-12)
+
+    def test_not_psd_message_is_unchanged(self, n):
+        with pytest.raises(NotPSD) as err:
+            ensure_psd(symmetrize(with_spectrum(spectrum_with_min(-0.75, n, lam_max=3.0))))
+        assert str(err.value) == (
+            "minimum eigenvalue -7.500000e-01 below -1e-08 * spectral norm (3.000000e+00)"
+        )
+
+    def test_zero_top_eigenvalue_is_not_a_pass(self, n):
+        # lambda_max = 0 gives no shift, but the matrix is not zero.
+        with pytest.raises(NotPSD, match="-1.000000e.00 below .* norm .1.000000e.00"):
+            ensure_psd(symmetrize(np.diag(np.r_[0.0, -1.0, np.zeros(n - 2)])))
+
+    def test_negative_identity_raises(self, n):
+        with pytest.raises(NotPSD, match="-1.000000e.00 below .* norm .1.000000e.00"):
+            ensure_psd(symmetrize(-np.eye(n)))
+
+    def test_indefinite_norm_is_not_the_top_eigenvalue(self, n):
+        A = symmetrize(with_spectrum(spectrum_with_min(-3.0, n)))
+        assert spectral_norm(A) == pytest.approx(3.0, rel=1e-12)
+        with pytest.raises(NotPSD):
+            ensure_psd(A)
+        assert spectral_norm(A) == pytest.approx(3.0, rel=1e-12)
+
+    def test_zero_matrix_passes(self, n):
+        A = symmetrize(np.zeros((n, n)))
+        ensure_psd(A)
+        assert spectral_norm(A) == 0.0
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[2.0]], [[0.0]], [[-1.0]], [[1e-310]], [[-1e-310]], [[-1e-290]],
+     np.diag([0.0, -1.0]), -np.eye(2), np.zeros((2, 2)), np.diag([1.0, -1e-9])],
+    ids=["2", "0", "-1", "1e-310", "-1e-310", "-1e-290", "diag-0-1", "-I", "zero", "in-slack"],
+)
+def test_small_inputs_follow_the_eigenvalue_rule(entries):
+    values = np.linalg.eigvalsh(np.asarray(entries))
+    passes = values[0] >= -PSD_SLACK * max(np.abs(values).max(), 1e-300)
+    A = symmetrize(entries)
+    if passes:
+        ensure_psd(A)
+        assert spectral_norm(A) == np.abs(values).max()
+    else:
+        with pytest.raises(NotPSD):
+            ensure_psd(A)
 
 
 class TestDataFactor:

@@ -43,6 +43,8 @@ from helpers import (
     run_python,
 )
 
+EPS = float(np.finfo(float).eps)
+
 # Projection of the Philox(999) 5x5 symmetric matrix below onto the PSD
 # trace ball, solved at build time by an independent convex solver
 # (cvxpy + SCS, eps=1e-12) and frozen here.
@@ -68,6 +70,31 @@ def _with_spectrum(values, seed):
     q, _ = np.linalg.qr(rng.standard_normal((values.size, values.size)))
     M = (q * values) @ q.T
     return (M + M.T) / 2.0
+
+
+def _documented_min_eigenvalue(Z):
+    """``(min_eigenvalue, ||Z - u u^T||_F)`` as rank_one_diagnostics documents them.
+
+    u is Z's column at its largest diagonal entry over that entry's square
+    root. When it leaves a residual within ``_RANK_ONE_RTOL * ||Z||_F``, Z
+    counts as rank-1 and the value is 0 (Z_00 when n = 1); otherwise it is
+    eigh's smallest eigenvalue.
+    """
+    j = int(np.argmax(np.diag(Z)))
+    u = Z[:, j] / np.sqrt(Z[j, j])
+    residual = float(np.linalg.norm(Z - np.outer(u, u)))
+    if residual <= sdp_mod._RANK_ONE_RTOL * np.linalg.norm(Z):
+        return (float(Z[0, 0]) if Z.shape[0] == 1 else 0.0), residual
+    return float(np.linalg.eigh(Z)[0][0]), residual
+
+
+def _assert_min_eigenvalue_documented(diag, Z):
+    # The rank-1 value lies within ||Z - u u^T||_F of eigh's (Weyl), plus
+    # eigh's own backward error of a few n eps ||Z||_F.
+    expected, residual = _documented_min_eigenvalue(Z)
+    assert diag.min_eigenvalue == expected
+    eigh_error = Z.shape[0] * EPS * float(np.linalg.norm(Z))
+    assert abs(diag.min_eigenvalue - np.linalg.eigh(Z)[0][0]) <= residual + eigh_error
 
 
 def _admm_inputs(n, k, iters, seed):
@@ -467,7 +494,7 @@ class TestDualityGap:
             assert np.trace(sol.Z) <= 1.0 + 1e-12
             assert np.abs(sol.Z).sum() <= k + 1e-12
             assert np.linalg.eigvalsh(sol.Z)[0] >= -1e-12
-            assert rank_one_diagnostics(sol).min_eigenvalue == np.linalg.eigh(sol.Z)[0][0]
+            _assert_min_eigenvalue_documented(rank_one_diagnostics(sol), sol.Z)
             assert sol.objective == pytest.approx(float(np.sum(A.entries * sol.Z)), rel=1e-12)
 
     @pytest.mark.parametrize("gap_tol", [1e-2, 1e-4, 1e-6])
@@ -633,6 +660,34 @@ class TestThresholdCertificate:
         sol = solve_sdp_relaxation(random_psd(n, 4242), 4, AdmmConfig(max_iters=1))
         assert calls == [] and sol.iterations_used == 1
 
+    @pytest.mark.parametrize("built", ["covariance", "plain"])
+    def test_certified_solve_runs_one_eigensolve_of_a(self, monkeypatch, built):
+        # One top pair of A, from the PSD check on the plain matrix and from
+        # the solver on the covariance (certified PSD when built), gives x,
+        # the rho start and, on the plain matrix, the norm (the covariance's
+        # comes from its small F F^T). The rank-1 Z needs no eigensolve.
+        A = _spiked_second_moment(3)
+        if built == "plain":
+            A = symmetrize(A.entries)
+        calls = []
+        for name in ("dsyevr", "dsyevd"):
+            original = getattr(lapack, name)
+
+            def spy(M, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, np.array(M), kwargs))
+                return _original(M, *args, **kwargs)
+
+            monkeypatch.setattr(lapack, name, spy)
+        _, report, sol, _ = solve(A, "sdp", 8, sparsity=8)
+        assert sol.iterations_used == 0
+        on_a = [(name, kw) for name, M, kw in calls if np.array_equal(M, A.entries)]
+        assert on_a == [("dsyevr", dict(compute_v=1, range="I", il=A.n, iu=A.n, lower=1))]
+        assert not any(name == "dsyevd" and M.shape == (A.n, A.n) for name, M, _ in calls)
+        assert not any(np.array_equal(M, sol.Z) for _, M, _ in calls)
+        assert report.f_value == pytest.approx(
+            report.objective / np.linalg.eigvalsh(A.entries)[-1], rel=1e-12
+        )
+
     def test_search_stops_once_certified(self, monkeypatch):
         A = _spiked_second_moment(3)
         x = spca_svd(A, 8, sparsity=8).to_dense()
@@ -735,10 +790,47 @@ class TestRounding:
             round_sdp_solution(sol, 1, rank_one_diagnostics(sol))
 
     def test_dsyevd_failure_raises(self, monkeypatch):
-        sol = SdpSolution(symmetrize(np.eye(2)), np.diag([0.6, 0.4]), 1.0, 0, True, 1.0)
+        # Z decides, never iterations_used: diag(0.6, 0.4) is far from
+        # rank 1, so it takes the full decomposition.
         monkeypatch.setattr(lapack, "dsyevd", failing_dsyevd)
-        with pytest.raises(ConvergenceFailure, match="info=1"):
-            rank_one_diagnostics(sol)
+        for iterations_used in (0, 5):
+            sol = SdpSolution(symmetrize(np.eye(2)), np.diag([0.6, 0.4]), 1.0, iterations_used, True, 1.0)
+            with pytest.raises(ConvergenceFailure, match="info=1"):
+                rank_one_diagnostics(sol)
+
+    def test_rank_one_z_matches_the_eigh_reference(self, monkeypatch):
+        # Certified solves (x x^T), ADMM iterates that kept one eigenvalue, and
+        # hand-built rank-1 solutions: alpha, beta and the factor agree with
+        # those of a full eigh of Z to 1e-12, and no eigensolve runs.
+        solutions = [solve_sdp_relaxation(_spiked_second_moment(3), k) for k in (8, 16, 32)]
+        solutions += [solve_sdp_relaxation(random_psd(12, 804), 5, AdmmConfig(max_iters=3)),
+                      solve_sdp_relaxation(random_psd(12, 802), 3, AdmmConfig(max_iters=24))]
+        A = random_psd(7, 5)
+        for seed in range(3):
+            u = np.random.Generator(np.random.Philox(seed)).standard_normal(7)
+            Z = np.outer(u, u) / (u @ u)
+            solutions.append(SdpSolution(A, Z, float(np.sum(A.entries * Z)), 7, False, 9.0))
+        for sol in solutions:
+            w, v = np.linalg.eigh(sol.Z)
+            u_ref = np.sqrt(w[-1]) * v[:, -1] * np.sign(v[np.argmax(np.abs(v[:, -1])), -1])
+            alpha_ref = sol.objective / float(u_ref @ sol.matrix.entries @ u_ref)
+            beta_ref = np.abs(u_ref).sum() ** 2 / np.abs(sol.Z).sum()
+            calls = count_calls(monkeypatch, sdp_mod, "_symmetric_eigh")
+            diag = rank_one_diagnostics(sol)
+            assert calls == [] and diag.min_eigenvalue == 0.0
+            assert diag.alpha == pytest.approx(alpha_ref, rel=1e-12, abs=0)
+            assert diag.beta == pytest.approx(beta_ref, rel=1e-12, abs=0)
+            np.testing.assert_allclose(diag.top_eigenvector, u_ref, rtol=0,
+                                       atol=1e-12 * np.abs(u_ref).max())
+        assert [sol.iterations_used for sol in solutions[:5]] == [0, 0, 0, 3, 24]
+
+    @pytest.mark.parametrize("z", [1.0, 0.7, 3.9e-6])
+    def test_one_by_one_reports_its_entry(self, z):
+        sol = SdpSolution(symmetrize([[2.0]]), np.array([[z]]), 2.0 * z, 0, True, 2.0 * z)
+        diag = rank_one_diagnostics(sol)
+        assert diag.min_eigenvalue == z
+        assert diag.top_eigenvector[0] == pytest.approx(np.sqrt(z), rel=1e-15)
+        assert diag.alpha == pytest.approx(1.0, rel=1e-15)
 
     def test_hand_built_solution_gives_identical_diagnostics(self):
         # Diagnostics depend on Z alone: a solution rebuilt from the solver's
@@ -754,7 +846,7 @@ class TestRounding:
             a, b = rank_one_diagnostics(sol), rank_one_diagnostics(rebuilt)
             assert (a.alpha, a.beta, a.min_eigenvalue) == (b.alpha, b.beta, b.min_eigenvalue)
             assert np.array_equal(a.top_eigenvector, b.top_eigenvector)
-            assert a.min_eigenvalue == np.linalg.eigh(sol.Z)[0][0]
+            _assert_min_eigenvalue_documented(a, sol.Z)
         assert [i > 0 for i in iterations] == [True, True, False]
 
     def test_alpha_at_least_one(self):
