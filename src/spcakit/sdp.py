@@ -15,11 +15,13 @@ rescaled Z iterate is a feasible point whose objective is within a relative
 iterations grow. Before the first iteration the same test is applied to the
 thresholding solution x, as the feasible point ``x x^T``, and the structured
 dual ``clip(A, -t, t)``; when they already close the gap, no iteration runs.
-One Rayleigh step from x skips that search when it proves that no dual bound
-can close the gap. Rounding takes the best rank-1 factor u of the solution
-and keeps its ``s`` largest-magnitude coordinates, giving a vector with norm
-at most one and a certified objective floor
-``(1/alpha) * trace(A Z) - epsilon``.
+The threshold is first probed at the least t that cancels every entry of A
+off x's support, whose bound takes one k x k eigensolve, and bisected only
+when that probe does not close the gap. One Rayleigh step from x skips both
+when it proves that no dual bound can close the gap. Rounding takes the best
+rank-1 factor u of the solution and keeps its ``s`` largest-magnitude
+coordinates, giving a vector with norm at most one and a certified objective
+floor ``(1/alpha) * trace(A Z) - epsilon``.
 """
 
 from __future__ import annotations
@@ -47,14 +49,18 @@ _RHO_ADAPT_BUDGET = 30
 _OVER_RELAXATION = 1.6
 # Bisection steps of the threshold search for the structured dual
 # clip(A, -t, t) (_clip_threshold), each one top eigenpair of the rows the
-# threshold leaves nonzero. On 210 sdp-spiked-style inputs (n = 128, gen seeds
-# 0-69, k = 8/16/32) the certificate closed after at most 13 steps, and a cap
-# of 12 left one of the 27 inputs of seeds 0-8 uncertified. Medians with one
-# BLAS thread at n = 128, search plus final certificate: 1.7-2.0 ms; a golden
-# section on the same rows, stopped once certified, 2.3-3.4 ms; a 20-step
-# golden section on the full matrix, 11.6 ms. Inputs whose search cannot
-# certify skip it (_clip_cannot_certify); on the 20 x 20 Wishart inputs of
-# oracle-small, every one of them.
+# threshold leaves nonzero. The search is the fallback: it runs only when the
+# probe at the off-support threshold (_off_support_bound) does not certify,
+# on 5 of the 90 spiked inputs of gen seeds 0-29 at k = 8/16/32. On those 5 it
+# certifies after 11-12 steps in 0.77-0.82 ms (medians, one BLAS thread,
+# n = 128). The cap was sized when the search made every certificate: on 210
+# sdp-spiked-style inputs (n = 128, gen seeds 0-69, k = 8/16/32) it closed
+# after at most 13 steps, and a cap of 12 left one of the 27 inputs of seeds
+# 0-8 uncertified. Medians then, search plus final certificate: 1.7-2.0 ms;
+# a golden section on the same rows, stopped once certified, 2.3-3.4 ms; a
+# 20-step golden section on the full matrix, 11.6 ms. Inputs that no
+# threshold can certify skip the probe and the search (_clip_cannot_certify);
+# on the 20 x 20 Wishart inputs of oracle-small, every one of them.
 _CLIP_SEARCH_STEPS = 16
 # The skip rule compares a Rayleigh quotient with the thresholding objective.
 # Both, and every dual bound, carry rounding errors of a few ulps of
@@ -293,6 +299,38 @@ def _certificate(C, Z, rho, U, k):
     return scale, objective, max(0.0, lam) + l1_term
 
 
+def _gap_closed(objective, bound, gap_tol):
+    """The relative gap test ``bound - objective <= gap_tol * bound``.
+
+    Every certificate of the solve passes or fails by this one test: the
+    off-support probe and the clip search before ADMM, the search's early
+    stop, and the loop's stop.
+    """
+    return bound - objective <= gap_tol * bound
+
+
+def _off_support_bound(C, keep, k):
+    """Bound of the structured dual ``clip(C, -t, t)`` at the off-support threshold.
+
+    ``t_off`` is the largest ``|C_ij|`` outside ``S x S``, S = ``keep``, the
+    least t that cancels every entry off the support (d'Aspremont, Bach & El
+    Ghaoui, *Optimal solutions for sparse PCA*, JMLR 2008). ``C - clip(C,
+    -t_off, t_off)`` is then zero outside ``S x S``, so the bound ``g(t_off)``
+    of :func:`_clip_threshold` is ``max(0, lambda_max(E)) + k * t_off`` with E
+    the k x k block of that difference: one small eigensolve. Like every
+    ``g(t)`` it holds for any support; the support only decides how tight it
+    is.
+    """
+    off = np.abs(C)
+    block = np.ix_(keep, keep)
+    off[block] = 0.0
+    t = float(off.max())
+    excess = C[block]
+    excess = excess - np.clip(excess, -t, t)
+    lam = float(_symmetric_eigh(excess, top=1, vectors=False)[0][-1])
+    return max(0.0, lam) + k * t
+
+
 def _clip_threshold(C, k, objective, gap_tol):
     """Threshold t for the structured dual ``W = clip(C, -t, t)``.
 
@@ -307,7 +345,8 @@ def _clip_threshold(C, k, objective, gap_tol):
     ``_CLIP_SEARCH_STEPS`` steps, stops early once ``g(t)`` is within a
     relative ``gap_tol`` of ``objective``, and returns the best t it saw
     with its bound ``g(t)``. :func:`solve_sdp_relaxation` calls it only when
-    :func:`_clip_cannot_certify` does not rule every t out.
+    :func:`_clip_cannot_certify` does not rule every t out and the probe at
+    the off-support threshold (:func:`_off_support_bound`) does not certify.
     """
     lo, hi = 0.0, float(np.abs(C).max())
     best_t, best = hi, k * hi
@@ -323,7 +362,7 @@ def _clip_threshold(C, k, objective, gap_tol):
         bound = max(0.0, lam) + k * t
         if bound < best:
             best_t, best = t, bound
-            if best - objective <= gap_tol * best:
+            if _gap_closed(objective, best, gap_tol):
                 break
         if lam > 0.0 and k < v @ np.sign(excess) @ v:
             lo = t
@@ -375,14 +414,18 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     when A is scaled by a power of two. x is a unit k-sparse vector, so
     ``||x||_1^2 <= k`` and ``x x^T`` is feasible (scaled by ``min(1, k /
     ||x||_1^2)`` against rounding). The structured dual ``clip(A, -t, t)``
-    bounds the optimum; :func:`_clip_threshold` picks t and returns its bound.
-    When they already meet the gap test below, the solve returns the scaled
-    ``x x^T`` with ``iterations_used=0`` and ``converged=True``. Otherwise
+    bounds the optimum for every t. It is probed first at ``t_off``, the
+    least t that cancels every entry off x's support, whose bound needs one
+    k x k eigensolve (:func:`_off_support_bound`); only when that bound does
+    not close the gap does :func:`_clip_threshold` bisect for t, and its
+    bound is used instead. When either meets the gap test below, the solve
+    returns the scaled ``x x^T`` with ``iterations_used=0``,
+    ``converged=True`` and that bound as ``dual_bound``. Otherwise
     ADMM starts from zero, as if the check had not run; continuing from that
-    point was measured slower on the inputs that do not certify. The search
-    is skipped when one Rayleigh step from x proves that no t can certify
-    (:func:`_clip_cannot_certify`); the skip never drops a certificate, so it
-    changes no result.
+    point was measured slower on the inputs that do not certify. The probe
+    and the search are skipped when one Rayleigh step from x proves that no
+    t can certify (:func:`_clip_cannot_certify`); the skip never drops a
+    certificate, so it changes no result.
 
     The loop starts at ``rho = cfg.rho``, or at ``lambda_max(A)`` when that
     is None (1.0 for the zero matrix, which certifies before the loop). That
@@ -423,8 +466,10 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     scale = min(1.0, k / float(np.abs(x).sum()) ** 2)
     objective = scale * float(x @ C @ x)
     if not _clip_cannot_certify(C, x, keep, objective, lam, cfg.gap_tol):
-        _, dual_bound = _clip_threshold(C, k, objective, cfg.gap_tol)
-        if dual_bound - objective <= cfg.gap_tol * dual_bound:
+        dual_bound = _off_support_bound(C, keep, k)
+        if not _gap_closed(objective, dual_bound, cfg.gap_tol):
+            _, dual_bound = _clip_threshold(C, k, objective, cfg.gap_tol)
+        if _gap_closed(objective, dual_bound, cfg.gap_tol):
             return SdpSolution(A, scale * np.outer(x, x), objective, 0, True, dual_bound)
 
     rho_unit = lam if lam > 0.0 else 1.0
@@ -446,7 +491,7 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
         U -= Y
         if iterations % _gap_check_every(iterations) == 0 or iterations == cfg.max_iters:
             scale, objective, dual_bound = _certificate(C, Z, rho, U, k)
-            if dual_bound - objective <= cfg.gap_tol * dual_bound:
+            if _gap_closed(objective, dual_bound, cfg.gap_tol):
                 converged = True
                 break
         if adaptations < _RHO_ADAPT_BUDGET and iterations % _RHO_ADAPT_EVERY == 0:

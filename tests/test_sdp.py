@@ -592,6 +592,36 @@ class TestThresholdCertificate:
             assert np.abs(sol.Z).sum() <= k * (1.0 + 1e-12)
             assert np.linalg.eigvalsh(sol.Z)[0] >= -1e-12
 
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+        st.integers(-20, 20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_off_support_bound_dominates_oracle_and_scales(self, n, seed, scale, j):
+        # The probe is the clip dual at t_off, so it bounds the optimum for
+        # any support: the thresholding one and a random one from the seed.
+        # On the full matrix, clip(C, -t_off, t_off) gives the same bound.
+        # Scaling A by 2^j scales the bound by exactly 2^j.
+        A = random_psd(n, seed, scale=scale)
+        C = A.entries
+        rng = np.random.default_rng(seed)
+        for k in range(1, n + 1):
+            z_star = exact_spca(A, k).optimal_value
+            svd = spca_svd(A, k, sparsity=k)
+            x = svd.to_dense()
+            for keep in (svd.support, np.sort(rng.permutation(n)[:k])):
+                bound = sdp_mod._off_support_bound(C, keep, k)
+                assert bound >= z_star * (1.0 - 1e-12), (k, keep)
+                off = np.abs(C)
+                off[np.ix_(keep, keep)] = 0.0
+                W = np.clip(C, -off.max(), off.max())
+                _, _, full = sdp_mod._certificate(C, np.outer(x, x), 1.0, W, k)
+                assert bound == pytest.approx(full, rel=1e-12, abs=1e-13 * np.abs(C).max())
+                scaled = sdp_mod._off_support_bound(C * 2.0**j, keep, k)
+                assert scaled == bound * 2.0**j, (k, keep, j)
+
     def test_spiked_input_certifies_without_iterations(self):
         # gen-synthetic seed 3, as in the sdp-spiked benchmark. ADMM took 225
         # iterations here; the rounded support is the one it gave.
@@ -728,13 +758,37 @@ class TestThresholdCertificate:
                 _, bound = sdp_mod._clip_threshold(A.entries, k, objective, gap_tol)
                 assert bound - objective > gap_tol * bound, k
 
-    def test_spiked_inputs_still_certify(self):
-        # The skip never fires where the search certifies: 30 gen-synthetic
-        # datasets at the sdp-spiked sizes all certify with no iteration.
+    def test_spiked_inputs_still_certify(self, monkeypatch):
+        # The skip never fires where a threshold certifies: 30 gen-synthetic
+        # datasets at the sdp-spiked sizes all certify with no iteration. The
+        # off-support probe certifies 85 of the 90 solves; the bisection runs
+        # on the other five only, and certifies them.
+        calls = count_calls(monkeypatch, sdp_mod, "_clip_threshold")
+        searched = []
         for seed in range(30):
             A = _spiked_second_moment(seed)
             for k in (8, 16, 32):
+                before = len(calls)
                 assert solve_sdp_relaxation(A, k).iterations_used == 0, (seed, k)
+                if len(calls) > before:
+                    searched.append((seed, k))
+        assert searched == [(7, 8), (7, 16), (17, 16), (19, 16), (29, 16)]
+
+    def test_pit_props_certifies_where_it_did(self, monkeypatch):
+        # The probe certifies k = 1 and 13. At k = 2 and 12 it does not, and
+        # the bisection still certifies with no iteration. k = 3..11 run the
+        # loop they ran before the probe existed (pinned counts): the search
+        # is skipped at k = 3..10 and fails at k = 11.
+        A = pit_props()
+        calls = count_calls(monkeypatch, sdp_mod, "_clip_threshold")
+        iterations, searched = {}, []
+        for k in range(1, A.n + 1):
+            before = len(calls)
+            iterations[k] = solve_sdp_relaxation(A, k).iterations_used
+            if len(calls) > before:
+                searched.append(k)
+        assert searched == [2, 11, 12]
+        assert list(iterations.values()) == [0, 0, 35, 30, 25, 25, 65, 20, 10, 5, 5, 0, 0]
 
     def test_wishart_family_skips_every_search(self, monkeypatch):
         # The 20 x 20 Wishart inputs of the oracle-small benchmark, before its
