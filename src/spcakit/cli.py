@@ -104,6 +104,21 @@ def _load_input(args):
     return loaded, name
 
 
+def _check_solver_flags(args):
+    """Reject a solver flag that ``--algo`` does not read, as ``_load_input`` does.
+
+    Only flags whose default is None or off are checked: ``--max-iters``,
+    ``--gap-tol``, ``--svd-method``, ``--svd-eps`` and ``--seed`` cannot be
+    told apart from their defaults.
+    """
+    for flag, given, algo in (("--rho", args.rho is not None, "sdp"),
+                              ("--strict", getattr(args, "strict", False), "sdp"),
+                              ("--l-override", getattr(args, "l_override", None) is not None,
+                               "svd")):
+        if given and args.algo != algo:
+            raise ValueError(f"{flag} applies only with --algo {algo}")
+
+
 def _admm_config(args):
     return AdmmConfig(rho=args.rho, max_iters=args.max_iters, gap_tol=args.gap_tol)
 
@@ -195,6 +210,7 @@ def _parse_grid(spec):
 
 
 def _cmd_solve(args):
+    _check_solver_flags(args)
     A, input_name = _load_input(args)
     vec, metrics, sol, diag = solve(
         A,
@@ -240,6 +256,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_sweep(args):
+    _check_solver_flags(args)
     A, input_name = _load_input(args)
     grid = _parse_grid(args.grid)
     algo = {"exact": "oracle"}.get(args.algo, args.algo)

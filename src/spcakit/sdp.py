@@ -15,10 +15,11 @@ rescaled Z iterate is a feasible point whose objective is within a relative
 iterations grow. Before the first iteration the same test is applied to the
 thresholding solution x, as the feasible point ``x x^T``, and the structured
 dual ``clip(A, -t, t)``; when they already close the gap, no iteration runs.
-The threshold is first probed at the least t that cancels every entry of A
-off x's support, whose bound takes one k x k eigensolve, and bisected only
-when that probe does not close the gap. One Rayleigh step from x skips both
-when it proves that no dual bound can close the gap. Rounding takes the best
+The search for t starts at the least t that cancels every entry of A off
+x's support, whose bound takes one k x k eigensolve; no larger t gives a
+lower bound, so when that point does not close the gap it bisects below it.
+One Rayleigh step from x skips the search when it proves that no dual bound
+can close the gap. Rounding takes the best
 rank-1 factor u of the solution and keeps its ``s`` largest-magnitude
 coordinates, giving a vector with norm at most one and a certified objective
 floor ``(1/alpha) * trace(A Z) - epsilon``.
@@ -48,19 +49,14 @@ _RHO_ADAPT_BUDGET = 30
 # dual update see 1.6 Z + (1 - 1.6) Y_prev in place of Z.
 _OVER_RELAXATION = 1.6
 # Bisection steps of the threshold search for the structured dual
-# clip(A, -t, t) (_clip_threshold), each one top eigenpair of the rows the
-# threshold leaves nonzero. The search is the fallback: it runs only when the
-# probe at the off-support threshold (_off_support_bound) does not certify,
-# on 5 of the 90 spiked inputs of gen seeds 0-29 at k = 8/16/32. On those 5 it
-# certifies after 11-12 steps in 0.77-0.82 ms (medians, one BLAS thread,
-# n = 128). The cap was sized when the search made every certificate: on 210
-# sdp-spiked-style inputs (n = 128, gen seeds 0-69, k = 8/16/32) it closed
-# after at most 13 steps, and a cap of 12 left one of the 27 inputs of seeds
-# 0-8 uncertified. Medians then, search plus final certificate: 1.7-2.0 ms;
-# a golden section on the same rows, stopped once certified, 2.3-3.4 ms; a
-# 20-step golden section on the full matrix, 11.6 ms. Inputs that no
-# threshold can certify skip the probe and the search (_clip_cannot_certify);
-# on the 20 x 20 Wishart inputs of oracle-small, every one of them.
+# clip(A, -t, t) (_clip_threshold) below its first point t_off, each one top
+# eigenpair of the rows the threshold leaves nonzero. They run only when
+# t_off does not certify: on 86 of 1200 spiked inputs (n = 128, gen seeds
+# 0-399, k = 8/16/32), which certify after 12-13 steps in 0.68 ms (median,
+# one BLAS thread). On pit props k = 2 certifies after 2 steps and k = 12
+# after 15, and k = 11 fails after all 16, so the cap cannot drop. Inputs
+# that no threshold can certify skip the search (_clip_cannot_certify); on
+# the 20 x 20 Wishart inputs of oracle-small, every one of them.
 _CLIP_SEARCH_STEPS = 16
 # The skip rule compares a Rayleigh quotient with the thresholding objective.
 # Both, and every dual bound, carry rounding errors of a few ulps of
@@ -303,68 +299,70 @@ def _gap_closed(objective, bound, gap_tol):
     """The relative gap test ``bound - objective <= gap_tol * bound``.
 
     Every certificate of the solve passes or fails by this one test: the
-    off-support probe and the clip search before ADMM, the search's early
-    stop, and the loop's stop.
+    clip search's first point and its early stop before ADMM, and the loop's
+    stop.
     """
     return bound - objective <= gap_tol * bound
 
 
-def _off_support_bound(C, keep, k):
-    """Bound of the structured dual ``clip(C, -t, t)`` at the off-support threshold.
+def _clip_bound(block, t, k, slope):
+    """``g(t)`` of :func:`_clip_threshold` from a principal block of C, and g's slope.
 
-    ``t_off`` is the largest ``|C_ij|`` outside ``S x S``, S = ``keep``, the
-    least t that cancels every entry off the support (d'Aspremont, Bach & El
-    Ghaoui, *Optimal solutions for sparse PCA*, JMLR 2008). ``C - clip(C,
-    -t_off, t_off)`` is then zero outside ``S x S``, so the bound ``g(t_off)``
-    of :func:`_clip_threshold` is ``max(0, lambda_max(E)) + k * t_off`` with E
-    the k x k block of that difference: one small eigensolve. Like every
-    ``g(t)`` it holds for any support; the support only decides how tight it
-    is.
+    ``block`` holds every row and column of C with an entry above t in
+    magnitude. The other rows of ``C - clip(C, -t, t)`` are zero and add only
+    zero eigenvalues, which ``max(0, .)`` ignores, so one top eigenpair of
+    the soft-thresholded block gives the bound. Where its eigenvalue is
+    positive and simple with eigenvector v, ``g'(t) = k - v' sign(C - W) v``,
+    and elsewhere ``g'(t) = k``. The second value is True when g falls at t;
+    without ``slope`` no eigenvector is taken and it is False.
     """
-    off = np.abs(C)
-    block = np.ix_(keep, keep)
-    off[block] = 0.0
-    t = float(off.max())
-    excess = C[block]
-    excess = excess - np.clip(excess, -t, t)
-    lam = float(_symmetric_eigh(excess, top=1, vectors=False)[0][-1])
-    return max(0.0, lam) + k * t
+    excess = block - np.clip(block, -t, t)
+    w, v = _symmetric_eigh(excess, top=1, vectors=slope)
+    lam = float(w[-1])
+    falls = slope and lam > 0.0 and k < v[:, -1] @ np.sign(excess) @ v[:, -1]
+    return max(0.0, lam) + k * t, falls
 
 
-def _clip_threshold(C, k, objective, gap_tol):
-    """Threshold t for the structured dual ``W = clip(C, -t, t)``.
+def _clip_threshold(C, keep, k, objective, gap_tol):
+    """Threshold t for the structured dual ``W = clip(C, -t, t)``, and its bound.
 
     ``W`` gives the bound ``g(t) = max(0, lambda_max(C - W)) + k t`` of
     :func:`_certificate` for every t, so the search affects how often the
-    bound certifies, never whether it holds. ``C - W`` soft-thresholds C by
-    t; its zero rows and columns add only zero eigenvalues, which ``max(0,
-    .)`` ignores, so the eigensolve runs on the rows that stay nonzero. Where
-    ``lambda_max(C - W)`` is positive and simple with eigenvector v,
-    ``g'(t) = k - v' sign(C - W) v``, and elsewhere ``g'(t) = k``. The search
-    bisects ``[0, max |C_ij|]`` on the sign of ``g'`` for
-    ``_CLIP_SEARCH_STEPS`` steps, stops early once ``g(t)`` is within a
-    relative ``gap_tol`` of ``objective``, and returns the best t it saw
-    with its bound ``g(t)``. :func:`solve_sdp_relaxation` calls it only when
-    :func:`_clip_cannot_certify` does not rule every t out and the probe at
-    the off-support threshold (:func:`_off_support_bound`) does not certify.
+    bound certifies, never whether it holds. Its first point is ``t_off``,
+    the largest ``|C_ij|`` outside ``S x S``, S = ``keep``: the least t that
+    cancels every entry off the support (d'Aspremont, Bach & El Ghaoui,
+    *Optimal solutions for sparse PCA*, JMLR 2008). There ``C - W`` is zero
+    outside ``S x S``, so ``g(t_off)`` takes one k x k eigensolve.
+
+    No larger t does better. For ``t_off <= t1 <= t2`` both soft-thresholded
+    matrices vanish outside ``S x S``, so their difference is supported on
+    ``S x S`` with entries at most ``t2 - t1``; by Weyl's inequality
+    lambda_max rises by at most ``k (t2 - t1)``, and ``g(t1) <= g(t2)``.
+    When ``g(t_off)`` leaves a relative ``gap_tol`` to ``objective`` open,
+    the search bisects ``[0, t_off]`` on the sign of ``g'`` for
+    ``_CLIP_SEARCH_STEPS`` steps, each on the rows whose largest ``|C_ij|``
+    exceeds t (:func:`_clip_bound`), and stops early once the gap closes.
+    It returns the best t it saw with its bound. :func:`solve_sdp_relaxation`
+    calls it only when :func:`_clip_cannot_certify` does not rule every t out.
     """
-    lo, hi = 0.0, float(np.abs(C).max())
-    best_t, best = hi, k * hi
+    support = np.ix_(keep, keep)
+    off = np.abs(C)
+    off[support] = 0.0
+    lo, hi = 0.0, float(off.max())
+    best_t = hi
+    best, _ = _clip_bound(C[support], hi, k, slope=False)
+    if _gap_closed(objective, best, gap_tol):
+        return best_t, best
+    row_max = np.abs(C).max(axis=1)
     for _ in range(_CLIP_SEARCH_STEPS):
         t = 0.5 * (lo + hi)
-        excess = C - np.clip(C, -t, t)
-        rows = np.flatnonzero(excess.any(axis=1))
-        excess = excess[np.ix_(rows, rows)]
-        lam, v = 0.0, None
-        if rows.size:
-            w, v = _symmetric_eigh(excess, top=1)
-            lam, v = float(w[-1]), v[:, -1]
-        bound = max(0.0, lam) + k * t
+        rows = np.flatnonzero(row_max > t)
+        bound, falls = _clip_bound(C[np.ix_(rows, rows)], t, k, slope=True)
         if bound < best:
             best_t, best = t, bound
             if _gap_closed(objective, best, gap_tol):
                 break
-        if lam > 0.0 and k < v @ np.sign(excess) @ v:
+        if falls:
             lo = t
         else:
             hi = t
@@ -414,18 +412,18 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     when A is scaled by a power of two. x is a unit k-sparse vector, so
     ``||x||_1^2 <= k`` and ``x x^T`` is feasible (scaled by ``min(1, k /
     ||x||_1^2)`` against rounding). The structured dual ``clip(A, -t, t)``
-    bounds the optimum for every t. It is probed first at ``t_off``, the
-    least t that cancels every entry off x's support, whose bound needs one
-    k x k eigensolve (:func:`_off_support_bound`); only when that bound does
-    not close the gap does :func:`_clip_threshold` bisect for t, and its
-    bound is used instead. When either meets the gap test below, the solve
+    bounds the optimum for every t. :func:`_clip_threshold` searches t: its
+    first point is ``t_off``, the least t that cancels every entry off x's
+    support, whose bound needs one k x k eigensolve, and no larger t does
+    better, so only when that bound does not close the gap does it bisect
+    ``[0, t_off]``. When its best bound meets the gap test below, the solve
     returns the scaled ``x x^T`` with ``iterations_used=0``,
     ``converged=True`` and that bound as ``dual_bound``. Otherwise
     ADMM starts from zero, as if the check had not run; continuing from that
-    point was measured slower on the inputs that do not certify. The probe
-    and the search are skipped when one Rayleigh step from x proves that no
-    t can certify (:func:`_clip_cannot_certify`); the skip never drops a
-    certificate, so it changes no result.
+    point was measured slower on the inputs that do not certify. The search
+    is skipped when one Rayleigh step from x proves that no t can certify
+    (:func:`_clip_cannot_certify`); the skip never drops a certificate, so
+    it changes no result.
 
     The loop starts at ``rho = cfg.rho``, or at ``lambda_max(A)`` when that
     is None (1.0 for the zero matrix, which certifies before the loop). That
@@ -466,9 +464,7 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     scale = min(1.0, k / float(np.abs(x).sum()) ** 2)
     objective = scale * float(x @ C @ x)
     if not _clip_cannot_certify(C, x, keep, objective, lam, cfg.gap_tol):
-        dual_bound = _off_support_bound(C, keep, k)
-        if not _gap_closed(objective, dual_bound, cfg.gap_tol):
-            _, dual_bound = _clip_threshold(C, k, objective, cfg.gap_tol)
+        _, dual_bound = _clip_threshold(C, keep, k, objective, cfg.gap_tol)
         if _gap_closed(objective, dual_bound, cfg.gap_tol):
             return SdpSolution(A, scale * np.outer(x, x), objective, 0, True, dual_bound)
 

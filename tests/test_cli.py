@@ -350,6 +350,43 @@ class TestInputFlags:
         assert _read_json(plain)["result"]["metrics"] != results[str(path)]["metrics"]
 
 
+class TestSolverFlags:
+    """A solver flag that --algo does not read is rejected, never recorded as applied."""
+
+    @pytest.mark.parametrize("command, fragment", [
+        (["solve", "--algo", "svd", "--k", "2", "--sparsity", "2", "--rho", "5"],
+         "--rho applies only with --algo sdp"),
+        (["solve", "--algo", "svd", "--k", "2", "--sparsity", "2", "--strict"],
+         "--strict applies only with --algo sdp"),
+        (["solve", "--algo", "sdp", "--k", "2", "--sparsity", "2", "--l-override", "3"],
+         "--l-override applies only with --algo svd"),
+        (["sweep", "--algo", "svd", "--grid", "2:3", "--rho", "5"],
+         "--rho applies only with --algo sdp"),
+        (["sweep", "--algo", "exact", "--grid", "2:3", "--rho", "5"],
+         "--rho applies only with --algo sdp"),
+    ])
+    def test_solver_flag_that_cannot_apply_exits_2(self, tmp_path, capsys, command, fragment):
+        # The report's config block would record the flag while the solver
+        # ignores it, so it is rejected before the input is read.
+        out = tmp_path / "r.json"
+        assert _run([*command, "--input", "builtin:pitprops", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        [line] = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["code"] == "ValueError" and err["message"] == fragment
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--algo", "sdp", "--k", "2", "--sparsity", "2", "--rho", "5", "--strict"],
+        ["solve", "--algo", "svd", "--k", "2", "--sparsity", "2", "--l-override", "3"],
+        ["sweep", "--algo", "sdp", "--grid", "2:3", "--rho", "5"],
+    ])
+    def test_solver_flag_that_applies_is_accepted(self, tmp_path, command):
+        out = tmp_path / "r.json"
+        assert _run([*command, "--input", "builtin:pitprops", "--output", str(out)]) == 0
+        assert out.exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["solve", "--help"]])
 def test_help_and_version_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:

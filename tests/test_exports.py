@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -28,3 +29,16 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"spcakit.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_no_assert_in_the_package():
+    # Invariants must hold under python -O, which strips assert statements;
+    # the package raises InvariantViolation (or another error) instead.
+    package = Path(spcakit.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -600,10 +602,11 @@ class TestThresholdCertificate:
     )
     @settings(max_examples=40, deadline=None)
     def test_off_support_bound_dominates_oracle_and_scales(self, n, seed, scale, j):
-        # The probe is the clip dual at t_off, so it bounds the optimum for
-        # any support: the thresholding one and a random one from the seed.
-        # On the full matrix, clip(C, -t_off, t_off) gives the same bound.
-        # Scaling A by 2^j scales the bound by exactly 2^j.
+        # The search's first point is the clip dual at t_off, so it bounds the
+        # optimum for any support: the thresholding one and a random one from
+        # the seed. An infinite objective closes every gap, so the search
+        # stops there. On the full matrix, clip(C, -t_off, t_off) gives the
+        # same bound. Scaling A by 2^j scales the bound by exactly 2^j.
         A = random_psd(n, seed, scale=scale)
         C = A.entries
         rng = np.random.default_rng(seed)
@@ -612,15 +615,57 @@ class TestThresholdCertificate:
             svd = spca_svd(A, k, sparsity=k)
             x = svd.to_dense()
             for keep in (svd.support, np.sort(rng.permutation(n)[:k])):
-                bound = sdp_mod._off_support_bound(C, keep, k)
-                assert bound >= z_star * (1.0 - 1e-12), (k, keep)
+                t, bound = sdp_mod._clip_threshold(C, keep, k, np.inf, 1e-4)
                 off = np.abs(C)
                 off[np.ix_(keep, keep)] = 0.0
-                W = np.clip(C, -off.max(), off.max())
+                assert t == off.max(), (k, keep)
+                assert bound >= z_star * (1.0 - 1e-12), (k, keep)
+                W = np.clip(C, -t, t)
                 _, _, full = sdp_mod._certificate(C, np.outer(x, x), 1.0, W, k)
                 assert bound == pytest.approx(full, rel=1e-12, abs=1e-13 * np.abs(C).max())
-                scaled = sdp_mod._off_support_bound(C * 2.0**j, keep, k)
-                assert scaled == bound * 2.0**j, (k, keep, j)
+                scaled = sdp_mod._clip_threshold(C * 2.0**j, keep, k, np.inf, 1e-4)
+                assert scaled == (t * 2.0**j, bound * 2.0**j), (k, keep, j)
+
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+        st.booleans(),
+        st.integers(-20, 20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_no_threshold_above_t_off_does_better(self, n, seed, scale, gram, j):
+        # The lemma behind the search's bracket [0, t_off]: above t_off the
+        # bound g(t), taken independently on the full matrix, never falls, on
+        # Gram and on indefinite matrices, for the thresholding support and a
+        # random one. The search's bound is at least the optimum (the
+        # oracle's, or by enumeration on an indefinite matrix) and scales by
+        # exactly 2^j.
+        rng = np.random.Generator(np.random.Philox(seed))
+        g = rng.standard_normal((n, n))
+        A = random_psd(n, seed, scale=scale) if gram else symmetrize(scale * (g + g.T) / 2)
+        C = A.entries
+        v = np.linalg.eigh(C)[1][:, -1]
+        for k in range(1, n + 1):
+            if gram:
+                z_star = exact_spca(A, k).optimal_value
+            else:
+                z_star = max(
+                    np.linalg.eigvalsh(C[np.ix_(s, s)])[-1]
+                    for s in itertools.combinations(range(n), k)
+                )
+            for keep in (sdp_mod._top_indices(v * v, k), np.sort(rng.permutation(n)[:k])):
+                off = np.abs(C)
+                off[np.ix_(keep, keep)] = 0.0
+                ts = np.linspace(off.max(), np.abs(C).max(), 9)
+                g_t = [sdp_mod._certificate(C, np.zeros((n, n)), 1.0, np.clip(C, -t, t), k)[2]
+                       for t in ts]
+                for t1, g1, g2 in zip(ts, g_t, g_t[1:]):
+                    assert g2 >= g1 * (1.0 - 1e-12), (k, keep, t1)
+                t, bound = sdp_mod._clip_threshold(C, keep, k, z_star, 1e-4)
+                assert bound >= z_star * (1.0 - 1e-12), (k, keep)
+                scaled = sdp_mod._clip_threshold(C * 2.0**j, keep, k, z_star * 2.0**j, 1e-4)
+                assert scaled == (t * 2.0**j, bound * 2.0**j), (k, keep, j)
 
     def test_spiked_input_certifies_without_iterations(self):
         # gen-synthetic seed 3, as in the sdp-spiked benchmark. ADMM took 225
@@ -719,12 +764,18 @@ class TestThresholdCertificate:
         )
 
     def test_search_stops_once_certified(self, monkeypatch):
-        A = _spiked_second_moment(3)
-        x = spca_svd(A, 8, sparsity=8).to_dense()
+        # gen seed 7 at k = 8: the first point, t_off, leaves the gap open,
+        # and the bisection below it closes the gap before its last step.
+        A = _spiked_second_moment(7)
+        svd = spca_svd(A, 8, sparsity=8)
+        x = svd.to_dense()
         objective = float(x @ A.entries @ x)
         calls = count_calls(monkeypatch, sdp_mod, "_symmetric_eigh")
-        t, bound = sdp_mod._clip_threshold(A.entries, 8, objective, 1e-4)
-        assert 0 < len(calls) < sdp_mod._CLIP_SEARCH_STEPS
+        t, bound = sdp_mod._clip_threshold(A.entries, svd.support, 8, objective, 1e-4)
+        assert 1 < len(calls) < 1 + sdp_mod._CLIP_SEARCH_STEPS
+        off = np.abs(A.entries)
+        off[np.ix_(svd.support, svd.support)] = 0.0
+        assert t < off.max()
         W = np.clip(A.entries, -t, t)
         _, _, full_bound = sdp_mod._certificate(A.entries, np.outer(x, x), 1.0, W, 8)
         assert full_bound - objective <= 1e-4 * full_bound
@@ -744,7 +795,7 @@ class TestThresholdCertificate:
 
         def record(C, x, keep, objective, lam, tol):
             skip = rule(C, x, keep, objective, lam, tol)
-            decisions.append((skip, objective))
+            decisions.append((skip, keep, objective))
             return skip
 
         with pytest.MonkeyPatch.context() as mp:
@@ -752,40 +803,41 @@ class TestThresholdCertificate:
             for entries in (A.entries, A.entries * 2.0**-7):
                 for k in range(1, n + 1):
                     solve_sdp_relaxation(symmetrize(entries), k, AdmmConfig(max_iters=1))
-        assert [skip for skip, _ in decisions[:n]] == [skip for skip, _ in decisions[n:]]
-        for k, (skip, objective) in enumerate(decisions[:n], start=1):
+        assert [skip for skip, _, _ in decisions[:n]] == [skip for skip, _, _ in decisions[n:]]
+        for k, (skip, keep, objective) in enumerate(decisions[:n], start=1):
             if skip:
-                _, bound = sdp_mod._clip_threshold(A.entries, k, objective, gap_tol)
+                _, bound = sdp_mod._clip_threshold(A.entries, keep, k, objective, gap_tol)
                 assert bound - objective > gap_tol * bound, k
 
     def test_spiked_inputs_still_certify(self, monkeypatch):
         # The skip never fires where a threshold certifies: 30 gen-synthetic
         # datasets at the sdp-spiked sizes all certify with no iteration. The
-        # off-support probe certifies 85 of the 90 solves; the bisection runs
-        # on the other five only, and certifies them.
-        calls = count_calls(monkeypatch, sdp_mod, "_clip_threshold")
+        # search's first point, t_off, certifies 85 of the 90 solves; the
+        # bisection below it runs on the other five only, and certifies them.
+        calls = count_calls(monkeypatch, sdp_mod, "_clip_bound")
         searched = []
         for seed in range(30):
             A = _spiked_second_moment(seed)
             for k in (8, 16, 32):
                 before = len(calls)
                 assert solve_sdp_relaxation(A, k).iterations_used == 0, (seed, k)
-                if len(calls) > before:
+                if len(calls) > before + 1:
                     searched.append((seed, k))
         assert searched == [(7, 8), (7, 16), (17, 16), (19, 16), (29, 16)]
 
     def test_pit_props_certifies_where_it_did(self, monkeypatch):
-        # The probe certifies k = 1 and 13. At k = 2 and 12 it does not, and
-        # the bisection still certifies with no iteration. k = 3..11 run the
-        # loop they ran before the probe existed (pinned counts): the search
-        # is skipped at k = 3..10 and fails at k = 11.
+        # The search's first point, t_off, certifies k = 1 and 13. At k = 2
+        # and 12 it does not, and the bisection below it still certifies with
+        # no iteration. k = 3..11 run the loop they ran before the check
+        # existed (pinned counts): the search is skipped at k = 3..10 and
+        # fails at k = 11.
         A = pit_props()
-        calls = count_calls(monkeypatch, sdp_mod, "_clip_threshold")
+        calls = count_calls(monkeypatch, sdp_mod, "_clip_bound")
         iterations, searched = {}, []
         for k in range(1, A.n + 1):
             before = len(calls)
             iterations[k] = solve_sdp_relaxation(A, k).iterations_used
-            if len(calls) > before:
+            if len(calls) > before + 1:
                 searched.append(k)
         assert searched == [2, 11, 12]
         assert list(iterations.values()) == [0, 0, 35, 30, 25, 25, 65, 20, 10, 5, 5, 0, 0]
