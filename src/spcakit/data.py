@@ -173,15 +173,16 @@ def _read_matrix_market(path):
         raise ParseError("array size line needs 'rows cols'", size_lineno)
     rows = _parse_int(size_tokens[0], size_lineno, 1)
     cols = _parse_int(size_tokens[1], size_lineno, 2)
-    # One str.split() and one float() over the text after the size line.
-    # str.split() breaks at every line break str.splitlines knows, so the body
-    # is cut into lines only when a "%" occurs: rejoined by "\n", the one break
-    # _COMMENT_LINE knows, its comment lines are blanked, which keeps the line
-    # numbers for the error pass below.
+    # One str.split() over the text after the size line, and one float() per
+    # token straight into the array. str.split() breaks at every line break
+    # str.splitlines knows, so the body is cut into lines only when a "%"
+    # occurs: rejoined by "\n", the one break _COMMENT_LINE knows, its comment
+    # lines are blanked, which keeps the line numbers for the error pass below.
     if "%" in body:
         body = _COMMENT_LINE.sub("", "\n".join(body.splitlines()))
+    tokens = body.split()
     try:
-        values = list(map(float, body.split()))
+        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
     except ValueError:
         # the same float() token by token, to report the failing position
         for lineno, line in _content_lines(body, size_lineno + 1):
@@ -202,7 +203,7 @@ def _read_matrix_market(path):
         return arr
     if len(values) != rows * cols:
         raise ParseError(f"expected {rows * cols} values, found {len(values)}", size_lineno)
-    return np.array(values).reshape((cols, rows)).T  # column-major
+    return values.reshape((cols, rows)).T  # column-major
 
 
 def _read_csv(path):

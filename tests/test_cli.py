@@ -11,6 +11,7 @@ from scipy.linalg import lapack
 
 from spcakit import (
     AdmmConfig,
+    covariance_from_data,
     load_matrix,
     pit_props,
     rank_one_diagnostics,
@@ -20,7 +21,7 @@ from spcakit import (
 )
 from spcakit.cli import build_parser, main, reproduce_pitprops
 
-from helpers import failing_dsyevd, random_psd, run_python, wide_data
+from helpers import count_calls, failing_dsyevd, random_psd, run_python, wide_data
 
 
 def _run(args):
@@ -286,6 +287,36 @@ def test_usage_error_is_a_json_diagnostic(capsys, argv, fragment):
     err = json.loads(lines[0])
     assert set(err) == {"code", "message", "context"}
     assert err["code"] == "ValueError" and fragment in err["message"]
+
+
+class TestDataFactorSolve:
+    @pytest.mark.parametrize("method", ["exact", "block_krylov"])
+    def test_one_gram_eigensolve_and_no_qr(self, tmp_path, monkeypatch, method):
+        # 40 samples of 600 features: the covariance holds only its data
+        # factor F, and the eigenpairs and the norm come from one
+        # eigendecomposition of the 40 x 40 matrix F F.T.
+        import scipy.linalg
+
+        from spcakit import cli, matrix
+
+        path = tmp_path / "x.mtx"
+        save_matrix(path, wide_data(40, 600, 9))
+        built = []
+
+        def keep(*args, **kwargs):
+            built.append(covariance_from_data(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "covariance_from_data", keep)
+        eighs = count_calls(monkeypatch, matrix, "_symmetric_eigh")
+        qrs = [count_calls(monkeypatch, mod, "qr") for mod in (scipy.linalg, np.linalg)]
+        assert _run(["solve", "--input", str(path), "--input-kind", "data", "--algo", "svd",
+                     "--svd-method", method, "--k", "4", "--sparsity", "4", "--epsilon", "0.25",
+                     "--output", str(tmp_path / "r.json")]) == 0
+        [A] = built
+        assert A._factor is not None and A._entries is None
+        assert [args[0].shape for args in eighs] == [(40, 40)]
+        assert qrs == [[], []]
 
 
 class TestInputFlags:

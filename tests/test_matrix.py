@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
@@ -703,14 +703,19 @@ class TestDataFactor:
         assert cosines.min() >= 1.0 - 1e-8
 
     @pytest.mark.parametrize("to_correlation", [False, True])
-    def test_rayleigh_ritz_on_the_factor_matches_the_dense_pairs(self, monkeypatch, to_correlation):
+    def test_gram_pairs_on_the_factor_match_the_dense_pairs(self, monkeypatch, to_correlation):
         # l = 4 times 41 Krylov steps would exceed the 40 samples, so block
-        # Krylov runs the exact step as well: one product, through F.
+        # Krylov takes the exact pairs as well: both come from one eigensolve
+        # of the 40 x 40 Gram matrix, and the norm reads the same values.
+        eighs = count_calls(monkeypatch, matrix_mod, "_symmetric_eigh")
         products = count_calls(monkeypatch, matrix_mod, "_product")
         A = covariance_from_data(wide_data(40, 600, 17), to_correlation=to_correlation)
         exact = top_l_eigenpairs(A, 4)
         krylov = top_l_eigenpairs(A, 4, method="block_krylov", svd_eps=0.1, seed=3)
-        assert len(products) == 2 and A._entries is None and A._eig is None
+        norm = spectral_norm(A)
+        assert [args[0].shape for args in eighs] == [(40, 40)] and products == []
+        assert A._entries is None and A._eig is None
+        assert norm == exact.values[0]
         assert exact.values.tobytes() == krylov.values.tobytes()
         assert exact.vectors.tobytes() == krylov.vectors.tobytes()
         w, v = np.linalg.eigh(A.entries)
@@ -729,6 +734,59 @@ class TestDataFactor:
         ref = top_l_eigenpairs(symmetrize(A.entries), 1, method="block_krylov", svd_eps=0.1, seed=3)
         np.testing.assert_allclose(ours.values, ref.values, rtol=1e-10, atol=0)
         assert abs(float(ours.vectors[:, 0] @ ref.vectors[:, 0])) >= 1.0 - 1e-8
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 24),
+        st.integers(0, 40),
+        st.integers(1, 24),
+        st.integers(0, 23),
+        st.sampled_from([1.0, 0.5, 0.1]),
+        st.sampled_from([1e-100, 1e-20, 1.0, 1e20, 1e100]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(24, 0, 24, 0, 1.0, 1.0, True, False, 5)  # centered, l = m: lambda_m = 0
+    @example(24, 0, 24, 1, 1.0, 1.0, True, False, 5)  # the same data at l = m - 1
+    @example(16, 8, 16, 11, 0.5, 1.0, True, False, 0)  # lambda_l / lambda_1 = 1.8e-3
+    @example(16, 8, 16, 7, 0.5, 1.0, True, False, 3)  # lambda_l / lambda_1 = 6.5e-6
+    def test_gram_pairs_match_dense_eigh(
+        self, m, extra, rank, below_m, decay, scale, center, to_correlation, seed
+    ):
+        # Wide data of any rank, rows falling geometrically by decay, at
+        # extreme scales. From lambda_l / lambda_1 = 1e-3 up the pairs come
+        # from the Gram matrix alone; from 1e-5 down, from one Rayleigh-Ritz
+        # step on range(F.T) (_GRAM_MIN_RATIO is 1e-4). Either way they are
+        # the dense pairs: values to a relative 1e-10 (values under 1e-4
+        # lambda_1, which are rounding noise, to 1e-10 lambda_1), vectors to a
+        # cosine of 1 - 1e-8 wherever the value is resolved.
+        rng = np.random.Generator(np.random.Philox(seed))
+        n = 2 * m + 1 + extra
+        r = min(rank, m)
+        X = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        X = scale * X * decay ** np.arange(m)[:, None]
+        l = max(1, m - below_m)
+        if to_correlation and not np.all(np.ptp(X, axis=0) > 0):
+            return  # a zero-variance column, rejected before any factor
+        A = covariance_from_data(DataMatrix(X), center=center, to_correlation=to_correlation)
+        if A._factor is None:
+            return  # entries too small for a factor
+        with pytest.MonkeyPatch.context() as mp:
+            ritz = count_calls(mp, matrix_mod, "_rayleigh_ritz")
+            pairs = top_l_eigenpairs(A, l)
+        w, V = np.linalg.eigh(A.entries)
+        w, V = w[::-1][:l], V[:, ::-1][:, :l]
+        lam1 = w[0]
+        if w[-1] >= 1e-3 * lam1:
+            assert ritz == []
+        elif w[-1] <= 1e-5 * lam1:
+            assert len(ritz) == 1
+        resolved = w >= 1e-4 * lam1
+        tol = 1e-10 * np.where(resolved, w, lam1)
+        assert np.all(np.abs(pairs.values - w) <= tol)
+        cosines = np.abs(np.sum(pairs.vectors * V, axis=0))[resolved]
+        assert cosines.min(initial=1.0) >= 1.0 - 1e-8
 
     def test_more_pairs_than_samples_take_the_dense_path(self):
         A = covariance_from_data(wide_data(8, 40, 3))
