@@ -474,9 +474,10 @@ def kernel_matrix(
     else:
         raise InvalidKernelParams(f"unknown kernel {kernel!r}")
     if center_in_feature_space:
-        m = K.shape[0]
-        ones = np.full((m, m), 1.0 / m)
-        K = K - ones @ K - K @ ones + ones @ K @ ones
+        # J K J for J = I - 11^T / m, from the means of the symmetric K; the
+        # sum of the mean vectors keeps it bitwise symmetric.
+        mu = K.mean(axis=0)
+        K = K - (mu[:, None] + mu[None, :]) + mu.mean()
     out = symmetrize(K)
     # user-supplied parameters can produce an invalid (indefinite) kernel;
     # flag it rather than fail, since downstream solvers validate again

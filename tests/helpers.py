@@ -165,6 +165,19 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def record_results(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; return the list of its return values."""
+    results = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return results
+
+
 def failing_dsyevd(M, **kwargs):
     """Stand-in for LAPACK ``dsyevd`` that reports a convergence failure (info = 1)."""
     n = M.shape[0]

@@ -31,7 +31,7 @@ from spcakit import (
 
 from spcakit import matrix as matrix_mod
 
-from helpers import count_calls, random_psd, two_pass_covariance, wide_data
+from helpers import count_calls, random_psd, record_results, two_pass_covariance, wide_data
 
 
 ARRAY_HEADER = "%%MatrixMarket matrix array real general\n"
@@ -423,13 +423,13 @@ class TestCovariance:
 
     def test_scaling_needs_no_averaging_pass(self, monkeypatch):
         # Rows and columns are scaled by outer(s, s), which keeps the bitwise
-        # symmetric product so: symmetrize copies it, with no averaging pass.
-        tiles = count_calls(monkeypatch, matrix_mod, "_symmetrize_tiles")
+        # symmetric product so: symmetrize copies it, and never averages.
+        verdicts = record_results(monkeypatch, matrix_mod, "_bitwise_symmetric")
         wide = covariance_from_data(wide_data(40, 600, 5), to_correlation=True)
         tall = covariance_from_data(wide_data(300, 600, 5), to_correlation=True)
         for A in (wide, tall, unit_row_normalize(wide), unit_row_normalize(random_psd(8, 9001))):
             np.testing.assert_array_equal(A.entries, A.entries.T)
-        assert tiles == []
+        assert len(verdicts) >= 4 and all(verdicts)
 
     def test_scales_whose_product_overflows_stay_finite(self):
         # Columns of subnormal variance have scales near 1e160, whose products
@@ -475,12 +475,25 @@ class TestKernels:
         )
         np.testing.assert_allclose(K.entries.sum(axis=0), np.zeros(6), atol=1e-10)
 
-    def test_high_degree_centered_polynomial_is_accepted(self):
-        # Entries reach 1.6e13, and the centered Gram matrix's mirrored
-        # entries differ by rounding alone (6e-5, about 4e-18 of the largest).
+    @pytest.mark.parametrize(
+        "params", [dict(kernel="linear"), dict(kernel="polynomial", degree=3, c=0.5),
+                   dict(kernel="rbf", gamma=0.3)],
+    )
+    def test_centering_matches_the_explicit_projection(self, params):
+        X = DataMatrix(np.random.default_rng(2).standard_normal((30, 4)))
+        K = kernel_matrix(X, **params).entries
+        J = np.eye(30) - 1.0 / 30
+        centered = kernel_matrix(X, center_in_feature_space=True, **params).entries
+        np.testing.assert_allclose(centered, J @ K @ J, rtol=0, atol=1e-13 * np.abs(K).max())
+
+    def test_high_degree_centered_polynomial_is_accepted(self, monkeypatch):
+        # Entries reach 1.6e13. Centering subtracts the sum of the mean
+        # vectors, which keeps the Gram matrix bitwise symmetric, so
+        # symmetrize copies it.
+        verdicts = record_results(monkeypatch, matrix_mod, "_bitwise_symmetric")
         X = DataMatrix(3 * np.random.default_rng(1).standard_normal((40, 5)))
         K = kernel_matrix(X, "polynomial", degree=6, c=1.0, center_in_feature_space=True)
-        np.testing.assert_array_equal(K.entries, K.entries.T)
+        assert verdicts == [True]
         assert np.abs(K.entries).max() > 1e13
 
     def test_invalid_params(self):

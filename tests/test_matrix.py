@@ -25,7 +25,14 @@ from spcakit import (
 from spcakit import matrix as matrix_mod
 from spcakit.matrix import PSD_SLACK
 
-from helpers import charpoly_eigenvalues, count_calls, failing_dsyevd, random_psd, wide_data
+from helpers import (
+    charpoly_eigenvalues,
+    count_calls,
+    failing_dsyevd,
+    random_psd,
+    record_results,
+    wide_data,
+)
 
 # Frozen output of the characteristic-polynomial oracle (helpers.charpoly_
 # eigenvalues) on the Philox(414243) Gram matrix below, computed at build
@@ -194,16 +201,16 @@ class TestSymmetrize:
 
     @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
     def test_both_paths_bitwise_equal_average(self, monkeypatch, n):
-        averaged = count_calls(monkeypatch, matrix_mod, "_symmetrize_tiles")
+        verdicts = record_results(monkeypatch, matrix_mod, "_bitwise_symmetric")
         for kind, raw in self._inputs(n).items():
-            averaged.clear()
+            verdicts.clear()
             expected = (raw + raw.T) / 2.0
             A = symmetrize(raw)
             assert A.entries.tobytes() == expected.tobytes(), kind
             assert A.entries.flags.c_contiguous and not A.entries.flags.writeable, kind
-            # only bitwise symmetric input skips the averaging pass
+            # one check per input, and only bitwise symmetric input skips the average
             exact = np.array_equal(raw.view(np.int64), raw.T.view(np.int64))
-            assert len(averaged) == (0 if exact else 1), kind
+            assert verdicts == [exact], kind
             assert exact == ("near" not in kind and "zero" not in kind), kind
             raw[...] = 7.0  # the matrix owns its entries
             assert A.entries.tobytes() == expected.tobytes(), kind

@@ -43,6 +43,7 @@ from helpers import (
     psd_trace_ball_projection_full,
     random_psd,
     run_python,
+    wide_data,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -728,12 +729,25 @@ class TestThresholdCertificate:
         assert np.array_equal(sol.Z, ref.Z) and sol.dual_bound == ref.dual_bound
 
     def test_no_full_decomposition_above_dense_crossover(self, monkeypatch):
-        # Above the crossover ensure_psd checks A by Lanczos and Cholesky, and
-        # the check before ADMM adds no full decomposition of A.
+        # Above the crossover the solver's own top pair still gives the norm
+        # of ensure_psd's Cholesky check: no Lanczos run, and the check before
+        # ADMM adds no full decomposition of A.
         n = matrix_mod._DENSE_CHECK_MAX_N + 1
         calls = count_calls(monkeypatch, matrix_mod, "eigendecompose")
+        lanczos = count_calls(monkeypatch, matrix_mod, "_lanczos_norm")
         sol = solve_sdp_relaxation(random_psd(n, 4242), 4, AdmmConfig(max_iters=1))
-        assert calls == [] and sol.iterations_used == 1
+        assert calls == [] and lanczos == [] and sol.iterations_used == 1
+
+    def test_wide_data_runs_one_gram_eigensolve(self, monkeypatch):
+        # The norm of a factor-backed covariance comes from the cached
+        # eigendecomposition of the m x m F F^T, which a later svd solve on
+        # the same matrix reads for its pairs: one m x m eigensolve in all.
+        A = covariance_from_data(wide_data(20, 60, 3))
+        calls = [count_calls(monkeypatch, lapack, name) for name in ("dsyevr", "dsyevd")]
+        solve(A, "sdp", 4, sparsity=4)
+        solve(A, "svd", 4, sparsity=4, epsilon=0.5)
+        gram = [args[0] for args in calls[0] + calls[1] if args[0].shape == (20, 20)]
+        assert len(gram) == 1 and np.array_equal(gram[0], A._factor @ A._factor.T)
 
     @pytest.mark.parametrize("built", ["covariance", "plain"])
     def test_certified_solve_runs_one_eigensolve_of_a(self, monkeypatch, built):
