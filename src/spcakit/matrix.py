@@ -13,10 +13,10 @@ The conventions fixed here keep all downstream output deterministic:
 PSD validation reads the full decomposition only when it is already cached.
 Otherwise it takes a norm and runs one shifted Cholesky factorization,
 computing eigenvalues only when that fails, so no path pays for a full
-eigensolve of ``A`` to validate it. The norm is the top eigenvalue of the
-one top eigenpair cached on the matrix (:func:`_top_eigenpair`), which also
-gives the spectral norm of a checked matrix and the relaxation solver's
-start; above ``_DENSE_CHECK_MAX_N``, with no cached pair, Lanczos. A sample
+eigensolve of ``A`` to validate it. Up to ``_DENSE_CHECK_MAX_N`` the norm is
+the top eigenvalue of the one top eigenpair cached on the matrix
+(:func:`_top_eigenpair`), which also gives the spectral norm of a checked
+matrix and the relaxation solver's start; above it, Lanczos. A sample
 covariance skips the check altogether:
 :func:`spcakit.data.covariance_from_data` certifies it PSD from a rounding
 bound on how it was built.
@@ -70,17 +70,17 @@ _FLOAT_MAX = float(np.finfo(float).max)
 _KRYLOV_C = 2.0
 
 # Largest n at which ensure_psd and spectral_norm of a matrix without a data
-# factor compute the top eigenpair (one dsyevr) for their norm; above it they
-# use Lanczos unless the pair is cached. Measured with one BLAS thread on
-# sample covariances of rank n / 4, microseconds per check (norm plus one
-# shifted dpotrf), against one full dsyevd:
+# factor take their norm from the top eigenpair (one dsyevr); above it they
+# use Lanczos. Measured with one BLAS thread on sample covariances of rank
+# n / 4, microseconds per check (norm plus one shifted dpotrf), against one
+# full dsyevd:
 #   n =  20 /  64 / 128 /  256 / 512
 #   top pair   16 /  81 / 300 / 1370 / 7600
 #   Lanczos   233 / 257 / 570 / 1100 / 4760
 #   dsyevd     22 / 143 / 546 / 2440 / 14000
 # Lanczos overtakes the top pair between n = 128 and 256, but the relaxation
-# solver needs the pair for its start at any n anyway, and the first Lanczos
-# call imports scipy.sparse.linalg (about 27 ms and 2.5 MB once per process).
+# solver needs the top pair for its start anyway, and the first Lanczos call
+# imports scipy.sparse.linalg (about 27 ms and 2.5 MB once per process).
 _DENSE_CHECK_MAX_N = 256
 
 # Side of the square tiles _bitwise_symmetric compares with their mirror images;
@@ -189,14 +189,16 @@ def _symmetric_entries(raw):
     else:
         # Whole-array, not tiled: only near-symmetric input made by hand gets here.
         largest = max(float(arr.max()), -float(arr.min()))
-        step = 2.0 if largest > _FLOAT_MAX / 2.0 else 1.0  # dividing by 1 is exact
-        part = arr / step
-        gap = np.abs(part - part.T)
-        i, j = divmod(int(np.argmax(gap)), arr.shape[0])  # first in row-major order
-        delta, tol = step * float(gap[i, j]), _SYMMETRY_RTOL * largest
+        step = 2.0 if largest > _FLOAT_MAX / 2.0 else 1.0
+        part = arr / 2.0 if step == 2.0 else arr
+        # One n x n buffer holds the gap, then the sum.
+        entries = np.subtract(part, part.T, order="C")
+        np.abs(entries, out=entries)
+        i, j = divmod(int(np.argmax(entries)), arr.shape[0])  # first in row-major order
+        delta, tol = step * float(entries[i, j]), _SYMMETRY_RTOL * largest
         if delta > tol:
             raise AsymmetryExceedsTolerance(i, j, delta, tol)
-        entries = np.add(part, part.T, order="C")
+        np.add(part, part.T, out=entries)
         if step == 1.0:
             entries /= 2.0
     entries.flags.writeable = False
@@ -353,11 +355,6 @@ def _top_eigenpair(A: SymmetricMatrix):
         v.flags.writeable = False
         A._top = (float(w[-1]), v)
     return A._top
-
-
-def _has_top_pair(A):
-    """Whether a norm of ``A`` comes from its top eigenpair: cached, or computed at small n."""
-    return A._top is not None or A.n <= _DENSE_CHECK_MAX_N
 
 
 def eigendecompose(A: SymmetricMatrix) -> EigenPairs:
@@ -533,25 +530,25 @@ def spectral_norm(A: SymmetricMatrix) -> float:
     Read from the full decomposition when it is cached. Otherwise, when ``A``
     carries a data factor ``F``, it is the top eigenvalue of the m x m matrix
     ``F F.T``, read from its cached eigendecomposition (:func:`_gram_eigh`),
-    so a factor-only matrix builds no entries for it at any n. A matrix that
-    has passed :func:`ensure_psd` with a positive ``lambda_max`` has that top
-    eigenvalue as its norm (no eigenvalue lies below ``-PSD_SLACK *
-    ||A||_2``, or ``-1e-308``), from the top eigenpair when it is cached or
-    ``n <= _DENSE_CHECK_MAX_N``. Else above that n it comes from Lanczos
+    so a factor-only matrix builds no entries for it at any n. Without a
+    factor and with ``n`` above ``_DENSE_CHECK_MAX_N`` it comes from Lanczos
     (ARPACK ``eigsh``, largest magnitude, full precision) from a fixed-seed
-    Philox start vector, and below it from the full decomposition. These
-    norms are cached on ``A``, and matrices built alike give bit-identical
-    norms. The zero matrix has norm 0.
+    Philox start vector. Up to that n, a matrix that has passed
+    :func:`ensure_psd` with a positive ``lambda_max`` has that top
+    eigenvalue, from the cached top eigenpair, as its norm: no eigenvalue of
+    it lies below ``-PSD_SLACK * ||A||_2`` (or ``-1e-308``). Any other is
+    read from the full decomposition. These norms are cached on ``A``, and
+    matrices built alike give bit-identical norms. The zero matrix has norm 0.
     """
     if A._eig is not None:
         return _norm_of(A._eig.values)
     if A._norm is None:
         if A._factor is not None:
             A._norm = _norm_of(_gram_eigh(A)[0])
-        elif A._psd and _has_top_pair(A) and _top_eigenpair(A)[0] > 0.0:
-            A._norm = _top_eigenpair(A)[0]
         elif A.n > _DENSE_CHECK_MAX_N:
             A._norm = _lanczos_norm(A.entries)
+        elif A._psd and _top_eigenpair(A)[0] > 0.0:
+            A._norm = _top_eigenpair(A)[0]
         else:
             return _norm_of(eigendecompose(A).values)
     return A._norm
@@ -577,19 +574,19 @@ def ensure_psd(A: SymmetricMatrix) -> None:
     covariance that :func:`spcakit.data.covariance_from_data` certified at
     construction starts out passed. A cached full decomposition decides.
     Otherwise ``A`` passes when ``A + PSD_SLACK * s * I`` has a Cholesky
-    factor, where ``s`` is ``max(lambda_max, 0)`` from the top eigenpair
-    when ``A`` has no data factor and the pair is cached or ``n <=
-    _DENSE_CHECK_MAX_N``, and :func:`spectral_norm` (Lanczos or the factor)
-    otherwise. Both are at most ``||A||_2``, so a pass meets the rule. Only
-    if that factorization fails are the eigenvalues computed, and the rule
-    decides from them and words the error.
+    factor, where ``s`` is ``max(lambda_max, 0)`` from the cached top
+    eigenpair when ``n <= _DENSE_CHECK_MAX_N`` and ``A`` has no data factor,
+    and :func:`spectral_norm` (Lanczos or the factor) otherwise. Both are at
+    most ``||A||_2``, so a pass meets the rule. Only if that factorization
+    fails are the eigenvalues computed, and the rule decides from them and
+    words the error.
     """
     if A._psd:
         return
     if A._eig is not None:
         values = A._eig.values
     else:
-        if A._factor is None and _has_top_pair(A):
+        if A._factor is None and A.n <= _DENSE_CHECK_MAX_N:
             scale = max(_top_eigenpair(A)[0], 0.0)
         else:
             scale = spectral_norm(A)

@@ -430,10 +430,9 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     eigenvalue comes from the same top eigenpair as x, so the default start
     costs no eigensolve and makes the loop scale-free: scaling A by a power
     of two changes no iterate. The pair is the one cached on A
-    (:func:`~spcakit.matrix._top_eigenpair`), computed before the PSD check
-    so that :func:`~spcakit.matrix.ensure_psd` and
-    :func:`~spcakit.matrix.spectral_norm` also read it, at any n, for a
-    matrix without a data factor: no Lanczos run sits next to it.
+    (:func:`~spcakit.matrix._top_eigenpair`), which
+    :func:`~spcakit.matrix.ensure_psd` and :func:`~spcakit.matrix.spectral_norm`
+    also read for a matrix of n <= 256 without a data factor.
 
     At every multiple of :func:`_gap_check_every` (5 early on, widening to
     25 from iteration 500), and at ``max_iters``, the PSD iterate is scaled
@@ -454,12 +453,11 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     """
     cfg = cfg or AdmmConfig()
     _check_count("k", k, A.n)
-    # The pair first, so that the check and the norm read it at any n.
-    lam, v = _top_eigenpair(A)
     ensure_psd(A)
 
     n = A.n
     C = A.entries
+    lam, v = _top_eigenpair(A)
     keep = _top_indices(v * v, k)
     x = np.zeros(n)
     x[keep] = v[keep] / math.sqrt(v[keep] @ v[keep])

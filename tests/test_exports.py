@@ -32,13 +32,15 @@ def test_traced_functions_exist():
 
 
 def test_no_assert_in_the_package():
-    # Invariants must hold under python -O, which strips assert statements;
-    # the package raises InvariantViolation (or another error) instead.
+    # Invariants must hold under python -O, which strips assert statements
+    # and code that reads __debug__; the package raises InvariantViolation
+    # (or another error) instead.
     package = Path(spcakit.__file__).resolve().parent
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "__debug__")
     ]
     assert found == []

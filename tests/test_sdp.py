@@ -729,14 +729,13 @@ class TestThresholdCertificate:
         assert np.array_equal(sol.Z, ref.Z) and sol.dual_bound == ref.dual_bound
 
     def test_no_full_decomposition_above_dense_crossover(self, monkeypatch):
-        # Above the crossover the solver's own top pair still gives the norm
-        # of ensure_psd's Cholesky check: no Lanczos run, and the check before
-        # ADMM adds no full decomposition of A.
+        # Above the crossover ensure_psd checks A by one Lanczos norm and
+        # Cholesky, and the check before ADMM adds no full decomposition of A.
         n = matrix_mod._DENSE_CHECK_MAX_N + 1
         calls = count_calls(monkeypatch, matrix_mod, "eigendecompose")
         lanczos = count_calls(monkeypatch, matrix_mod, "_lanczos_norm")
         sol = solve_sdp_relaxation(random_psd(n, 4242), 4, AdmmConfig(max_iters=1))
-        assert calls == [] and lanczos == [] and sol.iterations_used == 1
+        assert calls == [] and len(lanczos) == 1 and sol.iterations_used == 1
 
     def test_wide_data_runs_one_gram_eigensolve(self, monkeypatch):
         # The norm of a factor-backed covariance comes from the cached
