@@ -140,8 +140,14 @@ def _read_preamble(text):
     raise ParseError("missing size line", lineno)
 
 
-def _read_matrix_market(path):
-    """Dense array from a MatrixMarket file (symmetric storage expanded to full)."""
+def _read_matrix_market(path, symmetric=False):
+    """Dense array from a MatrixMarket file (symmetric storage expanded to full).
+
+    ``symmetric`` says the caller wants a symmetric matrix: a square ``general``
+    array whose mirrored tokens are equal strings then has only its lower
+    triangle converted (see :func:`_mirrored_lower`). Equal strings give equal
+    doubles, so the array is bit for bit the one the full conversion gives.
+    """
     # the whole text is dropped once the preamble returns; only the body is kept
     layout, shape, size_lineno, size_tokens, body = _read_preamble(Path(path).read_text())
 
@@ -181,8 +187,15 @@ def _read_matrix_market(path):
     if "%" in body:
         body = _COMMENT_LINE.sub("", "\n".join(body.splitlines()))
     tokens = body.split()
+    if symmetric and shape == "general" and rows == cols and len(tokens) == rows * cols:
+        lower = _mirrored_lower(tokens, rows)
+        if lower is not None:
+            try:
+                return _lower_to_full(rows, _floats(lower))
+            except ValueError:
+                pass  # the full conversion below fails too, and names the position
     try:
-        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+        values = _floats(tokens)
     except ValueError:
         # the same float() token by token, to report the failing position
         for lineno, line in _content_lines(body, size_lineno + 1):
@@ -196,14 +209,36 @@ def _read_matrix_market(path):
         if len(values) != expected:
             raise ParseError(f"expected {expected} lower-triangle values, found {len(values)}",
                              size_lineno)
-        arr = np.zeros((rows, cols))
-        j, i = np.triu_indices(rows)  # column-major lower triangle: (i, j) with i >= j
-        arr[i, j] = values
-        arr[j, i] = values
-        return arr
+        return _lower_to_full(rows, values)
     if len(values) != rows * cols:
         raise ParseError(f"expected {rows * cols} values, found {len(values)}", size_lineno)
     return values.reshape((cols, rows)).T  # column-major
+
+
+def _floats(tokens):
+    """One float() per token of the list ``tokens``, straight into an array."""
+    return np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+
+
+def _mirrored_lower(tokens, n):
+    """The column-major lower-triangle tokens of the column-major n x n ``tokens``,
+    or None when a token below the diagonal differs from its mirror image."""
+    lower = []
+    for j in range(n):
+        column = tokens[j * n + j : (j + 1) * n]
+        if column[1:] != tokens[(j + 1) * n + j :: n]:
+            return None
+        lower += column
+    return lower
+
+
+def _lower_to_full(n, values):
+    """The n x n symmetric array whose column-major lower triangle is ``values``."""
+    arr = np.zeros((n, n))
+    j, i = np.triu_indices(n)  # column-major lower triangle: (i, j) with i >= j
+    arr[i, j] = values
+    arr[j, i] = values
+    return arr
 
 
 def _read_csv(path):
@@ -213,12 +248,16 @@ def _read_csv(path):
         if not line.strip():
             continue
         tokens = [t.strip() for t in line.split(",")]
-        if lineno == 1:
-            try:
-                [float(t) for t in tokens]
-            except ValueError:
+        try:
+            row = list(map(float, tokens))
+        except ValueError:
+            if lineno == 1:
                 continue  # header row
-        rows.append([_parse_float(t, lineno, c + 1) for c, t in enumerate(tokens)])
+            # the same float() token by token, to report the failing position
+            for column, token in enumerate(tokens, start=1):
+                _parse_float(token, lineno, column)
+            raise
+        rows.append(row)
         linenos.append(lineno)
     if not rows:
         raise ParseError("no data rows", max(len(lines), 1))
@@ -244,12 +283,13 @@ def load_matrix(path, format=None, kind="symmetric"):
     """Load a matrix file as a :class:`SymmetricMatrix` or :class:`DataMatrix`.
 
     ``kind="symmetric"`` routes through :func:`symmetrize` (MatrixMarket
-    symmetric storage is expanded to full first); ``kind="data"`` returns
-    the raw rectangle.
+    symmetric storage is expanded to full first, and a dense general array
+    whose mirrored tokens are equal strings converts its lower triangle
+    alone, with the same result); ``kind="data"`` returns the raw rectangle.
     """
     fmt = _sniff_format(path, format)
     if fmt == "matrix_market":
-        arr = _read_matrix_market(path)
+        arr = _read_matrix_market(path, symmetric=kind == "symmetric")
     elif fmt == "dense_csv":
         arr = _read_csv(path)
     else:

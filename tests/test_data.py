@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from spcakit import (
+    AsymmetryExceedsTolerance,
     DataMatrix,
     DimensionNotDivisibleBy4,
     InvalidKernelParams,
     NonConvergenceWarning,
     NonFiniteEntries,
     NotPowerOfTwo,
+    NotSquare,
     ParseError,
+    SpcaError,
     SymmetricMatrix,
     SyntheticConfig,
     covariance_from_data,
@@ -29,6 +32,7 @@ from spcakit import (
     ZeroVarianceColumn,
 )
 
+from spcakit import data as data_mod
 from spcakit import matrix as matrix_mod
 
 from helpers import count_calls, random_psd, record_results, two_pass_covariance, wide_data
@@ -299,6 +303,122 @@ class TestArrayReader:
         path = tmp_path / "big.mtx"
         save_matrix(path, X)
         assert load_matrix(path, kind="data").entries.tobytes() == X.entries.tobytes()
+
+
+def _outcome(load):
+    """What ``load()`` gives: the entries' bits and the trace, or the exception in full."""
+    try:
+        A = load()
+    except (SpcaError, ValueError) as exc:
+        return type(exc), str(exc), vars(exc)
+    return A.entries.tobytes(), A.entries.shape, A.trace
+
+
+class TestMirroredParse:
+    """``kind="symmetric"`` converts a bitwise-symmetric general array's lower
+    triangle alone; every outcome equals symmetrize of the full parse."""
+
+    def _check(self, tmp_path, monkeypatch, text, converted=None):
+        path = tmp_path / "s.mtx"
+        path.write_bytes(text.encode())
+        expected = _outcome(lambda: symmetrize(data_mod._read_matrix_market(path)))  # full parse
+        calls = count_calls(monkeypatch, data_mod, "_floats")
+        assert _outcome(lambda: load_matrix(path)) == expected
+        if converted is not None:
+            assert sum(len(tokens) for tokens, in calls) == converted
+        return expected
+
+    @staticmethod
+    def _text(columns, head="2 2\n"):
+        return ARRAY_HEADER + head + "\n".join(columns) + "\n"
+
+    @pytest.mark.parametrize("n", [1, 2, 129])
+    def test_bitwise_symmetric_converts_the_lower_triangle(self, tmp_path, monkeypatch, n):
+        rng = np.random.Generator(np.random.Philox(n))
+        g = rng.standard_normal((n, n))
+        g[0, -1] = g[-1, 0] = -0.0
+        path = tmp_path / "s.mtx"
+        save_matrix(path, (g + g.T) / 2.0)
+        outcome = self._check(tmp_path, monkeypatch, path.read_text(), n * (n + 1) // 2)
+        assert outcome[0] == ((g + g.T) / 2.0).tobytes()
+
+    def test_asymmetric_converts_every_token(self, tmp_path, monkeypatch):
+        # the pair matches as values, not as text: the full parse runs
+        self._check(tmp_path, monkeypatch, self._text(["1.0", "0.5", "5e-1", "2.0"]), 4)
+
+    def test_signed_zero_pair_is_averaged(self, tmp_path, monkeypatch):
+        outcome = self._check(tmp_path, monkeypatch, self._text(["1.0", "-0.0", "0.0", "2.0"]), 4)
+        assert outcome[0] == np.array([[1.0, 0.0], [0.0, 2.0]]).tobytes()  # +0.0
+
+    def test_near_symmetric_is_averaged(self, tmp_path, monkeypatch):
+        self._check(tmp_path, monkeypatch, self._text(["1.0", "0.5", "0.5000000000000001", "2.0"]), 4)
+
+    def test_beyond_tolerance_names_the_same_pair(self, tmp_path, monkeypatch):
+        text = self._text(["1.0", "2.0", "3.0", "0.5", "1.0", "2.0", "0.5", "9.0", "4.0"],
+                          head="3 3\n")
+        kind, _, attrs = self._check(tmp_path, monkeypatch, text)
+        assert kind is AsymmetryExceedsTolerance
+        assert (attrs["i"], attrs["j"], attrs["delta"]) == (1, 2, 7.0)
+
+    @pytest.mark.parametrize("columns", [
+        ["1.0", "oops", "0.5", "2.0"],  # below the diagonal
+        ["1.0", "0.5", "oops", "2.0"],  # above it
+        ["1.0", "oops", "oops", "2.0"],  # a mirrored pair
+        ["1.0", "0.5", "0.5", "x"],  # on the diagonal
+    ])
+    def test_bad_token_names_the_same_position(self, tmp_path, monkeypatch, columns):
+        kind, message, _ = self._check(tmp_path, monkeypatch, self._text(columns))
+        assert kind is ParseError and "expected a number" in message
+
+    def test_interleaved_comment_lines(self, tmp_path, monkeypatch):
+        text = ARRAY_HEADER + "% c\n3 3\n1.0 2.0\n% c\n3.0\n\n2.0 4.0 % x\n5.0\n3.0 5.0 6.0\n"
+        kind, message, _ = self._check(tmp_path, monkeypatch, text)
+        assert kind is ParseError and "line 8, column 3" in message
+        text = ARRAY_HEADER + "% c\n3 3\n1.0 2.0\n% c\n3.0\n\n2.0 4.0\n  % x\n5.0\n3.0 5.0 6.0\n"
+        outcome = self._check(tmp_path, monkeypatch, text, 6)
+        assert outcome[0] == np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]]).tobytes()
+
+    @pytest.mark.parametrize("columns", [
+        ["1.0", "nan", "nan", "2.0"],
+        ["1.0", "inf", "inf", "2.0"],
+        ["-inf", "0.5", "0.5", "2.0"],
+        ["1.0", "nan", "0.5", "2.0"],
+    ])
+    def test_nan_and_inf_tokens(self, tmp_path, monkeypatch, columns):
+        kind, _, _ = self._check(tmp_path, monkeypatch, self._text(columns))
+        assert kind is NonFiniteEntries
+
+    @pytest.mark.parametrize("count", [3, 5, 8])
+    def test_wrong_token_count(self, tmp_path, monkeypatch, count):
+        kind, message, _ = self._check(tmp_path, monkeypatch, self._text(["1.0"] * count))
+        assert kind is ParseError and f"found {count}" in message
+
+    def test_non_square_general_array(self, tmp_path, monkeypatch):
+        kind, _, _ = self._check(tmp_path, monkeypatch, self._text(["1.0"] * 6, head="2 3\n"))
+        assert kind is NotSquare
+
+
+class TestCsvReader:
+    def _load(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        return load_matrix(path, kind="data").entries
+
+    def test_blanks_around_tokens(self, tmp_path):
+        # strip() drops "\x1f", which float() alone would reject
+        entries = self._load(tmp_path, " 1.5 ,\x1f2\x1f\n3,\t4\n")
+        np.testing.assert_array_equal(entries, [[1.5, 2.0], [3.0, 4.0]])
+
+    def test_bad_token_position_after_a_header(self, tmp_path):
+        with pytest.raises(ParseError) as info:
+            self._load(tmp_path, "a,b\n1,2\n3, x \n")
+        assert str(info.value) == "expected a number, got 'x' (line 3, column 2)"
+
+    def test_numeric_first_line_is_data(self, tmp_path):
+        np.testing.assert_array_equal(self._load(tmp_path, "\n1,2\n"), [[1.0, 2.0]])
+        with pytest.raises(ParseError) as info:
+            self._load(tmp_path, "1,2\n3,y\n")
+        assert (info.value.line, info.value.column) == (2, 2)
 
 
 class TestCovariance:

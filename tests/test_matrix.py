@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -84,6 +86,30 @@ class TestSymmetrize:
     def test_non_finite_entries_or_trace_raise(self, raw):
         with pytest.raises(NonFiniteEntries):
             symmetrize(raw)
+
+    def test_trace_does_not_depend_on_summation_order(self):
+        # the pairwise sum overflows at 1.7e308 + 1.7e308, the exact trace is 0
+        A = symmetrize(np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308]))
+        assert A.trace == 0.0 and not np.signbit(A.trace)
+
+    @pytest.mark.parametrize("n", [64, 128, 300])
+    def test_trace_near_the_largest_float_is_exact_or_rejected(self, n):
+        # no RuntimeWarning (an error under this suite) from inf + -inf in the sum
+        g = np.random.Generator(np.random.Philox(1000 + n)).standard_normal((n, n))
+        raw = g + g.T
+        raw *= 1.7e308 / np.abs(raw).max()
+        exact = sum(Fraction(float(d)) for d in np.diag(raw))
+        try:
+            rounded = float(exact)
+        except OverflowError:  # the trace rounds past the largest float
+            with pytest.raises(NonFiniteEntries, match="sum past the largest float"):
+                symmetrize(raw)
+        else:
+            assert symmetrize(raw).trace == rounded
+
+    def test_ordinary_trace_keeps_numpy_bits(self):
+        raw = random_psd(50, 3).entries
+        assert symmetrize(raw).trace == float(np.trace(raw))
 
     def test_entries_are_read_only(self):
         A = symmetrize(np.eye(2))
