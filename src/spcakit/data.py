@@ -140,13 +140,13 @@ def _read_preamble(text):
     raise ParseError("missing size line", lineno)
 
 
-def _read_matrix_market(path, symmetric=False):
+def _read_matrix_market(path):
     """Dense array from a MatrixMarket file (symmetric storage expanded to full).
 
-    ``symmetric`` says the caller wants a symmetric matrix: a square ``general``
-    array whose mirrored tokens are equal strings then has only its lower
-    triangle converted (see :func:`_mirrored_lower`). Equal strings give equal
-    doubles, so the array is bit for bit the one the full conversion gives.
+    A square ``general`` array whose mirrored tokens are equal strings has only
+    its lower triangle converted (see :func:`_mirrored_lower`). Equal strings
+    give equal doubles, so the array is bit for bit the one the full conversion
+    gives.
     """
     # the whole text is dropped once the preamble returns; only the body is kept
     layout, shape, size_lineno, size_tokens, body = _read_preamble(Path(path).read_text())
@@ -187,7 +187,7 @@ def _read_matrix_market(path, symmetric=False):
     if "%" in body:
         body = _COMMENT_LINE.sub("", "\n".join(body.splitlines()))
     tokens = body.split()
-    if symmetric and shape == "general" and rows == cols and len(tokens) == rows * cols:
+    if shape == "general" and rows == cols and len(tokens) == rows * cols:
         lower = _mirrored_lower(tokens, rows)
         if lower is not None:
             try:
@@ -248,16 +248,12 @@ def _read_csv(path):
         if not line.strip():
             continue
         tokens = [t.strip() for t in line.split(",")]
-        try:
-            row = list(map(float, tokens))
-        except ValueError:
-            if lineno == 1:
+        if lineno == 1:
+            try:
+                [float(t) for t in tokens]
+            except ValueError:
                 continue  # header row
-            # the same float() token by token, to report the failing position
-            for column, token in enumerate(tokens, start=1):
-                _parse_float(token, lineno, column)
-            raise
-        rows.append(row)
+        rows.append([_parse_float(t, lineno, c + 1) for c, t in enumerate(tokens)])
         linenos.append(lineno)
     if not rows:
         raise ParseError("no data rows", max(len(lines), 1))
@@ -283,13 +279,14 @@ def load_matrix(path, format=None, kind="symmetric"):
     """Load a matrix file as a :class:`SymmetricMatrix` or :class:`DataMatrix`.
 
     ``kind="symmetric"`` routes through :func:`symmetrize` (MatrixMarket
-    symmetric storage is expanded to full first, and a dense general array
-    whose mirrored tokens are equal strings converts its lower triangle
-    alone, with the same result); ``kind="data"`` returns the raw rectangle.
+    symmetric storage is expanded to full first); ``kind="data"`` returns
+    the raw rectangle. Either kind converts only the lower triangle of a
+    square dense general array whose mirrored tokens are equal strings, with
+    the same result.
     """
     fmt = _sniff_format(path, format)
     if fmt == "matrix_market":
-        arr = _read_matrix_market(path, symmetric=kind == "symmetric")
+        arr = _read_matrix_market(path)
     elif fmt == "dense_csv":
         arr = _read_csv(path)
     else:

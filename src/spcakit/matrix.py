@@ -231,15 +231,15 @@ class SymmetricMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             trace = float(np.trace(entries))
         if not math.isfinite(trace):
-            # A partial sum overflowed, which depends on the order of the terms.
-            # With 2^k >= 2n each scaled term is at most FLOAT_MAX / (2n), so
-            # fsum's exact partials stay finite; the scalings are exact but for
-            # subnormal terms.
-            scale = 2.0 ** (2 * entries.shape[0] - 1).bit_length()
-            trace = math.fsum(np.diagonal(entries) / scale) * scale
-        if not math.isfinite(trace):
-            # the sums of every later step (norms, objectives, floors) overflow too
-            raise NonFiniteEntries("the diagonal entries sum past the largest float")
+            # a partial sum overflowed, which depends on the order of the terms:
+            # sum exactly, and round once
+            from fractions import Fraction
+
+            try:
+                trace = float(sum(map(Fraction, np.diagonal(entries).tolist())))
+            except OverflowError:
+                # the sums of every later step (norms, objectives, floors) overflow too
+                raise NonFiniteEntries("the diagonal entries sum past the largest float") from None
         self._init(entries.shape[0], trace, entries, None, None)
 
     @classmethod

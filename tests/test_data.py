@@ -311,21 +311,26 @@ def _outcome(load):
         A = load()
     except (SpcaError, ValueError) as exc:
         return type(exc), str(exc), vars(exc)
-    return A.entries.tobytes(), A.entries.shape, A.trace
+    return A.entries.tobytes(), A.entries.shape, getattr(A, "trace", None)
 
 
 class TestMirroredParse:
-    """``kind="symmetric"`` converts a bitwise-symmetric general array's lower
-    triangle alone; every outcome equals symmetrize of the full parse."""
+    """A square general array whose mirrored tokens are equal strings has its
+    lower triangle alone converted; every outcome of either kind equals the
+    full parse's."""
 
     def _check(self, tmp_path, monkeypatch, text, converted=None):
         path = tmp_path / "s.mtx"
         path.write_bytes(text.encode())
-        expected = _outcome(lambda: symmetrize(data_mod._read_matrix_market(path)))  # full parse
+        with monkeypatch.context() as full_parse:
+            full_parse.setattr(data_mod, "_mirrored_lower", lambda tokens, n: None)
+            expected = _outcome(lambda: load_matrix(path))
+            expected_data = _outcome(lambda: load_matrix(path, kind="data"))
         calls = count_calls(monkeypatch, data_mod, "_floats")
         assert _outcome(lambda: load_matrix(path)) == expected
         if converted is not None:
             assert sum(len(tokens) for tokens, in calls) == converted
+        assert _outcome(lambda: load_matrix(path, kind="data")) == expected_data
         return expected
 
     @staticmethod

@@ -92,6 +92,11 @@ class TestSymmetrize:
         A = symmetrize(np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308]))
         assert A.trace == 0.0 and not np.signbit(A.trace)
 
+    def test_overflowed_trace_keeps_a_small_term_exact(self):
+        # the exact sum is 3e-308: a term scaled down to a subnormal would lose bits
+        A = symmetrize(np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308, 3e-308]))
+        assert A.trace == 3e-308
+
     @pytest.mark.parametrize("n", [64, 128, 300])
     def test_trace_near_the_largest_float_is_exact_or_rejected(self, n):
         # no RuntimeWarning (an error under this suite) from inf + -inf in the sum
