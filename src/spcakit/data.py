@@ -1,8 +1,9 @@
 """Matrix ingestion, covariance/kernel construction, and benchmark data.
 
 File formats: MatrixMarket (coordinate and array, general and symmetric)
-and dense CSV with an optional header row. The writers serialize floats
-with ``repr``, so a save/load round trip is bit exact.
+and dense CSV with an optional header row (a first line with no number).
+The writers serialize floats with ``repr``, so a save/load round trip is
+bit exact.
 
 Synthetic data follows a spiked model: a Hadamard basis on both sides, one
 dominant singular value (100) ahead of an exponentially decaying tail, the
@@ -76,6 +77,14 @@ def _parse_float(token, lineno, column):
         return float(token)
     except ValueError:
         raise ParseError(f"expected a number, got {token!r}", lineno, column) from None
+
+
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _parse_int(token, lineno, column):
@@ -248,11 +257,8 @@ def _read_csv(path):
         if not line.strip():
             continue
         tokens = [t.strip() for t in line.split(",")]
-        if lineno == 1:
-            try:
-                [float(t) for t in tokens]
-            except ValueError:
-                continue  # header row
+        if lineno == 1 and not any(map(_is_number, tokens)):
+            continue  # a header row: a first line holding a number is data
         rows.append([_parse_float(t, lineno, c + 1) for c, t in enumerate(tokens)])
         linenos.append(lineno)
     if not rows:

@@ -10,39 +10,33 @@ The conventions fixed here keep all downstream output deterministic:
 * every dense symmetric eigensolve but the oracle's batched ``eigvalsh`` goes
   through :func:`_symmetric_eigh`, SciPy's LAPACK on the lower triangle.
 
-PSD validation reads the full decomposition only when it is already cached.
-Otherwise it takes a norm and runs one shifted Cholesky factorization,
-computing eigenvalues only when that fails, so no path pays for a full
-eigensolve of ``A`` to validate it. Up to ``_DENSE_CHECK_MAX_N`` the norm is
-the top eigenvalue of the one top eigenpair cached on the matrix
-(:func:`_top_eigenpair`), which also gives the spectral norm of a checked
-matrix and the relaxation solver's start; above it, Lanczos. A sample
-covariance skips the check altogether:
-:func:`spcakit.data.covariance_from_data` certifies it PSD from a rounding
-bound on how it was built.
+Each spectral quantity cached on a :class:`SymmetricMatrix` has one route,
+chosen by n and by whether ``A`` carries a data factor ``F``, never by what
+ran before; a cache holds only that route's result:
+
+* the top eigenpair (:func:`_top_eigenpair`) is one ``dsyevr``: the
+  relaxation solver's start and, without ``F``, the exact top-1 pair;
+* the PSD verdict (:func:`_psd_failure`) is a pass certified at
+  construction (:func:`spcakit.data.covariance_from_data`) or cached, else
+  one shifted Cholesky factorization, with eigenvalues only when that
+  fails, so no path pays for a full eigensolve of ``A`` to validate it;
+* the spectral norm is the top eigenvalue of ``F F.T``, else Lanczos above
+  ``_DENSE_CHECK_MAX_N``, else the top pair's when ``A`` meets the PSD rule;
+* a principal block (:func:`_principal_block`), and so a quadratic form, is
+  ``F_S.T F_S`` with ``F``, and gathered from the entries without.
 
 A sample covariance built from fewer than ``n / 2`` samples carries its
-scaled data factor ``F`` (m x n, ``A = F.T F``, see
-:func:`spcakit.data.covariance_from_data`); a certified one holds nothing
-else, and builds its n x n entries only when they are first read. The
-eigenbasis-thresholding path never reads them:
-
-* :func:`top_l_eigenpairs` skips the iteration when its subspace would
-  already hold ``range(F.T)``, and builds the top pairs from one
-  eigendecomposition of the m x m Gram matrix ``G = F F.T``, cached on ``A``
-  (:func:`_gram_eigh`);
-* the spectral norm, unless a full decomposition is cached, is the top
-  eigenvalue of ``G``, read from that cached decomposition when there is one,
-  so the solve runs one m x m eigensolve in all;
-* products with ``A`` (an unsaturated block Krylov run and its
-  Rayleigh-Ritz step) cost ``2 m n`` flops per column through ``F`` against
-  ``n^2``;
-* a principal block ``A[S, S]`` is ``F_S.T F_S`` (:func:`_principal_block`).
-
-The relaxation, the oracle and the full decomposition read the entries, and
-so build them; from then on principal blocks are gathered from the entries,
-so those solvers see the bits a dense matrix gives. Values computed through
-``F`` agree with the entries to rounding.
+scaled data factor ``F`` (m x n, ``A = F.T F``); a certified one holds
+nothing else, and builds its n x n entries only when they are first read.
+The eigenbasis-thresholding path never reads them: :func:`top_l_eigenpairs`
+skips the iteration when its subspace would already hold ``range(F.T)``,
+and builds the top pairs from one eigendecomposition of the m x m Gram
+matrix ``G = F F.T``, cached on ``A`` (:func:`_gram_eigh`), which also
+gives the norm; products with ``A`` (an unsaturated block Krylov run and
+its Rayleigh-Ritz step) cost ``2 m n`` flops per column through ``F``
+against ``n^2``. The relaxation, the oracle and the full decomposition read
+the entries, and so build them. Values computed through ``F`` agree with
+the entries to rounding.
 """
 
 from __future__ import annotations
@@ -397,13 +391,14 @@ def _product(A, block, gram=False):
 def _principal_block(A, idx):
     """The principal block ``A[idx, idx]`` for an index array ``idx``.
 
-    Gathered from the entries when ``A`` holds them, else ``F_S.T F_S`` from
-    its data factor, so reading a block never builds the n x n entries.
+    ``F_S.T F_S`` when ``A`` carries a data factor ``F``, whether or not its
+    entries are built, so reading a block never builds them; else gathered
+    from the entries.
     """
-    if A._entries is None:
-        low = A._factor[:, idx]
-        return low.T @ low
-    return A._entries[np.ix_(idx, idx)]
+    if A._factor is None:
+        return A.entries[np.ix_(idx, idx)]
+    low = A._factor[:, idx]
+    return low.T @ low
 
 
 def _gram_eigh(A):
@@ -445,7 +440,8 @@ def top_l_eigenpairs(
 ) -> EigenPairs:
     """Leading ``l`` eigenpairs of ``A``.
 
-    ``method="exact"`` truncates the cached full decomposition.
+    ``method="exact"`` truncates the cached full decomposition; for ``l = 1``
+    it is the cached top eigenpair (:func:`_top_eigenpair`), signs fixed.
     ``method="block_krylov"`` runs a randomized block Krylov iteration with
     block size ``l`` and ``ceil(_KRYLOV_C * log(n) / sqrt(svd_eps))``
     multiplications; each returned value is within a relative ``svd_eps`` of
@@ -486,6 +482,9 @@ def top_l_eigenpairs(
         basis, _ = qr(F.T, mode="economic", check_finite=False)
         return _rayleigh_ritz(A, basis, l)
     if method == "exact" or l * (_krylov_iters(n, svd_eps) + 1) >= n:
+        if l == 1:
+            lam, v = _top_eigenpair(A)
+            return EigenPairs._from_lapack(np.array([lam]), _fix_signs(v[:, None]))
         full = eigendecompose(A)
         return EigenPairs._from_lapack(full.values[:l].copy(), full.vectors[:, :l].copy())
 
@@ -532,32 +531,30 @@ def _norm_of(values) -> float:
 
 
 def spectral_norm(A: SymmetricMatrix) -> float:
-    """``max(|lambda_max|, |lambda_min|)`` of ``A``.
+    """``max(|lambda_max|, |lambda_min|)`` of ``A``, cached on ``A``.
 
-    Read from the full decomposition when it is cached. Otherwise, when ``A``
-    carries a data factor ``F``, it is the top eigenvalue of the m x m matrix
-    ``F F.T``, read from its cached eigendecomposition (:func:`_gram_eigh`),
-    so a factor-only matrix builds no entries for it at any n. Without a
-    factor and with ``n`` above ``_DENSE_CHECK_MAX_N`` it comes from Lanczos
-    (ARPACK ``eigsh``, largest magnitude, full precision) from a fixed-seed
-    Philox start vector. Up to that n, a matrix that has passed
-    :func:`ensure_psd` with a positive ``lambda_max`` has that top
-    eigenvalue, from the cached top eigenpair, as its norm: no eigenvalue of
-    it lies below ``-PSD_SLACK * ||A||_2`` (or ``-1e-308``). Any other is
-    read from the full decomposition. These norms are cached on ``A``, and
-    matrices built alike give bit-identical norms. The zero matrix has norm 0.
+    With a data factor ``F``, the top eigenvalue of ``F F.T`` from
+    :func:`_gram_eigh`, so a factor-only matrix builds no entries for it.
+    Without one, above ``_DENSE_CHECK_MAX_N``, Lanczos (ARPACK ``eigsh``,
+    largest magnitude, full precision) from a fixed-seed Philox start vector.
+    Up to that n, the top eigenpair's eigenvalue when ``A`` meets the PSD
+    rule (:func:`_psd_failure`) and it is positive, as no eigenvalue then lies
+    below ``-PSD_SLACK * ||A||_2``; else the largest ``|lambda|`` of all
+    eigenvalues. The zero matrix has norm 0.
     """
-    if A._eig is not None:
-        return _norm_of(A._eig.values)
     if A._norm is None:
         if A._factor is not None:
             A._norm = _norm_of(_gram_eigh(A)[0])
         elif A.n > _DENSE_CHECK_MAX_N:
             A._norm = _lanczos_norm(A.entries)
-        elif A._psd and _top_eigenpair(A)[0] > 0.0:
-            A._norm = _top_eigenpair(A)[0]
         else:
-            return _norm_of(eigendecompose(A).values)
+            values = _psd_failure(A)
+            if values is None and _top_eigenpair(A)[0] > 0.0:
+                A._norm = _top_eigenpair(A)[0]
+            else:
+                if values is None:
+                    values, _ = _symmetric_eigh(A.entries, vectors=False)
+                A._norm = _norm_of(values)
     return A._norm
 
 
@@ -574,38 +571,38 @@ def _shifted_cholesky_succeeds(entries, shift) -> bool:
     return info == 0
 
 
-def ensure_psd(A: SymmetricMatrix) -> None:
-    """Raise :class:`NotPSD` unless ``lambda_min >= -PSD_SLACK * ||A||_2``.
+def _psd_failure(A: SymmetricMatrix):
+    """None when ``A`` meets ``lambda_min >= -PSD_SLACK * ||A||_2``, else its
+    eigenvalues, ascending: the one statement of the PSD rule.
 
-    A pass is cached on ``A``, so repeated checks are free; a sample
-    covariance that :func:`spcakit.data.covariance_from_data` certified at
-    construction starts out passed. A cached full decomposition decides.
-    Otherwise ``A`` passes when ``A + PSD_SLACK * s * I`` has a Cholesky
-    factor, where ``s`` is ``max(lambda_max, 0)`` from the cached top
-    eigenpair when ``n <= _DENSE_CHECK_MAX_N`` and ``A`` has no data factor,
-    and :func:`spectral_norm` (Lanczos or the factor) otherwise. Both are at
-    most ``||A||_2``, so a pass meets the rule. Only if that factorization
-    fails are the eigenvalues computed, and the rule decides from them and
-    words the error.
+    A pass, cached or certified by :func:`spcakit.data.covariance_from_data`,
+    returns at once. Otherwise ``A`` passes when ``A + PSD_SLACK * s * I`` has
+    a Cholesky factor, with ``s`` at most ``||A||_2``: ``max(lambda_max, 0)``
+    from the top eigenpair up to ``_DENSE_CHECK_MAX_N`` without a data factor,
+    else :func:`spectral_norm`. Only if that fails do the eigenvalues decide.
     """
-    if A._psd:
-        return
-    if A._eig is not None:
-        values = A._eig.values
-    else:
+    if not A._psd:
         if A._factor is None and A.n <= _DENSE_CHECK_MAX_N:
             scale = max(_top_eigenpair(A)[0], 0.0)
         else:
             scale = spectral_norm(A)
-        if _shifted_cholesky_succeeds(A.entries, PSD_SLACK * scale):
-            A._psd = True
-            return
-        values, _ = _symmetric_eigh(A.entries, vectors=False)
-    lam_min = float(values.min())
-    norm = float(np.abs(values).max())
-    if lam_min < -PSD_SLACK * max(norm, 1e-300):
+        if not _shifted_cholesky_succeeds(A.entries, PSD_SLACK * scale):
+            values, _ = _symmetric_eigh(A.entries, vectors=False)
+            if values[0] < -PSD_SLACK * max(_norm_of(values), 1e-300):
+                return values
+        A._psd = True
+    return None
+
+
+def ensure_psd(A: SymmetricMatrix) -> None:
+    """Raise :class:`NotPSD` unless ``lambda_min >= -PSD_SLACK * ||A||_2``.
+
+    The verdict is :func:`_psd_failure`'s, and a pass is cached on ``A``, so
+    repeated checks are free.
+    """
+    values = _psd_failure(A)
+    if values is not None:
         raise NotPSD(
-            f"minimum eigenvalue {lam_min:.6e} below "
-            f"-{PSD_SLACK:g} * spectral norm ({norm:.6e})"
+            f"minimum eigenvalue {float(values[0]):.6e} below "
+            f"-{PSD_SLACK:g} * spectral norm ({_norm_of(values):.6e})"
         )
-    A._psd = True

@@ -430,9 +430,8 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     eigenvalue comes from the same top eigenpair as x, so the default start
     costs no eigensolve and makes the loop scale-free: scaling A by a power
     of two changes no iterate. The pair is the one cached on A
-    (:func:`~spcakit.matrix._top_eigenpair`), which
-    :func:`~spcakit.matrix.ensure_psd` and :func:`~spcakit.matrix.spectral_norm`
-    also read for a matrix of n <= 256 without a data factor.
+    (:func:`~spcakit.matrix._top_eigenpair`), also the exact top-1 pair of a
+    matrix without a data factor, and its PSD scale and norm up to n = 256.
 
     At every multiple of :func:`_gap_check_every` (5 early on, widening to
     25 from iteration 500), and at ``max_iters``, the PSD iterate is scaled

@@ -190,10 +190,8 @@ def spca_svd(
         raise ValueError("l_override must be a positive integer")
     svd = svd or SvdParams()
     l = min(l_override if l_override is not None else math.ceil(1.0 / (epsilon or 1.0)), A.n)
-    pairs = top_l_eigenpairs(A, l, method=svd.method, svd_eps=svd.svd_eps, seed=svd.seed)
-    # Checked after the eigensolver: when it decomposes A in full, the check
-    # reads the cached spectrum instead of running its own Lanczos and Cholesky.
     ensure_psd(A)
+    pairs = top_l_eigenpairs(A, l, method=svd.method, svd_eps=svd.svd_eps, seed=svd.seed)
     selected = threshold_row_indices(pairs, k, sparsity, epsilon)
     factor = np.sqrt(np.maximum(pairs.values, 0.0))[:, None] * pairs.vectors[selected].T
     y = _top_right_singular_vector(factor)

@@ -230,6 +230,18 @@ class TestSolveCommand:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["code"] == "NonFiniteEntries"
 
+    def test_svd_and_sdp_divide_by_one_norm(self, tmp_path):
+        norms = []
+        for algo in ("svd", "sdp"):
+            out = tmp_path / f"{algo}.json"
+            assert _run([
+                "solve", "--input", "builtin:pitprops", "--algo", algo,
+                "--k", "7", "--sparsity", "7", "--output", str(out),
+            ]) == 0
+            metrics = _read_json(out)["result"]["metrics"]
+            norms.append((metrics["objective"] / metrics["f_value"]).hex())
+        assert norms[0] == norms[1]
+
     def test_data_kind_goes_through_covariance(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(3))
         csv = tmp_path / "x.csv"
@@ -601,6 +613,24 @@ class TestSweepCommand:
             expected = sparsity_sweep(pit_props(), "sdp", range(3, 7), admm=admm)
             assert rows[name] == [dataclasses.asdict(r) for r in expected], name
         assert rows["default"] != rows["absolute"]
+
+    def test_oracle_ref_changes_no_svd_value_on_wide_data(self, tmp_path):
+        # The oracle builds the entries of the factor-only covariance; the
+        # svd quadratic forms still come from the data factor.
+        data = tmp_path / "x.mtx"
+        assert _run([
+            "gen-synthetic", "--m", "8", "--n", "32", "--sigma", "0.1", "--seed", "2",
+            "--output", str(data),
+        ]) == 0
+        rows = []
+        for flags in ([], ["--oracle-ref"]):
+            out = tmp_path / "r.json"
+            assert _run([
+                "sweep", "--input", str(data), "--input-kind", "data", "--algo", "svd",
+                "--grid", "3:5", *flags, "--output", str(out),
+            ]) == 0
+            rows.append([(r["objective"], r["f_value"]) for r in _read_json(out)["results"]])
+        assert rows[0] == rows[1]
 
     def test_grid_comma_list(self, tmp_path):
         out = tmp_path / "r.json"

@@ -425,6 +425,11 @@ class TestCsvReader:
             self._load(tmp_path, "1,2\n3,y\n")
         assert (info.value.line, info.value.column) == (2, 2)
 
+    def test_first_line_holding_a_number_is_data(self, tmp_path):
+        with pytest.raises(ParseError) as info:
+            self._load(tmp_path, "1,oops\n2,3\n4,5\n")
+        assert str(info.value) == "expected a number, got 'oops' (line 1, column 2)"
+
 
 class TestCovariance:
     def test_single_informative_column(self):

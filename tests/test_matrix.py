@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from spcakit import (
+    AdmmConfig,
     AsymmetryExceedsTolerance,
     ConvergenceFailure,
     DataMatrix,
@@ -15,10 +17,14 @@ from spcakit import (
     NonFiniteEntries,
     NotPSD,
     NotSquare,
+    SparseUnitVector,
+    SymmetricMatrix,
     SyntheticConfig,
     covariance_from_data,
     eigendecompose,
     ensure_psd,
+    restricted_top_eigenpair,
+    solve_sdp_relaxation,
     spectral_norm,
     symmetrize,
     synthetic_spiked,
@@ -621,13 +627,15 @@ class TestLargeMatrixPsdCheck:
         entries = random_psd(LARGE_N, 17).entries
         assert spectral_norm(symmetrize(entries)) == spectral_norm(symmetrize(entries.copy()))
 
-    def test_cached_decomposition_decides(self, spies):
-        A = random_psd(LARGE_N, 5)
-        eig = eigendecompose(A)
+    def test_cached_decomposition_changes_no_bit(self, spies):
+        # The check and the norm take their own route whatever is cached.
+        A, fresh = random_psd(LARGE_N, 5), random_psd(LARGE_N, 5)
+        eigendecompose(A)
         ensure_psd(A)
-        assert spectral_norm(A) == max(abs(eig.values[0]), abs(eig.values[-1]))
-        assert spies["_shifted_cholesky_succeeds"] == []
-        assert spies["_lanczos_norm"] == []
+        ensure_psd(fresh)
+        assert spectral_norm(A).hex() == spectral_norm(fresh).hex()
+        assert len(spies["_shifted_cholesky_succeeds"]) == 2
+        assert len(spies["_lanczos_norm"]) == 2
 
     def test_tiny_n_on_the_lanczos_path(self, monkeypatch):
         monkeypatch.setattr(matrix_mod, "_DENSE_CHECK_MAX_N", 0)
@@ -919,3 +927,76 @@ class TestDataFactor:
         with pytest.raises(NotPSD):
             ensure_psd(A)
         assert len(cholesky) == 1 and not A._psd
+
+
+def _dense_covariance_with_factor(X):
+    # Too small a slack certifies nothing, so the wide covariance is built
+    # dense and keeps its factor; the check then runs at the usual slack.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix_mod, "PSD_SLACK", 1e-20)
+        A = covariance_from_data(X)
+    assert A._entries is not None and A._factor is not None and not A._psd
+    return A
+
+
+# Fresh copies of one matrix of each kind: without a data factor on both
+# sides of the dense crossover, factor-only, and dense with a factor.
+_KINDS = {
+    "dense-12": lambda: random_psd(12, 8),
+    "dense-257": lambda: random_psd(LARGE_N, 8),
+    "factor-only": lambda: covariance_from_data(wide_data(6, 20, 8)),
+    "dense-with-factor": lambda: _dense_covariance_with_factor(wide_data(6, 20, 8)),
+}
+
+_SUPPORT = np.array([0, 2, 5])
+
+_QUERIES = {
+    "ensure_psd": ensure_psd,
+    "spectral_norm": spectral_norm,
+    "eigendecompose": eigendecompose,
+    "exact-1": lambda A: top_l_eigenpairs(A, 1),
+    "exact-3": lambda A: top_l_eigenpairs(A, 3),
+    "krylov-1": lambda A: top_l_eigenpairs(A, 1, "block_krylov", seed=5),
+    "krylov-3": lambda A: top_l_eigenpairs(A, 3, "block_krylov", seed=5),
+    "entries": lambda A: A.entries,
+    "quadratic_form": lambda A: SparseUnitVector(
+        A.n, _SUPPORT, np.array([0.6, 0.0, 0.8])
+    ).quadratic_form(A),
+    "restricted_top_eigenpair": lambda A: restricted_top_eigenpair(A, _SUPPORT),
+    "solve_sdp_relaxation": lambda A: solve_sdp_relaxation(A, 3, AdmmConfig(max_iters=1)),
+}
+
+
+def _bits(result):
+    """A comparable record of every bit of a query's result."""
+    if isinstance(result, SymmetricMatrix):
+        return None  # the input, which an SdpSolution keeps
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, float):
+        return result.hex()
+    if isinstance(result, tuple):
+        return tuple(map(_bits, result))
+    if dataclasses.is_dataclass(result):
+        return tuple(_bits(getattr(result, f.name)) for f in dataclasses.fields(result))
+    return result
+
+
+@pytest.fixture(scope="module")
+def first_calls():
+    """Each query's result when it is the first call on a fresh copy."""
+    return {
+        kind: {name: _bits(query(make())) for name, query in _QUERIES.items()}
+        for kind, make in _KINDS.items()
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(order=st.permutations(sorted(_QUERIES)))
+def test_spectral_queries_do_not_depend_on_call_order(first_calls, kind, order):
+    # Each query, called in any order on a fresh copy, gives the bits it
+    # gives when called first.
+    A = _KINDS[kind]()
+    for name in order:
+        assert _bits(_QUERIES[name](A)) == first_calls[kind][name], name

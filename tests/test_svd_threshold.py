@@ -205,9 +205,9 @@ class TestSpcaSvd:
 
 
 class TestEigensolverCalls:
-    """Above the dense crossover, block Krylov never decomposes A in full, and
-    paths that read the full decomposition pay for one full eigensolve of A
-    and no separate PSD factorization."""
+    """Above the dense crossover, block Krylov and the exact top pair never
+    decompose A in full, and paths that read the full decomposition pay for
+    one full eigensolve of A."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -275,17 +275,24 @@ class TestEigensolverCalls:
         assert A.entries.shape == (n, n) and len(builds) == 1
 
     @pytest.mark.parametrize(
-        "svd, epsilon",
+        "svd, epsilon, full",
         [
-            (SvdParams(method="exact"), None),
+            # l = 1: the exact pair is the cached top eigenpair.
+            (SvdParams(method="exact"), None, 0),
+            (SvdParams(method="exact"), 0.5, 1),
             # l = 10 Krylov blocks would span all n dimensions: the solver
             # falls back to the full decomposition.
-            (SvdParams(method="block_krylov", svd_eps=0.1), 0.1),
+            (SvdParams(method="block_krylov", svd_eps=0.1), 0.1, 1),
         ],
     )
-    def test_full_decomposition_paths_pay_for_one_eigh(self, calls, svd, epsilon):
+    def test_full_decomposition_paths_pay_for_one_eigh(self, calls, svd, epsilon, full):
+        # The PSD check and the norm take their own route whatever the
+        # eigensolver cached: one Lanczos norm and one shifted Cholesky.
         n, counts = calls
         solve(random_psd(n, 4242), "svd", 4, sparsity=4, epsilon=epsilon, svd=svd)
-        c = counts()
-        assert c["full_eigh"] == 1
-        assert c["_lanczos_norm"] == 0 and c["_shifted_cholesky_succeeds"] == 0
+        assert counts() == {
+            "eigendecompose": full,
+            "_lanczos_norm": 1,
+            "_shifted_cholesky_succeeds": 1,
+            "full_eigh": full,
+        }
