@@ -10,7 +10,8 @@ zero, and the l1 projection finds its threshold by a filter iteration
 instead of a full sort. The solver stops on a certified duality gap: the
 scaled dual variable gives an upper bound on the relaxation's optimum
 (d'Aspremont, El Ghaoui, Jordan & Lanckriet, SIAM Review 2007), and a
-rescaled Z iterate is a feasible point whose objective is within a relative
+feasible point built from the Z iterate (rescaled, or mixed with a rank-1 or
+diagonal target of smaller l1 norm) has an objective within a relative
 ``gap_tol`` of it; the gap is checked on a cadence that widens as the
 iterations grow. Before the first iteration the same test is applied to the
 thresholding solution x, as the feasible point ``x x^T``, and the structured
@@ -116,9 +117,13 @@ class SdpSolution:
     relaxation's optimum, and so on the sparse-PCA optimum.
     ``iterations_used`` is 0 when the thresholding solution was certified
     before the first ADMM iteration; ``Z`` is then the rank-1 ``x x^T`` of
-    :func:`solve_sdp_relaxation`. Z's rank-1 factor is taken by
-    :func:`rank_one_diagnostics`, not here, and from ``Z`` alone: a rank-1
-    ``Z``, certified or an ADMM iterate, needs no eigendecomposition.
+    :func:`solve_sdp_relaxation`. After ADMM iterations ``Z`` is the last
+    PSD iterate scaled into the l1 ball, or, when only a mix of it with
+    ``x x^T`` or with its diagonal closed the gap, that mix. Z's rank-1
+    factor is taken by :func:`rank_one_diagnostics`, not here, and from
+    ``Z`` alone: a rank-1 ``Z``, certified or a scaled ADMM iterate, needs
+    no eigendecomposition, and a mix, in general of rank two or more, takes
+    one.
     """
 
     matrix: SymmetricMatrix
@@ -218,8 +223,10 @@ def project_psd_trace_ball(M, rank=1):
     eigenvalue also maps to zero, so the result is the exact projection.
     Otherwise one full decomposition is used instead.
 
-    Returns ``(matrix, kept)`` with ``kept`` the number of nonzero
-    eigenvalues, the ``rank`` for the next call.
+    Returns ``(matrix, kept, top)`` with ``kept`` the number of nonzero
+    eigenvalues, the ``rank`` for the next call, and ``top`` the unit
+    eigenvector of the largest eigenvalue, also the top eigenvector of the
+    result when ``kept >= 1``.
     """
     # Imported on first use, as in matrix.py: data.py imports scipy.linalg at
     # package load anyway, but importing it here, earlier in that load,
@@ -247,7 +254,7 @@ def project_psd_trace_ball(M, rank=1):
         # is transposed to C order; (V X^T)^T = X V^T with X = V diag(shifted).
         vectors = v[:, w.size - kept:]
         projected = blas.dgemm(1.0, vectors, vectors * shifted[-kept:], trans_b=True).T
-    return projected, kept
+    return projected, kept, v[:, -1].copy()
 
 
 def project_l1_ball_matrix(M, radius):
@@ -274,25 +281,72 @@ def _frobenius(D):
     return math.sqrt(np.einsum("ij,ij->", D, D))
 
 
-def _certificate(C, Z, rho, U, k):
-    """Feasibility scale for ``Z``, the feasible objective, and a dual bound.
+def _dual_bound(C, rho, U, k):
+    """Upper bound on the relaxation's optimum from ADMM's scaled dual ``rho * U``.
 
-    ``Z`` is PSD with trace at most one, so ``Z * scale`` with
-    ``scale = min(1, k / ||Z||_1)`` is feasible. For every symmetric W and
-    feasible X, ``trace(C X) = trace((C - W) X) + trace(W X)
-    <= max(0, lambda_max(C - W)) + k * max |W_ij|``. With W the symmetric
-    part of ADMM's scaled dual ``rho * U``, which tends to the optimal
-    multiplier of the l1 constraint, the bound tends to the optimum.
+    For every symmetric W and feasible X, ``trace(C X) = trace((C - W) X) +
+    trace(W X) <= max(0, lambda_max(C - W)) + k * max |W_ij|``. With W the
+    symmetric part of ``rho * U``, which tends to the optimal multiplier of
+    the l1 constraint, the bound tends to the optimum.
     """
-    l1 = float(np.abs(Z).sum())
-    scale = k / l1 if l1 > k else 1.0
-    objective = scale * float(np.einsum("ij,ij->", C, Z))
     M = U + U.T
     M *= -0.5 * rho
     l1_term = k * float(np.abs(M).max())
     M += C
     lam = float(_symmetric_eigh(M, top=1, vectors=False)[0][-1])
-    return scale, objective, max(0.0, lam) + l1_term
+    return max(0.0, lam) + l1_term
+
+
+def _truncated(v, k):
+    """``(x, keep)``: ``v`` kept on ``keep``, the indices of its k largest
+    squares, and renormalized to the unit k-sparse vector ``x``."""
+    keep = _top_indices(v * v, k)
+    x = np.zeros(v.size)
+    x[keep] = v[keep] / math.sqrt(v[keep] @ v[keep])
+    return x, keep
+
+
+def _scaled(C, Z, k):
+    """``(scale, objective)``: ``Z * scale`` is inside the l1 ball, ``scale =
+    min(1, k / ||Z||_1)``, and ``objective = scale * trace(C Z)``."""
+    l1 = float(np.abs(Z).sum())
+    scale = k / l1 if l1 > k else 1.0
+    return scale, scale * float(np.einsum("ij,ij->", C, Z))
+
+
+def _primal_point(C, Z, top, k, bound, gap_tol):
+    """The feasible point a gap check offers: ``(P, scale, objective)``.
+
+    ``Z`` is PSD with trace at most one and ``top`` its unit top
+    eigenvector, so ``Z * min(1, k / ||Z||_1)`` is feasible; it is returned
+    when it closes the gap to ``bound`` or ``||Z||_1 <= k``. Otherwise Z is
+    mixed with two PSD targets T of trace at most one and l1 norm at most k:
+    ``x x^T`` (x is ``top`` kept on its k largest squares and renormalized,
+    so ``||x||_1^2 <= k``) and ``Diag(Z)`` (l1 norm ``trace(Z)``). Each mix
+    is ``P = (1 - mu) Z + mu T`` with the least ``mu = (||Z||_1 - k) /
+    (||Z||_1 - ||T||_1)`` that brings the l1 norm to k, capped at 1, and is
+    skipped when the computed ``||T||_1`` is not below ``||Z||_1``. P is PSD
+    with trace at most one and, by the triangle inequality, l1 norm at most
+    k; :func:`_scaled` rescales any rounding above k, and the cap keeps P a
+    convex combination when rounding puts ``||T||_1`` above k. The mix with
+    the larger objective is returned when it closes the gap, else the
+    scaled Z. Neither target costs an eigensolve.
+    """
+    scale, objective = _scaled(C, Z, k)
+    if scale == 1.0 or _gap_closed(objective, bound, gap_tol):
+        return Z, scale, objective
+    l1 = k / scale
+    x, _ = _truncated(top, k)
+    best = Z, scale, objective
+    for T in (np.outer(x, x), np.diag(np.diagonal(Z))):
+        t_l1 = float(np.abs(T).sum())
+        if t_l1 < l1:
+            mu = min(1.0, (l1 - k) / (l1 - t_l1))
+            P = (1.0 - mu) * Z + mu * T
+            point = (P, *_scaled(C, P, k))
+            if point[2] > best[2]:
+                best = point
+    return best if _gap_closed(best[2], bound, gap_tol) else (Z, scale, objective)
 
 
 def _gap_closed(objective, bound, gap_tol):
@@ -327,7 +381,7 @@ def _clip_threshold(C, keep, k, objective, gap_tol):
     """Threshold t for the structured dual ``W = clip(C, -t, t)``, and its bound.
 
     ``W`` gives the bound ``g(t) = max(0, lambda_max(C - W)) + k t`` of
-    :func:`_certificate` for every t, so the search affects how often the
+    :func:`_dual_bound` for every t, so the search affects how often the
     bound certifies, never whether it holds. Its first point is ``t_off``,
     the largest ``|C_ij|`` outside ``S x S``, S = ``keep``: the least t that
     cancels every entry off the support (d'Aspremont, Bach & El Ghaoui,
@@ -434,13 +488,19 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     matrix without a data factor, and its PSD scale and norm up to n = 256.
 
     At every multiple of :func:`_gap_check_every` (5 early on, widening to
-    25 from iteration 500), and at ``max_iters``, the PSD iterate is scaled
-    to a feasible point and the scaled dual ``rho * U`` gives an upper bound
-    on the optimum (:func:`_certificate`). The solve
-    stops with ``converged=True`` once ``dual_bound - objective <= gap_tol *
-    dual_bound``, or at ``max_iters`` with ``converged=False`` (not an
-    error). Either way the reported ``Z`` is the last feasible point and
-    ``solver_gap`` its certified gap. The l1 step is over-relaxed
+    25 from iteration 500), and at ``max_iters``, the scaled dual ``rho *
+    U`` gives an upper bound on the optimum (:func:`_dual_bound`) and the
+    PSD iterate Z offers up to three feasible points (:func:`_primal_point`):
+    Z scaled by ``min(1, k / ||Z||_1)``, and, when that leaves the gap open,
+    Z mixed with ``x x^T`` (x its top eigenvector, from the projection's
+    decomposition, kept on its k largest squares) and with ``Diag(Z)``, each
+    by the least weight that brings the l1 norm to k. The solve stops with
+    ``converged=True`` once one of them has ``dual_bound - objective <=
+    gap_tol * dual_bound``, or at ``max_iters`` with ``converged=False``
+    (not an error). The reported ``Z`` is the scaled Z whenever it closes
+    the gap and at ``max_iters``; otherwise it is the mix with the larger
+    objective, which is then ``objective``. ``solver_gap`` is the reported
+    point's certified gap. The l1 step is over-relaxed
     (``_OVER_RELAXATION``).
 
     Each PSD projection starts from the rank the previous one kept. Every
@@ -457,9 +517,7 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     n = A.n
     C = A.entries
     lam, v = _top_eigenpair(A)
-    keep = _top_indices(v * v, k)
-    x = np.zeros(n)
-    x[keep] = v[keep] / math.sqrt(v[keep] @ v[keep])
+    x, keep = _truncated(v, k)
     scale = min(1.0, k / float(np.abs(x).sum()) ** 2)
     objective = scale * float(x @ C @ x)
     if not _clip_cannot_certify(C, x, keep, objective, lam, cfg.gap_tol):
@@ -477,7 +535,7 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
     iterations = 0
     adaptations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        Z, rank = project_psd_trace_ball(Y - U + C / rho, rank)
+        Z, rank, top = project_psd_trace_ball(Y - U + C / rho, rank)
         # Over-relaxed l1 step and dual update; U holds U + Z_hat in between,
         # so no other n x n array outlives the step.
         U += _OVER_RELAXATION * Z + (1.0 - _OVER_RELAXATION) * Y
@@ -485,7 +543,8 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
         Y = project_l1_ball_matrix(U, float(k))
         U -= Y
         if iterations % _gap_check_every(iterations) == 0 or iterations == cfg.max_iters:
-            scale, objective, dual_bound = _certificate(C, Z, rho, U, k)
+            dual_bound = _dual_bound(C, rho, U, k)
+            point, scale, objective = _primal_point(C, Z, top, k, dual_bound, cfg.gap_tol)
             if _gap_closed(objective, dual_bound, cfg.gap_tol):
                 converged = True
                 break
@@ -501,7 +560,7 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
                 U *= 2.0
                 adaptations += 1
 
-    return SdpSolution(A, Z * scale, objective, iterations, converged, dual_bound)
+    return SdpSolution(A, point * scale, objective, iterations, converged, dual_bound)
 
 
 def _rank_one_factor(Z):
@@ -528,8 +587,9 @@ def rank_one_diagnostics(sol: SdpSolution) -> SdpDiagnostics:
     factor u from one column, and ``min_eigenvalue`` is 0 (``Z[0, 0]`` when
     n = 1); by Weyl's inequality Z's smallest eigenvalue lies within
     ``||Z - u u^T||_F`` of it. This is decided from Z alone, never from
-    ``iterations_used``. Otherwise one full
-    decomposition of Z (:func:`~spcakit.matrix._symmetric_eigh`, lower
+    ``iterations_used``. Otherwise, as for a mixed point of
+    :func:`solve_sdp_relaxation` or a scaled iterate of higher rank, one
+    full decomposition of Z (:func:`~spcakit.matrix._symmetric_eigh`, lower
     triangle: Z is symmetric only up to rounding) gives the factor and
     ``min_eigenvalue``. Either way the factor's signs are fixed as in
     :func:`~spcakit.matrix._fix_signs`.

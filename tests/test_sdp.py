@@ -156,7 +156,7 @@ class TestPsdTraceBallProjection:
     @settings(max_examples=30, deadline=None)
     def test_output_always_feasible_and_idempotent(self, seed):
         M = _seeded_symmetric(4, seed)
-        P, _ = project_psd_trace_ball(M)
+        P, _, _ = project_psd_trace_ball(M)
         w = np.linalg.eigvalsh(P)
         assert w[0] >= -1e-12
         assert np.trace(P) <= 1.0 + 1e-12
@@ -165,16 +165,22 @@ class TestPsdTraceBallProjection:
     @given(_symmetric_inputs, st.integers(0, 40))
     @settings(max_examples=150, deadline=None)
     def test_matches_full_eigh_reference(self, M, rank):
+        # top is a unit eigenvector of the largest eigenvalue of M's
+        # symmetric part; the Rayleigh quotient checks it even on a tie.
         expected = psd_trace_ball_projection_full(M)
-        got, _ = project_psd_trace_ball(M, rank)
+        got, _, top = project_psd_trace_ball(M, rank)
         np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+        sym = (M + M.T) / 2.0
+        assert top @ top == pytest.approx(1.0, rel=1e-13)
+        assert top @ sym @ top == pytest.approx(np.linalg.eigvalsh(sym)[-1], rel=0,
+                                                abs=1e-12 * max(1.0, np.abs(sym).max()))
         np.testing.assert_allclose(project_psd_trace_ball(M)[0], expected, atol=1e-12, rtol=0)
 
     def test_matches_reference_on_admm_states(self):
         psd_inputs, _ = _admm_inputs(128, 8, 40, seed=61)
         assert {rank for _, rank in psd_inputs} != {1}
         for M, rank in psd_inputs:
-            got, _ = project_psd_trace_ball(M, rank)
+            got, _, _ = project_psd_trace_ball(M, rank)
             np.testing.assert_allclose(got, psd_trace_ball_projection_full(M), atol=1e-12, rtol=0)
 
     def test_inside_trace_ball_keeps_every_eigenpair(self, monkeypatch):
@@ -183,7 +189,7 @@ class TestPsdTraceBallProjection:
         values = np.linspace(1.0, 2.0, 40)
         M = _with_spectrum(0.9 * values / values.sum(), seed=5)
         full = count_calls(monkeypatch, lapack, "dsyevd")
-        got, kept = project_psd_trace_ball(M, 1)
+        got, kept, _ = project_psd_trace_ball(M, 1)
         assert kept == 40 and len(full) == 1
         np.testing.assert_allclose(got, M, atol=1e-12, rtol=0)
 
@@ -192,7 +198,7 @@ class TestPsdTraceBallProjection:
         # which therefore maps to zero: the partial solve is exact.
         M = np.diag([0.5, 1.0, -1.0, 2.0, 0.25, 1.0, 0.0, 0.125])
         full = count_calls(monkeypatch, lapack, "dsyevd")
-        got, kept = project_psd_trace_ball(M, 1)
+        got, kept, _ = project_psd_trace_ball(M, 1)
         expected = np.zeros((8, 8))
         expected[3, 3] = 1.0
         assert kept == 1 and full == []
@@ -207,7 +213,7 @@ class TestPsdTraceBallProjection:
         M = _with_spectrum(values, seed=8)
         partial = count_calls(monkeypatch, lapack, "dsyevr")
         full = count_calls(monkeypatch, lapack, "dsyevd")
-        got, kept = project_psd_trace_ball(M, 1)
+        got, kept, _ = project_psd_trace_ball(M, 1)
         assert kept == 5 and len(partial) == 1 and len(full) == 1
         np.testing.assert_allclose(got, psd_trace_ball_projection_full(M), atol=1e-12, rtol=0)
         np.testing.assert_allclose(np.linalg.eigvalsh(got)[-5:], values[:5][::-1] - 0.2, atol=1e-12)
@@ -222,7 +228,7 @@ class TestPsdTraceBallProjection:
         full = count_calls(monkeypatch, lapack, "dsyevd")
         values = np.concatenate([[0.5, 0.45, 0.4], -np.linspace(0.1, 1.0, 37)])
         M = _with_spectrum(values, seed=8)
-        got, kept = project_psd_trace_ball(M, 1)
+        got, kept, _ = project_psd_trace_ball(M, 1)
         assert kept == 3 and len(full) == 1
         np.testing.assert_allclose(got, psd_trace_ball_projection_full(M), atol=1e-12, rtol=0)
 
@@ -234,7 +240,7 @@ class TestPsdTraceBallProjection:
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
     def test_all_negative_and_zero_input_project_to_zero(self, n):
         for M in (-np.eye(n) - 0.5 * np.ones((n, n)), np.zeros((n, n))):
-            got, kept = project_psd_trace_ball(M, 1)
+            got, kept, _ = project_psd_trace_ball(M, 1)
             assert kept == 0
             np.testing.assert_array_equal(got, np.zeros((n, n)))
 
@@ -399,7 +405,7 @@ class TestSolveRelaxation:
 class TestDualityGap:
     @pytest.mark.parametrize("A, k, rho", [
         pytest.param(random_psd(6, 51), 2, 1.0, id="6-51-2"),
-        pytest.param(random_psd(6, 130), 2, 1.0, id="6-130-2"),
+        pytest.param(random_psd(6, 120), 2, 1.0, id="6-120-2"),
         # An explicit start at 1000 lambda_max(A), halved by residual balancing.
         pytest.param(pit_props(), 3, 1000.0 * float(np.linalg.eigvalsh(pit_props().entries)[-1]),
                      id="pitprops-3-far-rho"),
@@ -422,8 +428,8 @@ class TestDualityGap:
 
     def test_scale_invariance_covers_rho_adaptation(self, monkeypatch):
         # The second instance above runs past the first rho adaptation, and
-        # the adaptation changes its path.
-        A = random_psd(6, 130)
+        # the adaptation changes its path: 230 iterations, 400 without it.
+        A = random_psd(6, 120)
         adaptive = solve_sdp_relaxation(A, 2, AdmmConfig(rho=1.0))
         monkeypatch.setattr(sdp_mod, "_RHO_ADAPT_BUDGET", 0)
         fixed = solve_sdp_relaxation(A, 2, AdmmConfig(rho=1.0))
@@ -452,8 +458,9 @@ class TestDualityGap:
     def test_default_rho_is_scale_free(self, monkeypatch):
         # With the default config alone, scaling A by a power of two repeats
         # every iterate. This input runs past a rho adaptation that changes
-        # its path, so the balancing rule is covered too.
-        A = random_psd(6, 21)
+        # its path (170 iterations, 240 without it), so the balancing rule is
+        # covered too.
+        A = random_psd(6, 120)
         ref = solve_sdp_relaxation(A, 2)
         with monkeypatch.context() as m:
             m.setattr(sdp_mod, "_RHO_ADAPT_BUDGET", 0)
@@ -462,6 +469,33 @@ class TestDualityGap:
         assert ref.iterations_used != fixed.iterations_used
         for j in range(-30, 31):
             sol = solve_sdp_relaxation(symmetrize(A.entries * 2.0**j), 2)
+            assert sol.iterations_used == ref.iterations_used, j
+            assert np.array_equal(sol.Z, ref.Z), j
+            assert sol.objective == ref.objective * 2.0**j, j
+            assert sol.dual_bound == ref.dual_bound * 2.0**j, j
+
+    def test_mixed_point_is_scale_free(self, monkeypatch):
+        # This input stops on a mix of the PSD iterate at iteration 15; the
+        # scaled iterate alone would close the gap at 30. Scaling A by a power of
+        # two picks the same mix at the same check, bit for bit. The mix is
+        # not rank-1, so the diagnostics take one full eigensolve of it.
+        A = random_psd(12, 802)
+        mixed = []
+        primal = sdp_mod._primal_point
+
+        def record(C, Z, *args):
+            point = primal(C, Z, *args)
+            mixed.append(point[0] is not Z)
+            return point
+
+        monkeypatch.setattr(sdp_mod, "_primal_point", record)
+        ref = solve_sdp_relaxation(A, 3)
+        assert ref.converged and ref.iterations_used == 15 and mixed == [False, False, True]
+        calls = count_calls(monkeypatch, sdp_mod, "_symmetric_eigh")
+        rank_one_diagnostics(ref)
+        assert len(calls) == 1 and sdp_mod._rank_one_factor(ref.Z) is None
+        for j in range(-30, 31):
+            sol = solve_sdp_relaxation(symmetrize(A.entries * 2.0**j), 3)
             assert sol.iterations_used == ref.iterations_used, j
             assert np.array_equal(sol.Z, ref.Z), j
             assert sol.objective == ref.objective * 2.0**j, j
@@ -499,6 +533,29 @@ class TestDualityGap:
             assert np.linalg.eigvalsh(sol.Z)[0] >= -1e-12
             _assert_min_eigenvalue_documented(rank_one_diagnostics(sol), sol.Z)
             assert sol.objective == pytest.approx(float(np.sum(A.entries * sol.Z)), rel=1e-12)
+
+    @pytest.mark.parametrize("max_iters", [1, 3, 24, AdmmConfig().max_iters])
+    @given(st.integers(1, 12), st.integers(0, 2**31 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(max_examples=30, deadline=None)
+    def test_every_returned_z_is_feasible(self, max_iters, n, seed, scale):
+        # Certified, scaled or mixed, every returned Z is feasible up to a
+        # rounding allowance of c n eps (c n^2 eps for the n^2-term sums),
+        # and its objective is trace(A Z). The objective can pass the bound
+        # by rounding when the gap is tight, by at most c n eps lambda_max(A).
+        A = random_psd(n, seed, scale=scale)
+        lam = float(np.linalg.eigvalsh(A.entries)[-1])
+        c = 8.0
+        for k in range(1, n + 1):
+            sol = solve_sdp_relaxation(A, k, AdmmConfig(max_iters=max_iters))
+            Z = sol.Z
+            assert np.abs(Z - Z.T).max() <= c * n * EPS, k
+            assert np.linalg.eigvalsh(Z)[0] >= -c * n * EPS, k
+            assert np.trace(Z) <= 1.0 + c * n * EPS, k
+            assert np.abs(Z).sum() <= k * (1.0 + c * n * n * EPS), k
+            magnitude = np.einsum("ij,ij->", np.abs(A.entries), np.abs(Z))
+            trace_az = np.einsum("ij,ij->", A.entries, Z)
+            assert abs(sol.objective - trace_az) <= c * n * n * EPS * magnitude, k
+            assert sol.objective <= sol.dual_bound + c * n * EPS * lam, k
 
     @pytest.mark.parametrize("gap_tol", [1e-2, 1e-4, 1e-6])
     def test_converged_gap_within_tolerance(self, gap_tol):
@@ -584,8 +641,7 @@ class TestThresholdCertificate:
         cfg = AdmmConfig(rho=scale, max_iters=5000)
         for k in range(1, n + 1):
             z_star = exact_spca(A, k).optimal_value
-            x = spca_svd(A, k, sparsity=k).to_dense()
-            _, _, bound = sdp_mod._certificate(C, np.outer(x, x), 1.0, np.clip(C, -t, t), k)
+            bound = sdp_mod._dual_bound(C, 1.0, np.clip(C, -t, t), k)
             assert bound >= z_star * (1.0 - 1e-12), k
             sol = solve_sdp_relaxation(A, k, cfg)
             assert sol.dual_bound >= z_star * (1.0 - 1e-12), k
@@ -614,7 +670,6 @@ class TestThresholdCertificate:
         for k in range(1, n + 1):
             z_star = exact_spca(A, k).optimal_value
             svd = spca_svd(A, k, sparsity=k)
-            x = svd.to_dense()
             for keep in (svd.support, np.sort(rng.permutation(n)[:k])):
                 t, bound = sdp_mod._clip_threshold(C, keep, k, np.inf, 1e-4)
                 off = np.abs(C)
@@ -622,7 +677,7 @@ class TestThresholdCertificate:
                 assert t == off.max(), (k, keep)
                 assert bound >= z_star * (1.0 - 1e-12), (k, keep)
                 W = np.clip(C, -t, t)
-                _, _, full = sdp_mod._certificate(C, np.outer(x, x), 1.0, W, k)
+                full = sdp_mod._dual_bound(C, 1.0, W, k)
                 assert bound == pytest.approx(full, rel=1e-12, abs=1e-13 * np.abs(C).max())
                 scaled = sdp_mod._clip_threshold(C * 2.0**j, keep, k, np.inf, 1e-4)
                 assert scaled == (t * 2.0**j, bound * 2.0**j), (k, keep, j)
@@ -659,8 +714,7 @@ class TestThresholdCertificate:
                 off = np.abs(C)
                 off[np.ix_(keep, keep)] = 0.0
                 ts = np.linspace(off.max(), np.abs(C).max(), 9)
-                g_t = [sdp_mod._certificate(C, np.zeros((n, n)), 1.0, np.clip(C, -t, t), k)[2]
-                       for t in ts]
+                g_t = [sdp_mod._dual_bound(C, 1.0, np.clip(C, -t, t), k) for t in ts]
                 for t1, g1, g2 in zip(ts, g_t, g_t[1:]):
                     assert g2 >= g1 * (1.0 - 1e-12), (k, keep, t1)
                 t, bound = sdp_mod._clip_threshold(C, keep, k, z_star, 1e-4)
@@ -684,11 +738,12 @@ class TestThresholdCertificate:
     def test_uncertified_input_runs_the_same_loop(self):
         # Pit props at k = 7 does not certify before ADMM; iterations and
         # objective are those of the loop without the check, started at the
-        # absolute rho = 1.
+        # absolute rho = 1. A mix of the PSD iterate closes the gap at
+        # iteration 25; the scaled iterate alone would need 70.
         sol = solve_sdp_relaxation(pit_props(), 7, AdmmConfig(rho=1.0))
-        assert sol.iterations_used == 70
-        assert sol.objective == 4.031394448448093
-        assert sol.dual_bound == 4.031614624759551
+        assert sol.iterations_used == 25
+        assert sol.objective == 4.031493015693259
+        assert sol.dual_bound == 4.031686223026918
 
     def test_tiny_one_by_one_certifies(self):
         # With rho = 1 this input ran all 50 000 iterations uncertified.
@@ -790,7 +845,7 @@ class TestThresholdCertificate:
         off[np.ix_(svd.support, svd.support)] = 0.0
         assert t < off.max()
         W = np.clip(A.entries, -t, t)
-        _, _, full_bound = sdp_mod._certificate(A.entries, np.outer(x, x), 1.0, W, 8)
+        full_bound = sdp_mod._dual_bound(A.entries, 1.0, W, 8)
         assert full_bound - objective <= 1e-4 * full_bound
         # the bound the search found on the nonzero rows is the full matrix's
         assert bound == pytest.approx(full_bound, rel=1e-14, abs=0)
@@ -843,7 +898,8 @@ class TestThresholdCertificate:
         # and 12 it does not, and the bisection below it still certifies with
         # no iteration. k = 3..11 run the loop they ran before the check
         # existed (pinned counts): the search is skipped at k = 3..10 and
-        # fails at k = 11.
+        # fails at k = 11. Mixed feasible points stop k = 3 and 6..8 earlier
+        # than the scaled iterate alone would (35, 25, 65 and 20 iterations).
         A = pit_props()
         calls = count_calls(monkeypatch, sdp_mod, "_clip_bound")
         iterations, searched = {}, []
@@ -853,19 +909,23 @@ class TestThresholdCertificate:
             if len(calls) > before + 1:
                 searched.append(k)
         assert searched == [2, 11, 12]
-        assert list(iterations.values()) == [0, 0, 35, 30, 25, 25, 65, 20, 10, 5, 5, 0, 0]
+        assert list(iterations.values()) == [0, 0, 30, 30, 25, 20, 15, 10, 10, 5, 5, 0, 0]
 
     def test_wishart_family_skips_every_search(self, monkeypatch):
         # The 20 x 20 Wishart inputs of the oracle-small benchmark, before its
         # relabelling: the thresholding objective is too far below a
-        # Rayleigh step from it for any dual bound to certify it.
+        # Rayleigh step from it for any dual bound to certify it. Every solve
+        # runs the loop; the 32 take 845 iterations in all (1330 with the
+        # scaled PSD iterate alone as the feasible point).
         calls = count_calls(monkeypatch, sdp_mod, "_clip_threshold")
+        iterations = []
         for index in range(8):
             g = np.random.default_rng([0, index]).standard_normal((20, 20))
             A = symmetrize(g @ g.T / 20)
             for k in (3, 4, 5, 6):
-                assert solve_sdp_relaxation(A, k, AdmmConfig(max_iters=1)).iterations_used == 1
+                iterations.append(solve_sdp_relaxation(A, k).iterations_used)
         assert calls == []
+        assert min(iterations) > 0 and sum(iterations) == 845
 
 
 class TestRounding:
@@ -918,12 +978,15 @@ class TestRounding:
                 rank_one_diagnostics(sol)
 
     def test_rank_one_z_matches_the_eigh_reference(self, monkeypatch):
-        # Certified solves (x x^T), ADMM iterates that kept one eigenvalue, and
-        # hand-built rank-1 solutions: alpha, beta and the factor agree with
-        # those of a full eigh of Z to 1e-12, and no eigensolve runs.
+        # Certified solves (x x^T), ADMM iterates that kept one eigenvalue
+        # (unconverged, and converged on the scaled iterate), and hand-built
+        # rank-1 solutions: alpha, beta and the factor agree with those of a
+        # full eigh of Z to 1e-12, and no eigensolve runs. (random_psd(12,
+        # 802) at k = 3 converges on a mixed point at iteration 15.)
         solutions = [solve_sdp_relaxation(_spiked_second_moment(3), k) for k in (8, 16, 32)]
         solutions += [solve_sdp_relaxation(random_psd(12, 804), 5, AdmmConfig(max_iters=3)),
-                      solve_sdp_relaxation(random_psd(12, 802), 3, AdmmConfig(max_iters=24))]
+                      solve_sdp_relaxation(random_psd(12, 802), 3, AdmmConfig(max_iters=14)),
+                      solve_sdp_relaxation(random_psd(12, 802), 2)]
         A = random_psd(7, 5)
         for seed in range(3):
             u = np.random.Generator(np.random.Philox(seed)).standard_normal(7)
@@ -941,7 +1004,8 @@ class TestRounding:
             assert diag.beta == pytest.approx(beta_ref, rel=1e-12, abs=0)
             np.testing.assert_allclose(diag.top_eigenvector, u_ref, rtol=0,
                                        atol=1e-12 * np.abs(u_ref).max())
-        assert [sol.iterations_used for sol in solutions[:5]] == [0, 0, 0, 3, 24]
+        assert [sol.iterations_used for sol in solutions[:6]] == [0, 0, 0, 3, 14, 15]
+        assert [sol.converged for sol in solutions[3:6]] == [False, False, True]
 
     @pytest.mark.parametrize("z", [1.0, 0.7, 3.9e-6])
     def test_one_by_one_reports_its_entry(self, z):
