@@ -30,6 +30,7 @@ from .errors import (
     DimensionNotDivisibleBy4,
     InvalidKernelParams,
     NonConvergenceWarning,
+    NonFiniteEntries,
     NotPowerOfTwo,
     NotPSD,
     NotPsdWarning,
@@ -310,9 +311,7 @@ def save_matrix(path, matrix, format=None, metadata=None):
     ``matrix`` may be a SymmetricMatrix, DataMatrix, or plain 2-d array.
     When ``metadata`` is given, a JSON sidecar is written next to the file.
     """
-    if isinstance(matrix, SymmetricMatrix):
-        arr = matrix.entries
-    elif isinstance(matrix, DataMatrix):
+    if isinstance(matrix, (SymmetricMatrix, DataMatrix)):
         arr = matrix.entries
     else:
         arr = np.asarray(matrix, dtype=float)
@@ -368,106 +367,94 @@ def unit_row_normalize(A: SymmetricMatrix, max_iters=64, tol=1e-8) -> SymmetricM
 
 
 # Smallest nonzero |X_c| entry for which covariance_from_data's rounding bound
-# holds: products of such entries stay above 2^-800, far from underflow, and
-# under to_correlation no column scale exceeds sqrt(m) * 2^400.
+# holds: its squares, and the products of F's entries, stay normal.
 _UNDERFLOW_FREE = 2.0**-400
 _SQRT_FLOAT_MAX = math.sqrt(_matrix._FLOAT_MAX)
 
 
 def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> SymmetricMatrix:
-    """Sample covariance ``X_c.T X_c / (m - 1)`` with optional rescaling.
+    """Sample covariance ``A = F.T F`` of the scaled data factor F.
 
-    ``to_correlation`` divides rows and columns by the standard deviations
-    (unit diagonal exactly).
+    F is formed once, in place: ``X_c`` (X less its column means, or X itself
+    without ``center``) divided by ``sqrt(d)``, ``d = max(m - 1, 1)``, and
+    under ``to_correlation`` by the column standard deviations, with the
+    diagonal of A set to 1.0. There a column of zero variance raises
+    :class:`~spcakit.errors.ZeroVarianceColumn`, and one whose sum of squares
+    overflows :class:`~spcakit.errors.NonFiniteEntries`.
 
-    The result is certified PSD here, so :func:`spcakit.matrix.ensure_psd`
-    passes it at once, when ``m (m + 8) eps <= PSD_SLACK / 2`` (every
-    m <= 4741) and no nonzero entry of ``X_c`` lies below ``2**-400`` (about
-    3.9e-121) in magnitude. Let ``d = max(m - 1, 1)`` and ``S`` the stored
-    column scales (``S = I`` without ``to_correlation``). ``P = S X_c.T X_c S
-    / d`` is exactly PSD and of rank at most m. Each entry of ``A`` comes
-    from an m-term dot product, the division by ``d``, two scale multiplies
-    (``s_i s_j``, then the entry), ``fill_diagonal(1.0)`` under
-    ``to_correlation`` and the symmetric average, so elementwise
-    ``|A - P| <= gamma_(m+5) Q`` with ``Q = S |X_c|.T |X_c| S / d`` and
-    ``gamma_k = k u / (1 - k u)``, ``u = eps / 2`` (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 3.1 and 3.5).
-    ``Q`` is PSD with the diagonal, and so the trace, of ``P``; hence
-    ``||A - P||_2 <= || |A - P| ||_2 <= gamma_(m+5) ||Q||_2 <= gamma_(m+5)
-    tr P``, and by Weyl's inequality ``lambda_min(A) >= -gamma_(m+5) tr P``.
-    The rank of P gives
-    ``tr P <= m lambda_max(P) <= m (||A||_2 + gamma_(m+5) tr P)``, so
-    ``gamma_(m+5) tr P <= m gamma_(m+5) ||A||_2 / (1 - m gamma_(m+5))``, which
-    the rule keeps below ``m (m + 8) u ||A||_2 <= PSD_SLACK ||A||_2 / 4``. That
-    leaves ``lambda_min(A) >= -PSD_SLACK ||A||_2 / 4`` and absorbs any error
-    of the computed norm up to a factor 4. The cited bounds assume that no
-    intermediate result underflows; with every nonzero entry at least
-    ``2**-400``, products stay normal and the absolute error of a quotient or
-    scaled entry that does underflow stays far below the slack. Other
-    covariances are checked from their entries like any matrix.
+    A is certified PSD here, so :func:`spcakit.matrix.ensure_psd` passes it at
+    once, when ``m (m + 8) eps <= PSD_SLACK / 2`` (every m <= 4741) and no
+    nonzero entry of ``X_c`` lies below ``2**-400`` in magnitude. For the
+    stored F, ``P = F.T F`` and ``Q = |F|.T |F|`` are exactly PSD with one
+    diagonal, and P has rank at most m. With ``gamma_k = k u / (1 - k u)``,
+    ``u = eps / 2`` (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 3.1 and 3.5), each entry of A is an m-term dot product within
+    ``gamma_m Q_ij`` of ``P_ij``; under ``to_correlation`` the diagonal 1.0 is
+    within ``gamma_(m+11) P_ii`` (the sum of squares, its quotient by d, and,
+    squared, the square root, the reciprocal, ``sqrt(d)`` and the two
+    operations on each entry of F). As ``||Q||_2 <= tr P <= m lambda_max(P)``,
+    and by Weyl's inequality, ``||A - P||_2 <= c lambda_max(P) <= c (||A||_2 +
+    ||A - P||_2)`` with ``c = m gamma_m``, plus ``gamma_(m+11)`` under
+    ``to_correlation`` (``gamma_1 + gamma_7`` at m = 1, where d = 1 makes five
+    roundings exact). So ``lambda_min(A) >= -c ||A||_2 / (1 - c)``, and for m
+    <= 4741 ``c / (1 - c) <= (m**2 + m + 11) u (1 + 1e-8)``, below ``m (m + 8)
+    u <= PSD_SLACK / 4`` from m = 2 on (9 u bounds it at m = 1); the factor 4
+    absorbs any error of the computed norm. The bounds assume no underflow:
+    the squares of ``X_c`` stay normal, and so do the products of F's entries,
+    at least ``2**-407`` as ``sqrt(d) < 2**7``. Under ``to_correlation`` those
+    are at least ``2**-919``, and a product that underflows errs by at most
+    ``2**-1075``, far below the slack of a unit diagonal. Other covariances
+    are checked like any matrix.
 
-    When ``2 m < n`` and no entry underflows as above, the result also carries
-    the scaled data factor ``F = X_c / sqrt(m - 1)``, its columns divided by
-    the standard deviations under ``to_correlation``, so that ``A = F.T F`` up
-    to rounding. When it is also certified, and the sum of squares of ``X_c``
-    is at most half the largest float (so that no entry nor the trace of
-    ``A`` can overflow), the result holds ``F`` alone: ``trace`` is
-    ``||F||_F^2`` (exactly n under ``to_correlation``), and the n x n
-    entries are built on their first read, bit for bit those of the dense
-    result. Every other covariance is built dense, and raises
-    :class:`~spcakit.errors.NonFiniteEntries` when its entries or trace
-    overflow.
+    When ``2 m < n`` and no entry underflows as above, A also carries F. When
+    A is also certified, and the sum of squares of ``X_c`` is at most half
+    the largest float (so no entry nor the trace can overflow), it holds F
+    alone: ``trace`` is ``||F||_F^2`` (exactly n under ``to_correlation``),
+    and the entries are built on their first read. Every other covariance is
+    built dense, and raises :class:`NonFiniteEntries` when its entries or
+    trace overflow.
     """
-    entries = X.entries
+    X_c = X.entries
     if center:
         if X.m < 2:
             raise ValueError("centering requires at least two samples")
-        entries = entries - X.column_means
+        X_c = X_c - X.column_means
     denom = max(X.m - 1, 1)
-    exact_products = _UNDERFLOW_FREE <= np.min(
-        np.abs(entries), where=entries != 0.0, initial=np.inf
-    )
-    squares = np.einsum("ij,ij->j", entries, entries)  # diagonal of X_c.T X_c
-    scale = None
+    exact_products = _UNDERFLOW_FREE <= np.min(np.abs(X_c), where=X_c != 0.0, initial=np.inf)
+    squares = np.einsum("ij,ij->j", X_c, X_c)  # diagonal of X_c.T X_c
+    # in place when X_c is the centered copy; X's own entries are read-only
+    F = np.divide(X_c, math.sqrt(denom), out=X_c if center else None)
     if to_correlation:
-        diag = squares / denom
-        if np.any(diag <= 0):
-            raise ZeroVarianceColumn(
-                f"column {int(np.argmin(diag))} has zero variance"
-            )
-        scale = 1.0 / np.sqrt(diag)
-    factor = None
-    if 2 * X.m < X.n and exact_products:
-        factor = entries / math.sqrt(denom)
-        if scale is not None:
-            factor *= scale
-        factor.flags.writeable = False
+        variances = squares / denom
+        if np.any(variances <= 0):
+            raise ZeroVarianceColumn(f"column {int(np.argmin(variances))} has zero variance")
+        if not np.isfinite(variances).all():
+            raise NonFiniteEntries(f"column {int(np.argmax(variances))}'s sum of squares overflows")
+        F *= 1.0 / np.sqrt(variances)
+    F.flags.writeable = False
     # PSD_SLACK is read at call time, so a caller that lowers it is obeyed.
     rounding = X.m * (X.m + 8) * float(np.finfo(float).eps)
     certified = bool(exact_products) and rounding <= _matrix.PSD_SLACK / 2.0
+    wide = 2 * X.m < X.n and exact_products
     with np.errstate(over="ignore"):
         total = float(squares.sum())
-    if factor is not None and certified and total <= _matrix._FLOAT_MAX / 2.0:
-        trace = float(X.n) if scale is not None else total / denom
-        out = SymmetricMatrix._from_factor(
-            factor, trace, lambda: _covariance_entries(entries, denom, scale)
-        )
+    if wide and certified and total <= _matrix._FLOAT_MAX / 2.0:
+        trace = float(X.n) if to_correlation else total / denom
+        out = SymmetricMatrix._from_factor(F, trace, lambda: _covariance_entries(F, to_correlation))
     else:
-        out = symmetrize(_covariance_entries(entries, denom, scale))
-        out._factor = factor
+        out = symmetrize(_covariance_entries(F, to_correlation))
+        out._factor = F if wide else None
     out._psd = certified
     return out
 
 
-def _covariance_entries(X_c, denom, scale):
-    """``X_c.T X_c / denom``, scaled to unit diagonal by the column ``scale``
-    when it is given. Bitwise symmetric: the product is a symmetric rank-k
-    update, and ``outer(scale, scale)`` is symmetric bit for bit."""
-    cov = X_c.T @ X_c / denom
-    if scale is not None:
-        _scale_rows_and_columns(cov, scale)
-        np.fill_diagonal(cov, 1.0)
-    return cov
+def _covariance_entries(F, unit_diagonal):
+    """``F.T @ F``, its diagonal set to 1.0 under ``unit_diagonal``. Bitwise
+    symmetric: NumPy computes it as a symmetric rank-k update (syrk)."""
+    entries = F.T @ F
+    if unit_diagonal:
+        np.fill_diagonal(entries, 1.0)
+    return entries
 
 
 def _scale_rows_and_columns(arr, scale):
@@ -476,8 +463,8 @@ def _scale_rows_and_columns(arr, scale):
     By ``outer(scale, scale)``: ``s_i s_j == s_j s_i`` bit for bit, so a
     bitwise symmetric ``arr`` stays so, and :func:`symmetrize` copies it
     without an averaging pass. A scale above ``sqrt`` of the largest float,
-    from a subnormal variance or row norm, could overflow that product; such
-    input is scaled as ``(a_ij s_i) s_j`` instead, which stays finite.
+    from a subnormal row norm, could overflow that product; such input is
+    scaled as ``(a_ij s_i) s_j`` instead, which stays finite.
     """
     if scale.max() <= _SQRT_FLOAT_MAX:
         arr *= np.outer(scale, scale)

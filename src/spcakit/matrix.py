@@ -35,8 +35,9 @@ matrix ``G = F F.T``, cached on ``A`` (:func:`_gram_eigh`), which also
 gives the norm; products with ``A`` (an unsaturated block Krylov run and
 its Rayleigh-Ritz step) cost ``2 m n`` flops per column through ``F``
 against ``n^2``. The relaxation, the oracle and the full decomposition read
-the entries, and so build them. Values computed through ``F`` agree with
-the entries to rounding.
+the entries, and so build them. The entries are ``F.T F`` itself (with a
+unit diagonal under ``to_correlation``), so values computed through ``F``
+differ from those read from the entries only in the order of the roundings.
 """
 
 from __future__ import annotations

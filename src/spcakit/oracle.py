@@ -213,8 +213,11 @@ def exact_spca(
     if required > max_enumeration:
         raise EnumerationBudgetExceeded(required, max_enumeration)
 
+    # Search A times the power of two putting max|A_ij| in [1/2, 1), so no square over/underflows.
     entries = A.entries
-    margin = _SCREEN_MARGIN * k * max(float(entries.max()), -float(entries.min()))
+    largest, exponent = math.frexp(max(float(entries.max()), -float(entries.min())))
+    entries = np.ldexp(entries, -exponent)
+    margin = _SCREEN_MARGIN * k * largest
     # The greedy incumbent runs only when it scores fewer supports than the
     # enumeration screens and its blocks fit in one chunk; near k = n it would
     # cost more than the whole search.

@@ -432,14 +432,16 @@ def _clip_cannot_certify(C, x, keep, objective, lam, gap_tol):
     ``bound * (1 - gap_tol) <= objective`` fails for every bound once
     ``y'Cy * (1 - gap_tol)`` exceeds ``objective`` by more than
     ``_SKIP_MARGIN * lam``, a margin for rounding, with ``lam =
-    lambda_max(C)``. It costs two k x k products and no eigensolve.
+    lambda_max(C)``. It costs two k x k products and no eigensolve; dividing
+    the step by its largest magnitude keeps them finite at any scale of C.
     """
     block = C[np.ix_(keep, keep)]
     step = block @ x[keep]
-    norm_sq = float(step @ step)
-    if norm_sq == 0.0:
+    largest = float(np.abs(step).max())
+    if largest == 0.0:
         return False
-    lower = float(step @ block @ step) / norm_sq
+    step /= largest
+    lower = float(step @ block @ step) / float(step @ step)
     return lower * (1.0 - gap_tol) - objective > _SKIP_MARGIN * lam
 
 
@@ -637,14 +639,20 @@ def round_sdp_solution(sol: SdpSolution, s: int, diag: SdpDiagnostics):
 def _check_truncation_chain(A: SymmetricMatrix, u, z: SparseUnitVector):
     # Instrumented lower bound: z.T A z >= u.T A u - 3 ||u||_1 * maxrow * ||u - z||_2,
     # with maxrow the largest Euclidean row norm of A. Mathematically
-    # guaranteed, so a violation indicates a bug.
-    z_dense = z.to_dense()
+    # guaranteed, so a violation indicates a bug. The slack is twice the rounding of
+    # n-term sums, n eps times ||u||_1^2 max|A_ij| (||z||_1 <= ||u||_1) and the
+    # subtracted term; row norms are taken of A / max|A_ij| against over- and underflow.
+    entries = A.entries
+    largest = max(float(entries.max()), -float(entries.min()))
     lhs = z.quadratic_form(A)
-    u_au = float(u @ A.entries @ u)
-    max_row = float(np.linalg.norm(A.entries, axis=1).max())
-    drop = float(np.linalg.norm(u - z_dense))
-    bound = u_au - 3.0 * float(np.abs(u).sum()) * max_row * drop
-    if not lhs >= bound - 1e-8:
+    u_au = float(u @ entries @ u)
+    max_row = largest * float(np.linalg.norm(entries / largest, axis=1).max())
+    drop = float(np.linalg.norm(u - z.to_dense()))
+    l1 = float(np.abs(u).sum())
+    loss = 3.0 * l1 * max_row * drop
+    bound = u_au - loss
+    slack = 2.0 * (A.n + 1) * float(np.finfo(float).eps) * (l1 * l1 * largest + loss)
+    if not lhs >= bound - slack:
         raise InvariantViolation(f"truncation chain violated: {lhs} < {bound}")
 
 

@@ -19,7 +19,7 @@ from spcakit import (
     solve_sdp_relaxation,
     sparsity_sweep,
 )
-from spcakit.cli import build_parser, main, reproduce_pitprops
+from spcakit.cli import build_parser, entry_point, main, reproduce_pitprops
 
 from helpers import count_calls, failing_dsyevd, random_psd, run_python, wide_data
 
@@ -699,6 +699,21 @@ def test_readme_flags_are_cli_options():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
     assert "--rho" in named
     assert sorted(named - _option_strings(build_parser())) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["reproduce-pitprops"], 0),
+    (["solve", "--algo", "svd", "--k", "1", "--input", "missing.mtx"], 2),
+])
+def test_entry_point_exits_with_the_code_of_main(monkeypatch, tmp_path, argv, code):
+    # The installed ``spca`` script calls entry_point with the command line in sys.argv.
+    monkeypatch.chdir(tmp_path)
+    argv = [*argv, "--output", "r.json"]
+    assert main(argv) == code
+    monkeypatch.setattr("sys.argv", ["spca", *argv])
+    with pytest.raises(SystemExit) as exc:
+        entry_point()
+    assert exc.value.code == code
 
 
 def test_module_invocation_prints_version():

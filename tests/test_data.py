@@ -484,14 +484,28 @@ class TestCovariance:
         assert dense._entries is not None and not dense._psd
         assert A.entries.tobytes() == dense.entries.tobytes()
         assert not A.entries.flags.writeable
-        X_c = X.entries - X.column_means if center else X.entries
+        # both are the product of the one stored factor
+        product = A._factor.T @ A._factor
         if to_correlation:
+            np.fill_diagonal(product, 1.0)
             assert A.trace == 600.0 == dense.trace
         else:
-            # the product and division of the covariance before this change
-            plain = symmetrize(X_c.T @ X_c / 39)
-            assert A.entries.tobytes() == plain.entries.tobytes()
             assert A.trace == pytest.approx(dense.trace, rel=1e-14, abs=0)
+        assert A.entries.tobytes() == product.tobytes()
+
+    @pytest.mark.parametrize("center", [True, False])
+    def test_factor_only_covariance_holds_one_data_sized_array(self, center):
+        import tracemalloc
+
+        X = wide_data(64, 4096, 5)
+        tracemalloc.start()
+        try:
+            A = covariance_from_data(X, center=center)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert A._entries is None and A._factor.nbytes == X.entries.nbytes
+        assert held < 1.25 * X.entries.nbytes
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

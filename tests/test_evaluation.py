@@ -308,7 +308,11 @@ class TestRelabelling:
     """
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 12), st.integers(0, 2**31 - 1), st.sampled_from([2.0**-20, 1.0, 1e3]))
+    @given(
+        st.integers(2, 12),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([2.0**-600, 2.0**-20, 1.0, 1e3, 2.0**40, 2.0**500]),
+    )
     def test_solvers_and_evaluate_are_equivariant(self, n, seed, scale):
         A = random_psd(n, seed, scale=scale)
         rng = np.random.Generator(np.random.Philox(seed + 1))

@@ -852,9 +852,9 @@ class TestDataFactor:
         assert spectral_norm(A) == pytest.approx(max(abs(w[0]), abs(w[-1])), rel=1e-12)
         assert arpack == []
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        st.integers(2, 12),
+        st.integers(1, 64),
         st.integers(1, 12),
         st.sampled_from(["wide", "tall", "flat"]),
         st.integers(0, 2**32 - 1),
@@ -872,7 +872,9 @@ class TestDataFactor:
         # then certifies A when m (m + 8) eps <= slack / 2, and a certified A
         # has lambda_min(A) >= -slack ||A||_2 / 4. Low-rank data, tall data,
         # flat spectra (orthogonal rows), large column means and extreme
-        # scales; the smaller slack certifies m <= 6 only.
+        # scales; the smaller slack certifies m <= 6 only. One sample cannot
+        # be centered.
+        center = center and m > 1
         rng = np.random.Generator(np.random.Philox(seed))
         if shape == "flat":
             n = m + int(rng.integers(0, 40))

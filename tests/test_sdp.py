@@ -1119,6 +1119,13 @@ class TestTruncationChainCheck:
         with pytest.raises(InvariantViolation, match="truncation chain violated"):
             _check_truncation_chain(*forged_truncation())
 
+    def test_rounding_at_a_large_scale_does_not_raise(self):
+        # Here z'Az fell below the bound by rounding alone, more than an
+        # absolute 1e-8 at this scale; the slack scales with A.
+        X = synthetic_spiked(SyntheticConfig(m=32, n=128, seed=2)).entries
+        z, _, _ = spca_sdp(symmetrize(2.0**40 * (X.T @ X / 31)), 8, sparsity=8)
+        assert z.support.size == 8
+
     def test_forged_truncation_raises_under_optimize(self):
         code = (
             "import sys\n"
