@@ -185,6 +185,9 @@ def _flatten(value, row, prefix=""):
 
 
 def _to_csv(report):
+    import csv  # here, so that JSON reports load nothing more
+    import io
+
     rows = report.get("results") if isinstance(report.get("results"), list) else [report]
     flat_rows = []
     for entry in rows:
@@ -192,10 +195,12 @@ def _to_csv(report):
         _flatten(entry, flat)
         flat_rows.append(flat)
     header = sorted({key for flat in flat_rows for key in flat})
-    lines = [",".join(header)]
-    for flat in flat_rows:
-        lines.append(",".join(flat.get(key, "") for key in header))
-    return "\n".join(lines) + "\n"
+    text = io.StringIO()
+    # Quotes only the fields that need it, as one with a comma.
+    csv.writer(text, lineterminator="\n").writerows(
+        [header, *([flat.get(key, "") for key in header] for flat in flat_rows)]
+    )
+    return text.getvalue()
 
 
 def _parse_grid(spec):

@@ -345,24 +345,21 @@ def unit_row_normalize(A: SymmetricMatrix, max_iters=64, tol=1e-8) -> SymmetricM
     still above ``tol`` after ``max_iters`` sweeps.
     """
     entries = A.entries.copy()
-    deviation = np.inf
-    for _ in range(max_iters):
+    for sweep in range(max_iters + 1):
         norms = np.linalg.norm(entries, axis=1)
         deviation = float(np.abs(norms - 1.0).max())
         if deviation <= tol:
             break
-        if np.any(norms <= 0):
-            raise ZeroVarianceColumn("cannot normalize a matrix with a zero row")
-        _scale_rows_and_columns(entries, 1.0 / np.sqrt(norms))
-    else:
-        norms = np.linalg.norm(entries, axis=1)
-        deviation = float(np.abs(norms - 1.0).max())
-        if deviation > tol:
+        if sweep == max_iters:
             warnings.warn(
                 f"row normalization stopped at deviation {deviation:.3e} after "
                 f"{max_iters} iterations",
                 NonConvergenceWarning,
             )
+            break
+        if np.any(norms <= 0):
+            raise ZeroVarianceColumn("cannot normalize a matrix with a zero row")
+        _scale_rows_and_columns(entries, 1.0 / np.sqrt(norms))
     return symmetrize(entries)
 
 
@@ -420,7 +417,13 @@ def covariance_from_data(X: DataMatrix, center=True, to_correlation=False) -> Sy
             raise ValueError("centering requires at least two samples")
         X_c = X_c - X.column_means
     denom = max(X.m - 1, 1)
-    exact_products = _UNDERFLOW_FREE <= np.min(np.abs(X_c), where=X_c != 0.0, initial=np.inf)
+    # No nonzero |X_c| below _UNDERFLOW_FREE: scanned by row blocks of about
+    # 2**16 entries, zeros read as inf, so no temporary of X's size is made.
+    rows = max(1, (1 << 16) // X.n)
+    exact_products = all(
+        np.abs(b, out=np.full(b.shape, np.inf), where=b != 0.0).min() >= _UNDERFLOW_FREE
+        for b in (X_c[i : i + rows] for i in range(0, X.m, rows))
+    )
     squares = np.einsum("ij,ij->j", X_c, X_c)  # diagonal of X_c.T X_c
     # in place when X_c is the centered copy; X's own entries are read-only
     F = np.divide(X_c, math.sqrt(denom), out=X_c if center else None)

@@ -213,7 +213,8 @@ def exact_spca(
     if required > max_enumeration:
         raise EnumerationBudgetExceeded(required, max_enumeration)
 
-    # Search A times the power of two putting max|A_ij| in [1/2, 1), so no square over/underflows.
+    # Search A times the power of two putting max|A_ij| in [1/2, 1), so no
+    # square over/underflows, and report from the block searched, scaled back.
     entries = A.entries
     largest, exponent = math.frexp(max(float(entries.max()), -float(entries.min())))
     entries = np.ldexp(entries, -exponent)
@@ -240,10 +241,11 @@ def exact_spca(
                 best_value = float(values[top])
                 best_support = tuple(int(i) for i in supports[top])
 
-    top_value, top_vec = restricted_top_eigenpair(A, best_support)
-    vector = SparseUnitVector(A.n, np.asarray(best_support, dtype=np.int64), top_vec)
+    support = np.asarray(best_support, dtype=np.int64)
+    w, v = _symmetric_eigh(entries[np.ix_(support, support)])
+    vector = SparseUnitVector(A.n, support, _fix_signs(v[:, -1:])[:, 0])
     return OracleResult(
-        optimal_value=top_value,
+        optimal_value=math.ldexp(float(w[-1]), exponent),
         optimal_vector=vector,
         instances_enumerated=required,
         instances_pruned=pruned,

@@ -10,20 +10,20 @@ zero, and the l1 projection finds its threshold by a filter iteration
 instead of a full sort. The solver stops on a certified duality gap: the
 scaled dual variable gives an upper bound on the relaxation's optimum
 (d'Aspremont, El Ghaoui, Jordan & Lanckriet, SIAM Review 2007), and a
-feasible point built from the Z iterate (rescaled, or mixed with a rank-1 or
-diagonal target of smaller l1 norm) has an objective within a relative
-``gap_tol`` of it; the gap is checked on a cadence that widens as the
-iterations grow. Before the first iteration the same test is applied to the
-thresholding solution x, as the feasible point ``x x^T``, and the structured
-dual ``clip(A, -t, t)``; when they already close the gap, no iteration runs.
-The search for t starts at the least t that cancels every entry of A off
-x's support, whose bound takes one k x k eigensolve; no larger t gives a
-lower bound, so when that point does not close the gap it bisects below it.
-One Rayleigh step from x skips the search when it proves that no dual bound
-can close the gap. Rounding takes the best
-rank-1 factor u of the solution and keeps its ``s`` largest-magnitude
-coordinates, giving a vector with norm at most one and a certified objective
-floor ``(1/alpha) * trace(A Z) - epsilon``.
+feasible point built from the Z iterate (rescaled, or mixed with a rank-1
+target of smaller l1 norm) has an objective within a relative ``gap_tol`` of
+it; the gap is checked on a cadence that widens as the iterations grow.
+Before the first iteration the same test is applied to the thresholding
+solution x, as the feasible point ``x x^T``, and the structured dual
+``clip(A, -t, t)``; when they already close the gap, no iteration runs. The
+search for t starts at the least t that cancels every entry of A off x's
+support, whose bound takes one k x k eigensolve; no larger t gives a lower
+bound, so when that point does not close the gap it bisects below it. One
+Rayleigh step from x skips the search when it proves that no dual bound can
+close the gap. Every bound comes from one function, ``_dual_bound``.
+Rounding takes the best rank-1 factor u of the solution and keeps its ``s``
+largest-magnitude coordinates, giving a vector with norm at most one and a
+certified objective floor ``(1/alpha) * trace(A Z) - epsilon``.
 """
 
 from __future__ import annotations
@@ -118,12 +118,12 @@ class SdpSolution:
     ``iterations_used`` is 0 when the thresholding solution was certified
     before the first ADMM iteration; ``Z`` is then the rank-1 ``x x^T`` of
     :func:`solve_sdp_relaxation`. After ADMM iterations ``Z`` is the last
-    PSD iterate scaled into the l1 ball, or, when only a mix of it with
-    ``x x^T`` or with its diagonal closed the gap, that mix. Z's rank-1
-    factor is taken by :func:`rank_one_diagnostics`, not here, and from
-    ``Z`` alone: a rank-1 ``Z``, certified or a scaled ADMM iterate, needs
-    no eigendecomposition, and a mix, in general of rank two or more, takes
-    one.
+    PSD iterate scaled into the l1 ball, or, when only its mix with ``x
+    x^T`` (x its truncated top eigenvector) closed the gap, that mix. Z's
+    rank-1 factor is taken by :func:`rank_one_diagnostics`, not here, and
+    from ``Z`` alone: a rank-1 ``Z``, certified or a scaled ADMM iterate,
+    needs no eigendecomposition, and a mix, in general of rank two or more,
+    takes one.
     """
 
     matrix: SymmetricMatrix
@@ -281,20 +281,18 @@ def _frobenius(D):
     return math.sqrt(np.einsum("ij,ij->", D, D))
 
 
-def _dual_bound(C, rho, U, k):
-    """Upper bound on the relaxation's optimum from ADMM's scaled dual ``rho * U``.
+def _dual_bound(S, w_max, k, vectors=False):
+    """``(bound, v)``: the dual bound ``max(0, lambda_max(S)) + k * w_max``.
 
     For every symmetric W and feasible X, ``trace(C X) = trace((C - W) X) +
-    trace(W X) <= max(0, lambda_max(C - W)) + k * max |W_ij|``. With W the
-    symmetric part of ``rho * U``, which tends to the optimal multiplier of
-    the l1 constraint, the bound tends to the optimum.
+    trace(W X) <= max(0, lambda_max(C - W)) + k * max |W_ij|``, so with ``S =
+    C - W`` and ``w_max = max |W_ij|`` this bounds the relaxation's optimum.
+    ``v`` is S's unit top eigenvector when ``vectors`` is set and
+    ``lambda_max(S) > 0``, else None.
     """
-    M = U + U.T
-    M *= -0.5 * rho
-    l1_term = k * float(np.abs(M).max())
-    M += C
-    lam = float(_symmetric_eigh(M, top=1, vectors=False)[0][-1])
-    return max(0.0, lam) + l1_term
+    w, v = _symmetric_eigh(S, top=1, vectors=vectors)
+    lam = float(w[-1])
+    return max(0.0, lam) + k * w_max, (v[:, -1] if vectors and lam > 0.0 else None)
 
 
 def _truncated(v, k):
@@ -320,33 +318,31 @@ def _primal_point(C, Z, top, k, bound, gap_tol):
     ``Z`` is PSD with trace at most one and ``top`` its unit top
     eigenvector, so ``Z * min(1, k / ||Z||_1)`` is feasible; it is returned
     when it closes the gap to ``bound`` or ``||Z||_1 <= k``. Otherwise Z is
-    mixed with two PSD targets T of trace at most one and l1 norm at most k:
-    ``x x^T`` (x is ``top`` kept on its k largest squares and renormalized,
-    so ``||x||_1^2 <= k``) and ``Diag(Z)`` (l1 norm ``trace(Z)``). Each mix
-    is ``P = (1 - mu) Z + mu T`` with the least ``mu = (||Z||_1 - k) /
-    (||Z||_1 - ||T||_1)`` that brings the l1 norm to k, capped at 1, and is
-    skipped when the computed ``||T||_1`` is not below ``||Z||_1``. P is PSD
-    with trace at most one and, by the triangle inequality, l1 norm at most
-    k; :func:`_scaled` rescales any rounding above k, and the cap keeps P a
-    convex combination when rounding puts ``||T||_1`` above k. The mix with
-    the larger objective is returned when it closes the gap, else the
-    scaled Z. Neither target costs an eigensolve.
+    mixed with ``T = x x^T``, x being ``top`` kept on its k largest squares
+    and renormalized, so T is PSD with trace one and ``||T||_1 = ||x||_1^2
+    <= k``. The mix is ``P = (1 - mu) Z + mu T`` with the least ``mu =
+    (||Z||_1 - k) / (||Z||_1 - ||T||_1)`` that brings the l1 norm to k,
+    capped at 1, and is skipped when the computed ``||T||_1`` is not below
+    ``||Z||_1``. P is PSD with trace at most one and, by the triangle
+    inequality, l1 norm at most k; :func:`_scaled` rescales any rounding
+    above k, and the cap keeps P a convex combination when rounding puts
+    ``||T||_1`` above k. The mix is returned when it closes the gap, else
+    the scaled Z. It costs no eigensolve.
     """
     scale, objective = _scaled(C, Z, k)
     if scale == 1.0 or _gap_closed(objective, bound, gap_tol):
         return Z, scale, objective
     l1 = k / scale
     x, _ = _truncated(top, k)
-    best = Z, scale, objective
-    for T in (np.outer(x, x), np.diag(np.diagonal(Z))):
-        t_l1 = float(np.abs(T).sum())
-        if t_l1 < l1:
-            mu = min(1.0, (l1 - k) / (l1 - t_l1))
-            P = (1.0 - mu) * Z + mu * T
-            point = (P, *_scaled(C, P, k))
-            if point[2] > best[2]:
-                best = point
-    return best if _gap_closed(best[2], bound, gap_tol) else (Z, scale, objective)
+    T = np.outer(x, x)
+    t_l1 = float(np.abs(T).sum())
+    if t_l1 < l1:
+        mu = min(1.0, (l1 - k) / (l1 - t_l1))
+        P = (1.0 - mu) * Z + mu * T
+        point = (P, *_scaled(C, P, k))
+        if _gap_closed(point[2], bound, gap_tol):
+            return point
+    return Z, scale, objective
 
 
 def _gap_closed(objective, bound, gap_tol):
@@ -359,64 +355,53 @@ def _gap_closed(objective, bound, gap_tol):
     return bound - objective <= gap_tol * bound
 
 
-def _clip_bound(block, t, k, slope):
-    """``g(t)`` of :func:`_clip_threshold` from a principal block of C, and g's slope.
-
-    ``block`` holds every row and column of C with an entry above t in
-    magnitude. The other rows of ``C - clip(C, -t, t)`` are zero and add only
-    zero eigenvalues, which ``max(0, .)`` ignores, so one top eigenpair of
-    the soft-thresholded block gives the bound. Where its eigenvalue is
-    positive and simple with eigenvector v, ``g'(t) = k - v' sign(C - W) v``,
-    and elsewhere ``g'(t) = k``. The second value is True when g falls at t;
-    without ``slope`` no eigenvector is taken and it is False.
-    """
-    excess = block - np.clip(block, -t, t)
-    w, v = _symmetric_eigh(excess, top=1, vectors=slope)
-    lam = float(w[-1])
-    falls = slope and lam > 0.0 and k < v[:, -1] @ np.sign(excess) @ v[:, -1]
-    return max(0.0, lam) + k * t, falls
-
-
 def _clip_threshold(C, keep, k, objective, gap_tol):
     """Threshold t for the structured dual ``W = clip(C, -t, t)``, and its bound.
 
     ``W`` gives the bound ``g(t) = max(0, lambda_max(C - W)) + k t`` of
     :func:`_dual_bound` for every t, so the search affects how often the
-    bound certifies, never whether it holds. Its first point is ``t_off``,
-    the largest ``|C_ij|`` outside ``S x S``, S = ``keep``: the least t that
-    cancels every entry off the support (d'Aspremont, Bach & El Ghaoui,
-    *Optimal solutions for sparse PCA*, JMLR 2008). There ``C - W`` is zero
-    outside ``S x S``, so ``g(t_off)`` takes one k x k eigensolve.
+    bound certifies, never whether it holds. g(t) is taken on the rows with
+    an entry above t in magnitude; the other rows of ``C - W`` are zero and
+    change no bound. Its first point is ``t_off``, the largest ``|C_ij|``
+    outside ``S x S``, S = ``keep``: the least t that cancels every entry
+    off the support (d'Aspremont, Bach & El Ghaoui, *Optimal solutions for
+    sparse PCA*, JMLR 2008). There ``C - W`` is zero outside ``S x S``, so
+    ``g(t_off)`` takes one k x k eigensolve.
 
     No larger t does better. For ``t_off <= t1 <= t2`` both soft-thresholded
     matrices vanish outside ``S x S``, so their difference is supported on
     ``S x S`` with entries at most ``t2 - t1``; by Weyl's inequality
     lambda_max rises by at most ``k (t2 - t1)``, and ``g(t1) <= g(t2)``.
     When ``g(t_off)`` leaves a relative ``gap_tol`` to ``objective`` open,
-    the search bisects ``[0, t_off]`` on the sign of ``g'`` for
-    ``_CLIP_SEARCH_STEPS`` steps, each on the rows whose largest ``|C_ij|``
-    exceeds t (:func:`_clip_bound`), and stops early once the gap closes.
-    It returns the best t it saw with its bound. :func:`solve_sdp_relaxation`
-    calls it only when :func:`_clip_cannot_certify` does not rule every t out.
+    the search bisects ``[0, t_off]`` for ``_CLIP_SEARCH_STEPS`` steps on the
+    sign of g's slope, and stops early once the gap closes. Where
+    ``lambda_max(C - W)`` is positive and simple with eigenvector v, ``g'(t)
+    = k - v' sign(C - W) v``, and elsewhere ``g'(t) = k``. It returns the
+    best t it saw with its bound. :func:`solve_sdp_relaxation` calls it only
+    when :func:`_clip_cannot_certify` does not rule every t out.
     """
     support = np.ix_(keep, keep)
-    off = np.abs(C)
-    off[support] = 0.0
-    lo, hi = 0.0, float(off.max())
+    block = C[support]
+    magnitudes = np.abs(C)
+    magnitudes[support] = 0.0
+    lo, hi = 0.0, float(magnitudes.max())
     best_t = hi
-    best, _ = _clip_bound(C[support], hi, k, slope=False)
+    best, _ = _dual_bound(block - np.clip(block, -hi, hi), hi, k)
     if _gap_closed(objective, best, gap_tol):
         return best_t, best
-    row_max = np.abs(C).max(axis=1)
+    magnitudes[support] = np.abs(block)
+    row_max = magnitudes.max(axis=1)
     for _ in range(_CLIP_SEARCH_STEPS):
         t = 0.5 * (lo + hi)
         rows = np.flatnonzero(row_max > t)
-        bound, falls = _clip_bound(C[np.ix_(rows, rows)], t, k, slope=True)
+        block = C[np.ix_(rows, rows)]
+        excess = block - np.clip(block, -t, t)
+        bound, v = _dual_bound(excess, t, k, vectors=True)
         if bound < best:
             best_t, best = t, bound
             if _gap_closed(objective, best, gap_tol):
                 break
-        if falls:
+        if v is not None and k < v @ np.sign(excess) @ v:
             lo = t
         else:
             hi = t
@@ -491,18 +476,18 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
 
     At every multiple of :func:`_gap_check_every` (5 early on, widening to
     25 from iteration 500), and at ``max_iters``, the scaled dual ``rho *
-    U`` gives an upper bound on the optimum (:func:`_dual_bound`) and the
-    PSD iterate Z offers up to three feasible points (:func:`_primal_point`):
-    Z scaled by ``min(1, k / ||Z||_1)``, and, when that leaves the gap open,
-    Z mixed with ``x x^T`` (x its top eigenvector, from the projection's
-    decomposition, kept on its k largest squares) and with ``Diag(Z)``, each
-    by the least weight that brings the l1 norm to k. The solve stops with
-    ``converged=True`` once one of them has ``dual_bound - objective <=
-    gap_tol * dual_bound``, or at ``max_iters`` with ``converged=False``
-    (not an error). The reported ``Z`` is the scaled Z whenever it closes
-    the gap and at ``max_iters``; otherwise it is the mix with the larger
-    objective, which is then ``objective``. ``solver_gap`` is the reported
-    point's certified gap. The l1 step is over-relaxed
+    U`` gives an upper bound on the optimum (:func:`_dual_bound` of ``C -
+    W``, W its symmetric part) and the PSD iterate Z offers up to two
+    feasible points (:func:`_primal_point`): Z scaled by ``min(1, k /
+    ||Z||_1)``, and, when that leaves the gap open, Z mixed with ``x x^T``
+    (x its top eigenvector, from the projection's decomposition, kept on its
+    k largest squares) by the least weight that brings the l1 norm to k. The
+    solve stops with ``converged=True`` once one of them has ``dual_bound -
+    objective <= gap_tol * dual_bound``, or at ``max_iters`` with
+    ``converged=False`` (not an error). The reported ``Z`` is the scaled Z
+    whenever it closes the gap and at ``max_iters``; otherwise it is the
+    mix, whose objective is then ``objective``. ``solver_gap`` is the
+    reported point's certified gap. The l1 step is over-relaxed
     (``_OVER_RELAXATION``).
 
     Each PSD projection starts from the rank the previous one kept. Every
@@ -545,7 +530,9 @@ def solve_sdp_relaxation(A: SymmetricMatrix, k: int, cfg: AdmmConfig | None = No
         Y = project_l1_ball_matrix(U, float(k))
         U -= Y
         if iterations % _gap_check_every(iterations) == 0 or iterations == cfg.max_iters:
-            dual_bound = _dual_bound(C, rho, U, k)
+            W = U + U.T
+            W *= 0.5 * rho
+            dual_bound, _ = _dual_bound(C - W, float(np.abs(W).max()), k)
             point, scale, objective = _primal_point(C, Z, top, k, dual_bound, cfg.gap_tol)
             if _gap_closed(objective, dual_bound, cfg.gap_tol):
                 converged = True

@@ -481,6 +481,25 @@ class TestDeterminism:
             assert compared >= 2 * 4
 
 
+    @pytest.mark.parametrize(
+        "command", [["solve", "--algo", "svd", "--sparsity", "3"], ["oracle"]]
+    )
+    def test_csv_quotes_a_comma_in_the_input_path(self, tmp_path, command):
+        # The input name is a report field; a comma in it is quoted, so every
+        # row keeps the header's length and the name reads back whole.
+        import csv
+
+        path = tmp_path / "a,b.mtx"
+        save_matrix(path, pit_props().entries)
+        out = tmp_path / "r.csv"
+        argv = [command[0], "--input", str(path), "--k", "3", *command[1:]]
+        assert _run([*argv, "--format", "csv", "--output", str(out)]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert len(rows) == 2 and len(rows[1]) == len(rows[0])
+        assert dict(zip(rows[0], rows[1]))["input.name"] == str(path)
+
+
 class TestParserReuse:
     """``main`` parses with one parser per process; reusing it changes no result."""
 

@@ -497,15 +497,18 @@ class TestCovariance:
     def test_factor_only_covariance_holds_one_data_sized_array(self, center):
         import tracemalloc
 
+        # The underflow guard scans X_c by row blocks, so the peak stays
+        # near the one data-sized array the centered copy or F is.
         X = wide_data(64, 4096, 5)
         tracemalloc.start()
         try:
             A = covariance_from_data(X, center=center)
-            held, _ = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert A._entries is None and A._factor.nbytes == X.entries.nbytes
         assert held < 1.25 * X.entries.nbytes
+        assert peak < 1.5 * X.entries.nbytes
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -534,6 +537,16 @@ class TestCovariance:
         zero_column[:, 3] = 0.0  # exact zeros cannot underflow
         A = covariance_from_data(DataMatrix(zero_column))
         assert A._factor is not None and A._psd
+
+    def test_underflow_guard_reads_the_last_partial_block(self):
+        # 37 rows of 4096 entries: the guard's blocks of 16 rows leave 5 in
+        # the last one, whose last row holds the only entry below 2**-400.
+        X = wide_data(37, 4096, 5).entries.copy()
+        X[-1, 100] = 2.0**-420
+        A = covariance_from_data(DataMatrix(X), center=False)
+        assert A._factor is None and not A._psd
+        F = X / 6.0
+        assert A.entries.tobytes() == (F.T @ F).tobytes()
 
     def test_other_constructors_carry_no_data_factor(self, tmp_path):
         X = wide_data(8, 20, 5)

@@ -127,6 +127,20 @@ class TestExactSpca:
             assert b >= a - 1e-12
         assert values[-1] == pytest.approx(eigendecompose(A).values[0], abs=1e-10)
 
+    @pytest.mark.parametrize("built", ["pitprops", "random"])
+    def test_value_and_vector_scale_exactly_by_powers_of_two(self, built):
+        # The value and vector come from the normalized block the search
+        # screened, scaled back by the same exponent, so scaling A by 2^e
+        # scales the value by exactly 2^e, deep below 2^-470 too, and leaves
+        # the support and the vector unchanged bit for bit.
+        A = pit_props() if built == "pitprops" else random_psd(10, 4243)
+        ref = exact_spca(A, 3)
+        for e in (-600, -500, -470, 40, 500, 600):
+            res = exact_spca(symmetrize(np.ldexp(A.entries, e)), 3)
+            assert res.optimal_value == math.ldexp(ref.optimal_value, e), e
+            assert np.array_equal(res.optimal_vector.support, ref.optimal_vector.support), e
+            assert np.array_equal(res.optimal_vector.values, ref.optimal_vector.values), e
+
     def test_result_consistency(self):
         A = random_psd(6, 4242)
         res = exact_spca(A, 3)

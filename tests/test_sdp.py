@@ -615,6 +615,22 @@ class TestDualityGap:
             AdmmConfig(rho=-np.inf)
 
 
+def _bisection_steps(monkeypatch):
+    """Spy on ``sdp._dual_bound``; the returned list grows by one per call
+    that asks for the eigenvector, that is, per bisection step of the clip
+    search (the gap checks of the loop and the search's first point do not)."""
+    steps = []
+    bound = sdp_mod._dual_bound
+
+    def spy(S, w_max, k, vectors=False):
+        if vectors:
+            steps.append(w_max)
+        return bound(S, w_max, k, vectors)
+
+    monkeypatch.setattr(sdp_mod, "_dual_bound", spy)
+    return steps
+
+
 def _spiked_second_moment(seed):
     X = synthetic_spiked(SyntheticConfig(m=32, n=128, seed=seed))
     return covariance_from_data(X, center=False)
@@ -641,7 +657,8 @@ class TestThresholdCertificate:
         cfg = AdmmConfig(rho=scale, max_iters=5000)
         for k in range(1, n + 1):
             z_star = exact_spca(A, k).optimal_value
-            bound = sdp_mod._dual_bound(C, 1.0, np.clip(C, -t, t), k)
+            W = np.clip(C, -t, t)
+            bound = sdp_mod._dual_bound(C - W, np.abs(W).max(), k)[0]
             assert bound >= z_star * (1.0 - 1e-12), k
             sol = solve_sdp_relaxation(A, k, cfg)
             assert sol.dual_bound >= z_star * (1.0 - 1e-12), k
@@ -677,7 +694,7 @@ class TestThresholdCertificate:
                 assert t == off.max(), (k, keep)
                 assert bound >= z_star * (1.0 - 1e-12), (k, keep)
                 W = np.clip(C, -t, t)
-                full = sdp_mod._dual_bound(C, 1.0, W, k)
+                full = sdp_mod._dual_bound(C - W, np.abs(W).max(), k)[0]
                 assert bound == pytest.approx(full, rel=1e-12, abs=1e-13 * np.abs(C).max())
                 scaled = sdp_mod._clip_threshold(C * 2.0**j, keep, k, np.inf, 1e-4)
                 assert scaled == (t * 2.0**j, bound * 2.0**j), (k, keep, j)
@@ -714,7 +731,8 @@ class TestThresholdCertificate:
                 off = np.abs(C)
                 off[np.ix_(keep, keep)] = 0.0
                 ts = np.linspace(off.max(), np.abs(C).max(), 9)
-                g_t = [sdp_mod._dual_bound(C, 1.0, np.clip(C, -t, t), k) for t in ts]
+                W_t = [np.clip(C, -t, t) for t in ts]
+                g_t = [sdp_mod._dual_bound(C - W, np.abs(W).max(), k)[0] for W in W_t]
                 for t1, g1, g2 in zip(ts, g_t, g_t[1:]):
                     assert g2 >= g1 * (1.0 - 1e-12), (k, keep, t1)
                 t, bound = sdp_mod._clip_threshold(C, keep, k, z_star, 1e-4)
@@ -845,7 +863,7 @@ class TestThresholdCertificate:
         off[np.ix_(svd.support, svd.support)] = 0.0
         assert t < off.max()
         W = np.clip(A.entries, -t, t)
-        full_bound = sdp_mod._dual_bound(A.entries, 1.0, W, 8)
+        full_bound = sdp_mod._dual_bound(A.entries - W, np.abs(W).max(), 8)[0]
         assert full_bound - objective <= 1e-4 * full_bound
         # the bound the search found on the nonzero rows is the full matrix's
         assert bound == pytest.approx(full_bound, rel=1e-14, abs=0)
@@ -882,14 +900,14 @@ class TestThresholdCertificate:
         # datasets at the sdp-spiked sizes all certify with no iteration. The
         # search's first point, t_off, certifies 85 of the 90 solves; the
         # bisection below it runs on the other five only, and certifies them.
-        calls = count_calls(monkeypatch, sdp_mod, "_clip_bound")
+        steps = _bisection_steps(monkeypatch)
         searched = []
         for seed in range(30):
             A = _spiked_second_moment(seed)
             for k in (8, 16, 32):
-                before = len(calls)
+                before = len(steps)
                 assert solve_sdp_relaxation(A, k).iterations_used == 0, (seed, k)
-                if len(calls) > before + 1:
+                if len(steps) > before:
                     searched.append((seed, k))
         assert searched == [(7, 8), (7, 16), (17, 16), (19, 16), (29, 16)]
 
@@ -901,12 +919,12 @@ class TestThresholdCertificate:
         # fails at k = 11. Mixed feasible points stop k = 3 and 6..8 earlier
         # than the scaled iterate alone would (35, 25, 65 and 20 iterations).
         A = pit_props()
-        calls = count_calls(monkeypatch, sdp_mod, "_clip_bound")
+        steps = _bisection_steps(monkeypatch)
         iterations, searched = {}, []
         for k in range(1, A.n + 1):
-            before = len(calls)
+            before = len(steps)
             iterations[k] = solve_sdp_relaxation(A, k).iterations_used
-            if len(calls) > before + 1:
+            if len(steps) > before:
                 searched.append(k)
         assert searched == [2, 11, 12]
         assert list(iterations.values()) == [0, 0, 30, 30, 25, 20, 15, 10, 10, 5, 5, 0, 0]
